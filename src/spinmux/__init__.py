@@ -24,7 +24,6 @@ from .errors import (
     NoSolution,
     ParseError,
     SpinmuxError,
-    UnknownKind,
     UsageError,
     ValidationError,
     ZeroDetuning,

@@ -22,12 +22,13 @@ import numpy as np
 
 from . import __version__
 from .config_io import RegisterConfig, load_config
-from .dynamics import PulseProgram, QubitState, evolve, state_error
-from .errors import Diverged, SpinmuxError, UnknownKind, UsageError, ValidationError
+from .dynamics import PulseProgram, QubitState
+from .errors import Diverged, SpinmuxError, UsageError, ValidationError
 from .experiments import crosstalk_landscape, simulate_odmr, simulate_rabi, \
     simulate_ramsey
 from .fields import WireDrive, address_map, field_sample
-from .synthesis import ControlScenario, OptimizerConfig, optimize, sensitivity_sweep
+from .synthesis import ControlScenario, OptimizerConfig, _Ensemble, optimize, \
+    sensitivity_sweep
 from .pulse_io import read_pulse, write_pulse
 
 
@@ -90,15 +91,11 @@ def cmd_address_map(args) -> int:
 def _site_epsilons(cfg: RegisterConfig, pulse: PulseProgram):
     """Manifold-averaged departure from |0> per site, at the config carrier."""
     ground = QubitState.ground()
-    offsets = cfg.manifold.detuning_offsets
-    rows = []
-    for site in sorted(cfg.sites, key=lambda s: s.id):
-        sample = field_sample(cfg.environment, cfg.drive, site)
-        delta = sample.omega_plus - cfg.drive.carrier.omega_mw
-        members = [delta] if offsets[2] == 0.0 else list(delta + np.asarray(offsets))
-        eps = float(np.mean([state_error(evolve(pulse, d), ground) for d in members]))
-        rows.append((site.id, eps))
-    return rows
+    sites = sorted(cfg.sites, key=lambda s: s.id)
+    spins = [(field_sample(cfg.environment, cfg.drive, site).omega_plus
+              - cfg.drive.carrier.omega_mw, ground, ground) for site in sites]
+    stay = _Ensemble(spins, cfg.manifold).transfer_means(*pulse.amplitudes(), pulse.dt)
+    return [(site.id, 1.0 - p) for site, p in zip(sites, stay)]
 
 
 def cmd_simulate(args) -> int:
@@ -125,13 +122,11 @@ def cmd_simulate(args) -> int:
                                  args.probe_rabi_mhz * 1e6, scan,
                                  args.linewidth_mhz * 1e6)
         _write_csv(args.out, "f_ghz,contrast", zip(scan * 1e-9, contrast))
-    elif args.kind == "pulse":
+    else:  # "pulse"; argparse admits no other kind
         if not args.pulse:
             raise UsageError("simulate pulse requires --pulse")
         pulse = read_pulse(args.pulse)
         _write_csv(args.out, "site,eps", _site_epsilons(cfg, pulse))
-    else:
-        raise UnknownKind(f"unknown simulation kind {args.kind!r}")
     return 0
 
 

@@ -9,6 +9,7 @@ offending field path on failure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -51,16 +52,23 @@ def demo_config_path(name: str = "demo_register") -> str:
     return str(resources.files("spinmux.data").joinpath(f"{name}.json"))
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans and NaN/Infinity do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _get(mapping, key, default, path, kind):
     value = mapping.get(key, default)
     if value is None:
         raise ValidationError("missing required field", field=f"{path}.{key}")
-    if kind == "number" and not isinstance(value, (int, float)):
-        raise ValidationError("expected a number", field=f"{path}.{key}")
+    if kind == "number" and not _is_number(value):
+        raise ValidationError("expected a finite number", field=f"{path}.{key}")
     if kind == "vector":
         if not (isinstance(value, list) and len(value) == 3
-                and all(isinstance(v, (int, float)) for v in value)):
-            raise ValidationError("expected a 3-number list", field=f"{path}.{key}")
+                and all(_is_number(v) for v in value)):
+            raise ValidationError("expected a list of 3 finite numbers",
+                                  field=f"{path}.{key}")
         value = np.asarray(value, dtype=float)
     return value
 
@@ -124,9 +132,7 @@ def load_config(path) -> RegisterConfig:
     d = raw.get("drive", {})
     try:
         carrier = DriveCarrier(
-            omega_mw=_get(d, "carrier_ghz", 2.87, "drive", "number") * 1e9,
-            phi_mw=_get(d, "carrier_phase_rad", 0.0, "drive", "number"),
-        )
+            omega_mw=_get(d, "carrier_ghz", 2.87, "drive", "number") * 1e9)
         drive = WireDrive(
             i_dc=_get(d, "i_dc_ma", 0.0, "drive", "number") * 1e-3,
             i_ac=_get(d, "i_ac_ma", 0.0, "drive", "number") * 1e-3,

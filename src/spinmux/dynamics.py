@@ -23,10 +23,9 @@ _BOUNDARY_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DriveCarrier:
-    """Microwave carrier: frequency (Hz) and the rotating-frame phase origin."""
+    """Microwave carrier frequency (Hz); it defines the rotating frame."""
 
     omega_mw: float
-    phi_mw: float = 0.0
 
     def __post_init__(self):
         if self.omega_mw <= 0:
@@ -39,15 +38,6 @@ class PulseStep:
 
     i_amp: float
     q_amp: float
-
-    @property
-    def omega_angular(self) -> float:
-        """Angular Rabi rate 2*pi*sqrt(I^2 + Q^2), rad/s."""
-        return TWO_PI * math.hypot(self.i_amp, self.q_amp)
-
-    @property
-    def phase(self) -> float:
-        return math.atan2(self.q_amp, self.i_amp)
 
 
 @dataclass(frozen=True)
@@ -83,11 +73,6 @@ class PulseProgram:
             raise ValueError("I and Q must be 1-d arrays of equal length")
         steps = tuple(PulseStep(float(a), float(b)) for a, b in zip(i_amps, q_amps))
         return cls(steps=steps, dt=dt)
-
-    def concatenated(self, other: "PulseProgram") -> "PulseProgram":
-        if abs(other.dt - self.dt) > 1e-15 * self.dt:
-            raise ValueError("can only concatenate pulses with equal dt")
-        return PulseProgram(steps=self.steps + other.steps, dt=self.dt)
 
     def total_variation(self) -> float:
         """Sum of absolute adjacent I and Q differences, Hz."""
@@ -144,43 +129,70 @@ class Propagator:
         return QubitState(self.matrix @ state.amplitudes)
 
 
-def _su2_matrices(ax, ay, az, dt: float) -> np.ndarray:
+def _pauli(c, x, y, z) -> np.ndarray:
+    """The matrices c*1 - i*(x*sx + y*sy + z*sz), broadcast over the inputs."""
+    out = np.empty(np.broadcast(c, x, y, z).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c - 1j * z
+    out[..., 0, 1] = -1j * x - y
+    out[..., 1, 0] = -1j * x + y
+    out[..., 1, 1] = c + 1j * z
+    return out
+
+
+def _su2_matrices(ax, ay, az, dt, derivatives: bool = False):
     """exp(-i*(dt/2)*(ax*sx + ay*sy + az*sz)) for stacked angular rates (rad/s).
 
-    ax, ay, az broadcast together; the result gains a trailing (2, 2).
+    ax, ay, az and dt broadcast together; the result gains a trailing (2, 2).
+    This is the only place a step unitary is built.  With `derivatives`, also
+    returns the exact dU/dax and dU/day.  Writing U = cos(theta) - i*k*(a.sigma)
+    with theta = |a| dt/2 and k = sin(theta)/|a|, d/da_x gives
+    d(cos) = -(dt/2) k a_x and d(k a) = q a_x a + k e_x, where
+    q = ((dt/2) cos(theta) - k)/|a|^2 takes its series as |a| -> 0.
     """
     ax = np.asarray(ax, dtype=float)
     ay = np.asarray(ay, dtype=float)
     az = np.asarray(az, dtype=float)
-    omega = np.sqrt(ax * ax + ay * ay + az * az)
-    theta = 0.5 * dt * omega
+    half_dt = 0.5 * np.asarray(dt, dtype=float)
+    omega2 = ax * ax + ay * ay + az * az
+    omega = np.sqrt(omega2)
+    theta = half_dt * omega
     cos_t = np.cos(theta)
     # k = sin(theta)/omega, finite (dt/2) at omega -> 0
     with np.errstate(invalid="ignore", divide="ignore"):
         k = np.where(omega > 0.0, np.sin(theta) / np.where(omega > 0, omega, 1.0),
-                     0.5 * dt)
-    u = np.empty(np.broadcast(ax, ay, az).shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = cos_t - 1j * k * az
-    u[..., 0, 1] = -1j * k * ax - k * ay
-    u[..., 1, 0] = -1j * k * ax + k * ay
-    u[..., 1, 1] = cos_t + 1j * k * az
-    return u
+                     half_dt)
+    u = _pauli(cos_t, k * ax, k * ay, k * az)
+    if not derivatives:
+        return u
+    # q series: -(dt/2)^3 * (1/3 - theta^2/30)
+    q = np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
+                 (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
+    du_dax = _pauli(-half_dt * k * ax, q * ax * ax + k, q * ax * ay, q * ax * az)
+    du_day = _pauli(-half_dt * k * ay, q * ay * ax, q * ay * ay + k, q * ay * az)
+    return u, du_dax, du_day
 
 
-def _step_matrices(delta: float, i_amps, q_amps, dt: float) -> np.ndarray:
-    """Step propagators for whole amplitude arrays at one detuning."""
-    i_amps = np.asarray(i_amps, dtype=float)
-    q_amps = np.asarray(q_amps, dtype=float)
-    return _su2_matrices(TWO_PI * i_amps, TWO_PI * q_amps,
-                         np.full_like(i_amps, TWO_PI * delta), dt)
+def _propagate(steps: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Apply steps[:, 0], steps[:, 1], ... in order to a batch of kets.
+
+    `steps` is (members, m, 2, 2), or (1, m, 2, 2) to share one pulse across
+    all members; `kets` is (members, 2).  Returns the (members, m + 1, 2)
+    trajectory: entry l is the ket entering step l, entry m the final ket.
+    Every ordered step product in the package runs through this loop.
+    """
+    steps = np.broadcast_to(steps, (len(kets),) + steps.shape[1:])
+    out = np.empty((steps.shape[1] + 1, len(kets), 2, 1), dtype=complex)
+    out[0] = kets[..., None]
+    for l, u in enumerate(steps.swapaxes(0, 1)):
+        np.matmul(u, out[l], out=out[l + 1])
+    return out[..., 0].swapaxes(0, 1)
 
 
-def _product(matrices: np.ndarray) -> np.ndarray:
-    """Right-to-left ordered product over the leading axis (index 0 first)."""
-    total = np.eye(2, dtype=complex)
-    for m in matrices:
-        total = m @ total
-    return total
+def _clamp_unit(p):
+    """Snap values that rounding pushed within 1e-12 outside [0, 1] onto it."""
+    p = np.asarray(p, dtype=float)
+    p = np.where((p < 0.0) & (p > -_BOUNDARY_SLACK), 0.0, p)
+    return np.where((p > 1.0) & (p < 1.0 + _BOUNDARY_SLACK), 1.0, p)
 
 
 def step_propagator(delta: float, i_amp: float, q_amp: float, dt: float) -> Propagator:
@@ -194,7 +206,9 @@ def step_propagator(delta: float, i_amp: float, q_amp: float, dt: float) -> Prop
 def evolve(pulse: PulseProgram, delta: float) -> Propagator:
     """Total propagator of a pulse at detuning `delta`, step 1 applied first."""
     i_amps, q_amps = pulse.amplitudes()
-    return Propagator(_product(_step_matrices(delta, i_amps, q_amps, pulse.dt)))
+    steps = _su2_matrices(TWO_PI * i_amps, TWO_PI * q_amps, TWO_PI * delta, pulse.dt)
+    # the images of the basis kets are the columns of the product
+    return Propagator(_propagate(steps[None], np.eye(2, dtype=complex))[:, -1].T)
 
 
 def state_error(u: Propagator, initial: QubitState) -> float:
@@ -205,12 +219,7 @@ def state_error(u: Propagator, initial: QubitState) -> float:
     """
     amp = initial.amplitudes
     overlap = np.vdot(amp, u.matrix @ amp)
-    eps = 1.0 - float(abs(overlap) ** 2)
-    if -_BOUNDARY_SLACK < eps < 0.0:
-        return 0.0
-    if 1.0 < eps < 1.0 + _BOUNDARY_SLACK:
-        return 1.0
-    return eps
+    return float(_clamp_unit(1.0 - float(abs(overlap) ** 2)))
 
 
 def crosstalk_bound(rabi: float, delta: float) -> float:

@@ -50,9 +50,5 @@ class ValidationError(SpinmuxError):
         self.field = field
 
 
-class UnknownKind(SpinmuxError):
-    """An unrecognized simulation kind was requested."""
-
-
 class UsageError(SpinmuxError):
     """Bad command-line arguments (maps to exit code 1)."""

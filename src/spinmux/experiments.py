@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import QubitState, state_error, step_propagator
+from .dynamics import TWO_PI, _clamp_unit, _su2_matrices
 from .fields import FieldEnvironment, WireDrive, field_sample, rabi_frequency
 from .spins import (
     DipoleOrientation,
@@ -40,17 +40,18 @@ class CrosstalkReport:
         object.__setattr__(self, "entries", tuple(self.entries))
 
 
-def _flip_population(rabi: float, delta: float, duration: float) -> float:
-    """|<1|U|0>|^2 after a constant drive of the given length."""
-    if duration == 0.0:
-        return 0.0
-    u = step_propagator(delta, rabi, 0.0, duration)
-    return float(abs(u.matrix[1, 0]) ** 2)
+def _flip_populations(rabi, delta, duration) -> np.ndarray:
+    """|<1|U|0>|^2 after constant drives; the arguments broadcast together."""
+    u = _su2_matrices(TWO_PI * rabi, 0.0, TWO_PI * delta, duration)
+    return np.abs(u[..., 1, 0]) ** 2
 
 
 def simulate_rabi(rabi: float, delta: float, durations) -> np.ndarray:
     """Excited-state population vs. pulse length for a constant drive."""
-    return np.array([_flip_population(rabi, delta, float(t)) for t in durations])
+    durations = np.asarray(list(durations), dtype=float)
+    if np.any(durations < 0.0):
+        raise ValueError("durations must be >= 0")
+    return _flip_populations(rabi, delta, durations)
 
 
 def simulate_ramsey(
@@ -94,6 +95,8 @@ def simulate_odmr(
     scan = np.asarray(list(scan), dtype=float)
     if scan.size == 0:
         raise ValueError("scan must be non-empty")
+    if probe_rabi <= 0:
+        raise ValueError("probe_rabi must be positive")
     manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)
     duration = 1.0 / (2.0 * probe_rabi)
 
@@ -105,11 +108,8 @@ def simulate_odmr(
             lines.extend(hyperfine_detunings(omega, manifold))
     lines = np.asarray(lines)
 
-    contrast = np.empty_like(scan)
-    for k, omega_mw in enumerate(scan):
-        contrast[k] = np.mean(
-            [_flip_population(probe_rabi, line - omega_mw, duration) for line in lines]
-        )
+    contrast = np.mean(
+        _flip_populations(probe_rabi, lines[None, :] - scan[:, None], duration), axis=1)
     if linewidth_floor > 0:
         contrast = _lorentzian_smooth(scan, contrast, linewidth_floor)
     return contrast
@@ -146,17 +146,20 @@ def crosstalk_landscape(
     duration = 1.0 / (2.0 * rabi_target)
 
     drive = WireDrive(i_dc=drive_dc, i_ac=i_ac)
-    ground = QubitState.ground()
-    entries = []
+    ids, rabis, deltas = [], [], []
     for k, position in enumerate(grid):
         site = SpinSite(id=f"g{k:04d}", position=np.asarray(position, dtype=float),
                         orientation=orientation)
         sample = field_sample(env, drive, site)
-        local_rabi = rabi_frequency(env.constants, sample.b_ac_xy)
-        delta = sample.omega_plus - omega_mw
-        u = step_propagator(delta, local_rabi, 0.0, duration)
-        eps = state_error(u, ground)
-        bound = math.inf if delta == 0.0 else (local_rabi / delta) ** 2
-        entries.append(CrosstalkEntry(site_id=site.id, detuning=delta,
-                                      epsilon=eps, bound=bound))
+        ids.append(site.id)
+        rabis.append(rabi_frequency(env.constants, sample.b_ac_xy))
+        deltas.append(sample.omega_plus - omega_mw)
+    u = _su2_matrices(TWO_PI * np.array(rabis), 0.0, TWO_PI * np.array(deltas),
+                      duration)
+    eps = _clamp_unit(1.0 - np.abs(u[..., 0, 0]) ** 2)
+    entries = [
+        CrosstalkEntry(site_id=site_id, detuning=delta, epsilon=float(e),
+                       bound=math.inf if delta == 0.0 else (rabi / delta) ** 2)
+        for site_id, rabi, delta, e in zip(ids, rabis, deltas, eps)
+    ]
     return CrosstalkReport(entries=tuple(entries))

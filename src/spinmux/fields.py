@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegeneratePoint, NoSolution
 from .spins import (
@@ -126,7 +125,6 @@ class AddressMapEntry:
     site_id: str
     position_u: float          # m
     omega_plus: float          # Hz
-    rabi_at_unit_current: float  # Hz per ampere of AC current
 
 
 @dataclass(frozen=True)
@@ -185,25 +183,14 @@ def field_sample(env: FieldEnvironment, drive: WireDrive, site: SpinSite) -> Fie
 
 
 def address_map(env: FieldEnvironment, drive: WireDrive, sites) -> AddressMap:
-    """Frequency address of every site at the given DC current.
-
-    The Rabi column is reported per ampere of AC current so callers can scale
-    to any drive amplitude.
-    """
+    """Frequency address of every site at the given DC current."""
     if not sites:
         raise ValueError("sites must be non-empty")
-    entries = []
-    unit_drive = WireDrive(i_dc=drive.i_dc, i_ac=1.0, carrier=drive.carrier)
-    for site in sorted(sites, key=lambda s: s.id):
-        sample = field_sample(env, unit_drive, site)
-        entries.append(
-            AddressMapEntry(
-                site_id=site.id,
-                position_u=float(site.position[0]),
-                omega_plus=sample.omega_plus,
-                rabi_at_unit_current=rabi_frequency(env.constants, sample.b_ac_xy),
-            )
-        )
+    entries = [
+        AddressMapEntry(site_id=site.id, position_u=float(site.position[0]),
+                        omega_plus=field_sample(env, drive, site).omega_plus)
+        for site in sorted(sites, key=lambda s: s.id)
+    ]
     return AddressMap(entries=tuple(entries))
 
 
@@ -223,6 +210,10 @@ def zeeman_shift(
 # Depth search domain for wire calibration (m).
 CALIBRATION_DEPTH_RANGE = (1e-7, 1e-4)
 
+# A bracket from the 64-point geometric scan is at most 12% of its depth wide;
+# 46 halvings narrow it to a few float64 ulps of the depth.
+CALIBRATION_HALVINGS = 46
+
 
 def calibrate_wire(
     env: FieldEnvironment,
@@ -233,9 +224,10 @@ def calibrate_wire(
 ) -> WireGeometry:
     """Find the wire standoff depth that reproduces a measured Zeeman shift.
 
-    Scans depths in CALIBRATION_DEPTH_RANGE for a bracket, then bisects until
-    the shift at (at_u, 0, 0) matches `target_shift` within 1 kHz.  Raises
-    NoSolution when no depth reaches the target.
+    Scans depths in CALIBRATION_DEPTH_RANGE for a bracket, then bisects it
+    CALIBRATION_HALVINGS times; the shift at (at_u, 0, 0) must then match
+    `target_shift` within 1 kHz.  Raises NoSolution when no depth reaches the
+    target.
     """
     if target_shift <= 0:
         raise NoSolution("target shift must be positive and reachable")
@@ -265,10 +257,15 @@ def calibrate_wire(
                 f"shift {target_shift:.6g} Hz unreachable for depths in "
                 f"[{lo:g}, {hi:g}] m"
             )
-    if bracket[0] == bracket[1]:
-        depth = bracket[0]
-    else:
-        depth = brentq(residual, bracket[0], bracket[1], xtol=1e-14, rtol=8.9e-16)
+    lo, hi = bracket
+    lo_negative = residual(lo) < 0.0
+    for _ in range(CALIBRATION_HALVINGS if lo != hi else 0):
+        mid = 0.5 * (lo + hi)
+        if (residual(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    depth = 0.5 * (lo + hi)
     if abs(residual(depth)) > 1e3:
         raise NoSolution("bisection converged but missed the 1 kHz tolerance")
     return env.wire.with_depth(depth)

@@ -33,8 +33,9 @@ class PhysicalConstants:
     hyperfine_splitting: float = HYPERFINE_DEFAULT  # Hz
 
     def __post_init__(self):
-        if self.d_zfs <= 0 or self.gamma_nv <= 0 or self.hyperfine_splitting <= 0:
-            raise ValueError("all physical constants must be strictly positive")
+        if not (self.d_zfs > 0 and self.gamma_nv > 0 and self.hyperfine_splitting >= 0):
+            raise ValueError("d_zfs and gamma_nv must be positive and "
+                             "hyperfine_splitting >= 0 (0 disables the triplet)")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import TWO_PI, PulseProgram, QubitState, rect_pi_pulse, _su2_matrices
+from .dynamics import (TWO_PI, PulseProgram, QubitState, _clamp_unit, _propagate,
+                       _su2_matrices, rect_pi_pulse)
 from .errors import Diverged
 from .spins import HyperfineManifold
 
@@ -77,11 +78,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.lam < 0 or self.lam >= 1e-6:
+        # written as "not (valid)" so that NaN is rejected too
+        if not 0 <= self.lam < 1e-6:
             raise ValueError("lam must satisfy 0 <= lam < 1e-6 per Hz")
-        if self.max_amp <= 0:
+        if not self.max_amp > 0:
             raise ValueError("max_amp must be positive")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.max_iters < 0 or self.restarts < 1:
             raise ValueError("max_iters must be >= 0 and restarts >= 1")
@@ -135,23 +137,20 @@ class OptimizationTrace:
 
 
 class _Ensemble:
-    """Flattened per-member detunings and state vectors for one scenario.
+    """Flattened per-member detunings and state vectors for a set of spins.
 
-    Spin 0 is the target (bra = goal state); spectators follow (bra = their
-    initial state, so 1 - |z|^2 is their departure).  When the manifold
-    splitting is zero the three coincident members collapse to one, which
-    keeps cost identical to the single-member computation bit for bit.
+    Each spin is (detuning, bra state, ket state) and expands into one member
+    per hyperfine offset; `transfer_means` averages |<bra|U|ket>|^2 back per
+    spin.  This is the only place pulses are averaged over the manifold.
+    When the manifold splitting is zero the three coincident members collapse
+    to one, which keeps results identical to the single-member computation.
     """
 
-    def __init__(self, scenario: ControlScenario):
-        offsets = np.asarray(scenario.manifold.detuning_offsets)
+    def __init__(self, spins, manifold: HyperfineManifold):
+        offsets = np.asarray(manifold.detuning_offsets)
         if offsets[2] == 0.0:
             offsets = offsets[:1]
         deltas, bras, kets, owner = [], [], [], []
-        spins = [(scenario.target_detuning, scenario.target_goal,
-                  scenario.target_initial)]
-        spins += [(d, s, s)
-                  for d, s in zip(scenario.idle_detunings, scenario.idle_initials)]
         for s_index, (delta, bra_state, ket_state) in enumerate(spins):
             for off in offsets:
                 deltas.append(delta + off)
@@ -165,79 +164,34 @@ class _Ensemble:
         self.num_spins = len(spins)
         self.weight = 1.0 / len(offsets)
 
+    @classmethod
+    def for_scenario(cls, scenario: ControlScenario) -> "_Ensemble":
+        """Target first (bra = goal state), then the spectators (bra = their
+        initial state, so 1 - |z|^2 is their departure)."""
+        spins = [(scenario.target_detuning, scenario.target_goal,
+                  scenario.target_initial)]
+        spins += [(d, s, s)
+                  for d, s in zip(scenario.idle_detunings, scenario.idle_initials)]
+        return cls(spins, scenario.manifold)
+
+    def steps(self, i_amps, q_amps, dt, derivatives: bool = False):
+        """Step propagators (members, steps, 2, 2), optionally with d/dax, d/day."""
+        return _su2_matrices(TWO_PI * np.asarray(i_amps)[None, :],
+                             TWO_PI * np.asarray(q_amps)[None, :],
+                             TWO_PI * self.deltas[:, None], dt, derivatives)
+
     def transfer_means(self, i_amps, q_amps, dt) -> np.ndarray:
-        """Mean |<bra|U|ket>|^2 per spin (target first)."""
-        u = _member_step_matrices(self.deltas, i_amps, q_amps, dt)
-        total = np.broadcast_to(np.eye(2, dtype=complex), (len(self.deltas), 2, 2))
-        for l in range(u.shape[1]):
-            total = u[:, l] @ total
-        z = np.einsum("nk,nkj,nj->n", self.bras.conj(), total, self.kets)
-        return self._per_spin(np.abs(z) ** 2)
+        """Mean |<bra|U|ket>|^2 per spin, in spin order."""
+        final = _propagate(self.steps(i_amps, q_amps, dt), self.kets)[:, -1]
+        return _clamp_unit(self._per_spin(np.abs(self._overlaps(final)) ** 2))
+
+    def _overlaps(self, final: np.ndarray) -> np.ndarray:
+        return np.einsum("nk,nk->n", self.bras.conj(), final)
 
     def _per_spin(self, member_values: np.ndarray) -> np.ndarray:
         sums = np.zeros(self.num_spins)
         np.add.at(sums, self.owner, member_values)
         return sums * self.weight
-
-
-def _member_step_matrices(deltas, i_amps, q_amps, dt) -> np.ndarray:
-    """Stacked step propagators, shape (members, steps, 2, 2)."""
-    ax = TWO_PI * np.asarray(i_amps)[None, :]
-    ay = TWO_PI * np.asarray(q_amps)[None, :]
-    az = TWO_PI * np.asarray(deltas)[:, None]
-    n, m = az.shape[0], ax.shape[1]
-    return _su2_matrices(np.broadcast_to(ax, (n, m)), np.broadcast_to(ay, (n, m)),
-                         np.broadcast_to(az, (n, m)), dt)
-
-
-def _step_matrix_derivatives(deltas, i_amps, q_amps, dt):
-    """Step propagators plus their exact dU/dI and dU/dQ, all (n, m, 2, 2).
-
-    U = cos(theta) - i*k*(a . sigma) with a the angular rate vector,
-    k = sin(theta)/|a|; derivatives follow from d(cos)/da and d(k*a)/da with
-    series fallbacks where |a| -> 0.
-    """
-    ax = TWO_PI * np.asarray(i_amps)[None, :]
-    ay = TWO_PI * np.asarray(q_amps)[None, :]
-    az = TWO_PI * np.asarray(deltas)[:, None]
-    n, m = az.shape[0], ax.shape[1]
-    ax = np.broadcast_to(ax, (n, m)).copy()
-    ay = np.broadcast_to(ay, (n, m)).copy()
-    az = np.broadcast_to(az, (n, m)).copy()
-
-    half_dt = 0.5 * dt
-    omega2 = ax * ax + ay * ay + az * az
-    omega = np.sqrt(omega2)
-    theta = half_dt * omega
-    cos_t = np.cos(theta)
-    small = theta < 1e-3
-    safe_omega = np.where(omega > 0.0, omega, 1.0)
-    k = np.where(small, half_dt * (1.0 - theta * theta / 6.0),
-                 np.sin(theta) / safe_omega)
-    # q = ((dt/2)cos - k)/omega^2; series -(dt/2)^3 * (1/3 - theta^2/30)
-    q = np.where(small, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
-                 (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
-
-    u = np.empty((n, m, 2, 2), dtype=complex)
-    u[..., 0, 0] = cos_t - 1j * k * az
-    u[..., 0, 1] = -1j * k * ax - k * ay
-    u[..., 1, 0] = -1j * k * ax + k * ay
-    u[..., 1, 1] = cos_t + 1j * k * az
-
-    def assemble(dcos, dsx, dsy, dsz):
-        d = np.empty_like(u)
-        d[..., 0, 0] = dcos - 1j * dsz
-        d[..., 0, 1] = -1j * dsx - dsy
-        d[..., 1, 0] = -1j * dsx + dsy
-        d[..., 1, 1] = dcos + 1j * dsz
-        return d
-
-    # d/da_x: dcos = -(dt/2) k a_x ; ds = q a_x a + k e_x (then chain 2*pi for I)
-    du_di = TWO_PI * assemble(-half_dt * k * ax, q * ax * ax + k, q * ax * ay,
-                              q * ax * az)
-    du_dq = TWO_PI * assemble(-half_dt * k * ay, q * ay * ax, q * ay * ay + k,
-                              q * ay * az)
-    return u, du_di, du_dq
 
 
 def regularization(pulse: PulseProgram, lam: float) -> float:
@@ -269,49 +223,43 @@ def _breakdown(transfer: np.ndarray, reg: float) -> CostBreakdown:
 
 def cost(pulse: PulseProgram, scenario: ControlScenario, lam: float) -> CostBreakdown:
     """Evaluate the full objective, manifold-averaged per spin."""
-    ens = _Ensemble(scenario)
     i_amps, q_amps = pulse.amplitudes()
-    transfer = ens.transfer_means(i_amps, q_amps, pulse.dt)
+    transfer = _Ensemble.for_scenario(scenario).transfer_means(i_amps, q_amps, pulse.dt)
     return _breakdown(transfer, regularization(pulse, lam))
 
 
 def gradient(pulse: PulseProgram, scenario: ControlScenario, lam: float):
     """Exact df/dI_l and df/dQ_l (1/Hz), including the R subgradient."""
-    ens = _Ensemble(scenario)
     i_amps, q_amps = pulse.amplitudes()
-    g_i, g_q, _ = _cost_gradient_arrays(ens, i_amps, q_amps, pulse.dt)
+    ens = _Ensemble.for_scenario(scenario)
+    g_i, g_q = _cost_gradient_arrays(ens, i_amps, q_amps, pulse.dt)
     r_i, r_q = _regularization_gradient(i_amps, q_amps, lam)
     return g_i + r_i, g_q + r_q
 
 
 def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt):
-    """Gradient of the epsilon part of f, plus the per-spin transfer means."""
-    n = len(ens.deltas)
-    m = len(i_amps)
-    u, du_di, du_dq = _step_matrix_derivatives(ens.deltas, i_amps, q_amps, dt)
+    """Gradient of the epsilon part of f with respect to I and Q.
 
-    fwd = np.empty((n, m + 1, 2, 2), dtype=complex)
-    fwd[:, 0] = np.eye(2)
-    for l in range(m):
-        fwd[:, l + 1] = u[:, l] @ fwd[:, l]
-    suf = np.empty_like(fwd)
-    suf[:, m] = np.eye(2)
-    for l in range(m - 1, -1, -1):
-        suf[:, l] = suf[:, l + 1] @ u[:, l]
+    GRAPE-style: kets propagate forward through the steps and costates (the
+    bras) backward through the reversed, conjugate-transposed steps, so
+    dz/dI_l = chi_l^H dU_l/dI_l psi_l needs only 2-vectors per step.
+    """
+    u, du_dax, du_day = ens.steps(i_amps, q_amps, dt, derivatives=True)
+    m = u.shape[1]
+    psi = _propagate(u, ens.kets)
+    back = _propagate(u[:, ::-1].conj().swapaxes(-1, -2), ens.bras)
+    chi = back[:, m - 1::-1].conj()     # chi[:, l]: costate after step l, as a bra
 
-    z = np.einsum("nk,nkj,nj->n", ens.bras.conj(), fwd[:, m], ens.kets)
-    rows = np.einsum("nk,nlkj->nlj", ens.bras.conj(), suf[:, 1:])
-    cols = np.einsum("nljk,nk->nlj", fwd[:, :m], ens.kets)
-    dz_di = np.einsum("nlj,nljk,nlk->nl", rows, du_di, cols)
-    dz_dq = np.einsum("nlj,nljk,nlk->nl", rows, du_dq, cols)
+    z = ens._overlaps(psi[:, m])
+    dz_dax = np.einsum("nlj,nljk,nlk->nl", chi, du_dax, psi[:, :m])
+    dz_day = np.einsum("nlj,nljk,nlk->nl", chi, du_day, psi[:, :m])
 
     # every spin contributes a (1 - |z|^2) term to f, so the gradient per
-    # member is -2 Re(conj(z) dz), manifold-weighted
-    coeff = -2.0 * ens.weight
-    g_i = coeff * np.real(z.conj()[:, None] * dz_di).sum(axis=0)
-    g_q = coeff * np.real(z.conj()[:, None] * dz_dq).sum(axis=0)
-    transfer = ens._per_spin(np.abs(z) ** 2)
-    return g_i, g_q, transfer
+    # member is -2 Re(conj(z) dz), manifold-weighted; 2*pi chains a to I, Q
+    coeff = -2.0 * TWO_PI * ens.weight
+    g_i = coeff * np.real(z.conj()[:, None] * dz_dax).sum(axis=0)
+    g_q = coeff * np.real(z.conj()[:, None] * dz_day).sum(axis=0)
+    return g_i, g_q
 
 
 def _initial_amplitudes(config: OptimizerConfig, restart: int):
@@ -344,7 +292,7 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
     for it in range(1, config.max_iters + 1):
         if converged:
             break
-        g_i, g_q, _ = _cost_gradient_arrays(ens, i_amps, q_amps, dt)
+        g_i, g_q = _cost_gradient_arrays(ens, i_amps, q_amps, dt)
         r_i, r_q = _regularization_gradient(i_amps, q_amps, lam)
         g_i = g_i + r_i
         g_q = g_q + r_q
@@ -395,7 +343,7 @@ def optimize(scenario: ControlScenario, config: OptimizerConfig):
     Diverged (carrying the best artifacts so far) only if every restart stalls
     in its line search.
     """
-    ens = _Ensemble(scenario)
+    ens = _Ensemble.for_scenario(scenario)
     best = None
     any_ok = False
     for restart in range(config.restarts):
@@ -454,7 +402,7 @@ def sensitivity_sweep(
             idle_detunings=tuple(d + offset for d in scenario.idle_detunings),
             idle_initials=scenario.idle_initials,
         )
-        ens = _Ensemble(shifted)
+        ens = _Ensemble.for_scenario(shifted)
         for scale in amp_scales:
             transfer = ens.transfer_means(i_amps * scale, q_amps * scale, pulse.dt)
             bd = _breakdown(transfer, 0.0)

@@ -106,18 +106,6 @@ class TestSimulateCommand:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
-    def test_unknown_kind_raised_past_the_parser(self, demo_config, tmp_path):
-        # argparse choices catch this on the command line (exit 1); direct
-        # dispatch with a bogus kind raises the dedicated error instead
-        from argparse import Namespace
-
-        from spinmux import UnknownKind
-
-        args = Namespace(kind="bogus", config=demo_config,
-                         out=str(tmp_path / "x.csv"))
-        with pytest.raises(UnknownKind):
-            cli.cmd_simulate(args)
-
 
 class TestOptimizeCommand:
     def test_small_run_writes_artifacts(self, close_pair_config, tmp_path):
@@ -286,6 +274,37 @@ class TestExitCodes:
         code = cli.main(["address-map", "--config", str(bad),
                          "--idc-ma", "0", "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("drive, position, field", [
+        ({"i_dc_ma": float("nan")}, [0, 0, 0], "drive.i_dc_ma"),
+        ({"i_ac_ma": True}, [0, 0, 0], "drive.i_ac_ma"),
+        ({}, [float("inf"), 0, 0], "sites[0].position_um"),
+    ])
+    def test_bad_numbers_exit_2_and_name_the_field(self, tmp_path, capsys, drive,
+                                                   position, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "environment": {
+                "b_ext_mt": [0, 0, 1],
+                "wire": {"anchor_um": [0, 0, -1], "direction": [0, 1, 0]},
+            },
+            "drive": drive,
+            "sites": [{"id": "a", "position_um": position}],
+        }))
+        code = cli.main(["address-map", "--config", str(bad),
+                         "--idc-ma", "0", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    def test_nan_lambda_exits_2(self, close_pair_config, tmp_path, capsys):
+        code = cli.main([
+            "optimize", "--config", close_pair_config,
+            "--target-site", "nv-b", "--idle-site", "nv-c", "--lambda", "nan",
+            "--out-pulse", str(tmp_path / "p.csv"),
+            "--out-trace", str(tmp_path / "t.jsonl"),
+        ])
+        assert code == 2
+        assert "lam" in capsys.readouterr().err
 
     def test_missing_config_is_2(self, tmp_path):
         code = cli.main(["address-map", "--config", str(tmp_path / "none.json"),

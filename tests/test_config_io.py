@@ -78,6 +78,38 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, doc))
         assert "sites[0]" in str(err.value)
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("drive", "i_dc_ma", float("nan"), "drive.i_dc_ma"),
+        ("drive", "i_ac_ma", True, "drive.i_ac_ma"),
+        ("drive", "carrier_ghz", float("inf"), "drive.carrier_ghz"),
+        ("constants", "hyperfine_mhz", float("-inf"), "constants.hyperfine_mhz"),
+        ("sites", "position_um", [float("inf"), 0, 0], "sites[0].position_um"),
+        ("sites", "t2_us", False, "sites[0].t2_us"),
+        ("environment", "b_ext_mt", [0, float("nan"), 3], "environment.b_ext_mt"),
+    ])
+    def test_non_finite_and_boolean_numbers_name_the_field(self, tmp_path, section,
+                                                           key, value, field):
+        doc = json.loads(json.dumps(MINIMAL))
+        target = {"sites": lambda d: d["sites"][0],
+                  "environment": lambda d: d["environment"]}.get(
+            section, lambda d: d.setdefault(section, {}))(doc)
+        target[key] = value
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.field == field
+
+    def test_zero_hyperfine_disables_the_triplet(self, tmp_path):
+        doc = dict(MINIMAL, constants={"hyperfine_mhz": 0})
+        cfg = load_config(write_config(tmp_path, doc))
+        assert cfg.constants.hyperfine_splitting == 0.0
+        assert cfg.manifold.splitting == 0.0
+
+    def test_negative_hyperfine_rejected(self, tmp_path):
+        doc = dict(MINIMAL, constants={"hyperfine_mhz": -1.0})
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.field == "constants"
+
     def test_unknown_site_lookup(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
         with pytest.raises(ValidationError):

@@ -81,22 +81,36 @@ class TestEvolve:
         # a pi/2 about x then pi/2 about y is distinguishable from the reverse
         a = PulseProgram(steps=(PulseStep(2.5e6, 0.0),), dt=50e-9)
         b = PulseProgram(steps=(PulseStep(0.0, 2.5e6),), dt=50e-9)
-        u_ab = evolve(a.concatenated(b), 0.0).matrix
+        u_ab = evolve(PulseProgram.from_arrays([2.5e6, 0.0], [0.0, 2.5e6], 50e-9),
+                      0.0).matrix
         expected = evolve(b, 0.0).matrix @ evolve(a, 0.0).matrix
         assert np.allclose(u_ab, expected, atol=1e-14)
-        u_ba = evolve(b.concatenated(a), 0.0).matrix
+        u_ba = evolve(PulseProgram.from_arrays([0.0, 2.5e6], [2.5e6, 0.0], 50e-9),
+                      0.0).matrix
         assert not np.allclose(u_ab, u_ba, atol=1e-3)
 
     def test_composition_identity(self):
         rng = np.random.default_rng(9)
         dt = 40e-9
-        a = PulseProgram.from_arrays(rng.uniform(-5e6, 5e6, 7),
-                                     rng.uniform(-5e6, 5e6, 7), dt)
-        b = PulseProgram.from_arrays(rng.uniform(-5e6, 5e6, 5),
-                                     rng.uniform(-5e6, 5e6, 5), dt)
-        lhs = evolve(a.concatenated(b), 2.2e6).matrix
+        a_i, a_q = rng.uniform(-5e6, 5e6, 7), rng.uniform(-5e6, 5e6, 7)
+        b_i, b_q = rng.uniform(-5e6, 5e6, 5), rng.uniform(-5e6, 5e6, 5)
+        a = PulseProgram.from_arrays(a_i, a_q, dt)
+        b = PulseProgram.from_arrays(b_i, b_q, dt)
+        ab = PulseProgram.from_arrays(np.concatenate([a_i, b_i]),
+                                      np.concatenate([a_q, b_q]), dt)
+        lhs = evolve(ab, 2.2e6).matrix
         rhs = (evolve(b, 2.2e6) @ evolve(a, 2.2e6)).matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+    def test_matches_ordered_product_of_step_propagators(self):
+        # reference: the step propagators multiplied one by one, step 1 first
+        rng = np.random.default_rng(10)
+        i_amps, q_amps = rng.uniform(-5e6, 5e6, 30), rng.uniform(-5e6, 5e6, 30)
+        total = np.eye(2, dtype=complex)
+        for i_amp, q_amp in zip(i_amps, q_amps):
+            total = step_propagator(1.3e6, i_amp, q_amp, 40e-9).matrix @ total
+        u = evolve(PulseProgram.from_arrays(i_amps, q_amps, 40e-9), 1.3e6).matrix
+        assert np.max(np.abs(u - total)) <= 1e-12
 
     def test_unitary_over_ten_thousand_steps(self):
         rng = np.random.default_rng(5)
@@ -213,8 +227,3 @@ class TestTypeInvariants:
             PulseProgram(steps=(), dt=1e-9)
         with pytest.raises(ValueError):
             PulseProgram(steps=(PulseStep(0.0, 0.0),), dt=0.0)
-
-    def test_step_derived_quantities(self):
-        step = PulseStep(3e6, -4e6)
-        assert step.omega_angular == pytest.approx(2 * math.pi * 5e6, rel=1e-15)
-        assert step.phase == pytest.approx(math.atan2(-4e6, 3e6), rel=1e-15)

@@ -4,16 +4,29 @@ import numpy as np
 import pytest
 
 from spinmux import (
+    DipoleOrientation,
     HyperfineManifold,
+    QubitState,
+    SpinSite,
     WireDrive,
     crosstalk_landscape,
+    field_sample,
+    rabi_frequency,
     simulate_odmr,
     simulate_rabi,
     simulate_ramsey,
+    state_error,
+    step_propagator,
 )
-from spinmux import field_sample
 
 from test_fields import demo_environment
+
+
+def flip_population(rabi, delta, duration):
+    """Reference: |<1|U|0>|^2 from one per-point step propagator."""
+    if duration == 0.0:
+        return 0.0
+    return abs(step_propagator(delta, rabi, 0.0, duration).matrix[1, 0]) ** 2
 
 
 class TestSimulateRabi:
@@ -40,6 +53,17 @@ class TestSimulateRabi:
         pops = simulate_rabi(rabi, 0.0, times)
         expected = np.sin(math.pi * rabi * times) ** 2
         assert np.max(np.abs(pops - expected)) <= 1e-10
+
+    def test_matches_per_point_propagators(self):
+        times = np.linspace(0.0, 4e-7, 57)
+        for rabi, delta in ((7.5e6, 0.0), (3e6, 2.2e6), (1e6, -4e6), (0.0, 1e6)):
+            pops = simulate_rabi(rabi, delta, times)
+            expected = [flip_population(rabi, delta, t) for t in times]
+            assert np.max(np.abs(pops - expected)) <= 1e-12
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_rabi(1e6, 0.0, [1e-7, -1e-9])
 
 
 class TestSimulateRamsey:
@@ -124,9 +148,8 @@ class TestSimulateOdmr:
 
     def test_matches_explicit_triplet_sum(self):
         # oracle: rebuild the spectrum by averaging the three detuned line
-        # responses (and the far lower transition) by hand
-        from spinmux.experiments import _flip_population
-
+        # responses (and the far lower transition) by hand, one step
+        # propagator per point
         scan = self.scan(points=61)
         contrast = simulate_odmr(self.env, self.drive, [self.site], 2e5, scan,
                                  linewidth_floor=0.0)
@@ -137,8 +160,8 @@ class TestSimulateOdmr:
             acc = []
             for center in (self.omega, omega_minus):
                 for off in (-2.2e6, 0.0, 2.2e6):
-                    acc.append(_flip_population(2e5, center + off - omega_mw,
-                                                duration))
+                    acc.append(flip_population(2e5, center + off - omega_mw,
+                                               duration))
             expected.append(np.mean(acc))
         assert np.max(np.abs(contrast - np.asarray(expected))) <= 1e-12
 
@@ -152,6 +175,10 @@ class TestSimulateOdmr:
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError):
             simulate_odmr(self.env, self.drive, [self.site], 2e5, [], 0.0)
+
+    def test_nonpositive_probe_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_odmr(self.env, self.drive, [self.site], 0.0, self.scan(), 0.0)
 
 
 class TestCrosstalkLandscape:
@@ -185,3 +212,31 @@ class TestCrosstalkLandscape:
         report = crosstalk_landscape(env, 0.15, 1.5e-6, 1e7, self.grid())
         for entry in report.entries:
             assert entry.epsilon <= entry.bound + 1e-12
+
+    def test_matches_per_point_propagators(self):
+        # reference: the per-point loop, one field sample, step propagator
+        # and state error per grid position
+        env = demo_environment()
+        grid = [np.array([u, v, 0.0]) for u in np.linspace(-4e-6, 4e-6, 17)
+                for v in (-1e-6, 0.0)]
+        for drive_dc in (0.0, 0.15):
+            report = crosstalk_landscape(env, drive_dc, 1.5e-6, 1e7, grid)
+            probe = WireDrive(i_dc=drive_dc, i_ac=1.0)
+            target = SpinSite(id="t", position=np.array([1.5e-6, 0.0, 0.0]))
+            target_sample = field_sample(env, probe, target)
+            i_ac = 1e7 / rabi_frequency(env.constants, target_sample.b_ac_xy)
+            drive = WireDrive(i_dc=drive_dc, i_ac=i_ac)
+            duration = 1.0 / (2.0 * 1e7)
+            assert len(report.entries) == len(grid)
+            for k, (position, entry) in enumerate(zip(grid, report.entries)):
+                site = SpinSite(id="p", position=position,
+                                orientation=DipoleOrientation())
+                sample = field_sample(env, drive, site)
+                rabi = rabi_frequency(env.constants, sample.b_ac_xy)
+                delta = sample.omega_plus - target_sample.omega_plus
+                u = step_propagator(delta, rabi, 0.0, duration)
+                assert entry.site_id == f"g{k:04d}"
+                assert entry.detuning == delta
+                assert abs(entry.epsilon - state_error(u, QubitState.ground())) <= 1e-12
+                bound = math.inf if delta == 0.0 else (rabi / delta) ** 2
+                assert entry.bound == pytest.approx(bound, rel=1e-12)

@@ -218,8 +218,8 @@ class TestResolvability:
         from spinmux import AddressMap, AddressMapEntry
 
         return AddressMap(entries=(
-            AddressMapEntry("a", 0.0, 3.0e9, 1e9),
-            AddressMapEntry("b", 1e-6, 3.0e9 + split, 1e9),
+            AddressMapEntry("a", 0.0, 3.0e9),
+            AddressMapEntry("b", 1e-6, 3.0e9 + split),
         ))
 
     def test_threshold_semantics(self):

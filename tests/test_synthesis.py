@@ -219,6 +219,10 @@ class TestOptimize:
             OptimizerConfig(m=0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_amp=0.0)
+        for bad in ({"lam": float("nan")}, {"max_amp": float("nan")},
+                    {"dt": float("nan")}):
+            with pytest.raises(ValueError):
+                OptimizerConfig(**bad)
 
 
 class TestCompareRectangular:

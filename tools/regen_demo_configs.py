@@ -75,14 +75,14 @@ def main():
     }
     register = dict(shared)
     register["drive"] = {"i_dc_ma": 150.0, "i_ac_ma": i_ac * 1e3,
-                         "carrier_ghz": 3.0, "carrier_phase_rad": 0.0}
+                         "carrier_ghz": 3.0}
     register["sites"] = [
         {"id": f"nv-{tag}", "position_um": [u, 0.0, 0.0]}
         for tag, u in zip("abcde", [0.0, 0.4, 1.0, 1.5, 2.0])
     ]
     pair = dict(shared)
     pair["drive"] = {"i_dc_ma": i_dc_pair * 1e3, "i_ac_ma": i_ac * 1e3,
-                      "carrier_ghz": pair_carrier * 1e-9, "carrier_phase_rad": 0.0}
+                      "carrier_ghz": pair_carrier * 1e-9}
     pair["sites"] = [
         {"id": "nv-b", "position_um": [0.4, 0.0, 0.0]},
         {"id": "nv-c", "position_um": [1.0, 0.0, 0.0]},
