@@ -9,7 +9,8 @@ Subcommands turn a register config plus flags into plot-ready CSV/JSON files:
     spinmux sweep          detuning/amplitude sensitivity grid for a pulse
 
 Exit codes: 0 success, 1 usage error, 2 validation or physics error,
-3 optimizer divergence (best-so-far artifacts are still written).
+3 optimizer divergence, 4 optimizer tolerance missed (in both cases the
+best artifacts are still written).
 """
 
 from __future__ import annotations
@@ -166,6 +167,12 @@ def cmd_optimize(args) -> int:
         return 3
     write_pulse(args.out_pulse, pulse)
     _write_trace(args.out_trace, trace)
+    if not trace.converged:
+        eps_i, eps_j = trace.rows[-1].eps_i, sum(trace.rows[-1].eps_j)
+        print(f"warning: tolerance missed: eps_i={eps_i:.6g}, sum(eps_j)={eps_j:.6g}, "
+              f"(1 - eps_i) + sum(eps_j) = {1.0 - eps_i + eps_j:.6g} > tol={opt.tol:g}",
+              file=sys.stderr)
+        return 4
     return 0
 
 

@@ -4,6 +4,16 @@ Controls are cyclic amplitudes in Hz: a step (I, Q) drives the rotating-frame
 Hamiltonian H/hbar = 0.5*(2*pi*delta*sz + 2*pi*I*sx + 2*pi*Q*sy) for its
 duration.  Each step is exponentiated in closed form (exact for constant
 controls), so products stay unitary to rounding even over 1e4 steps.
+
+Every step unitary lies in SU(2), U = [[a, -b*], [b, a*]], so internally a
+step is the Cayley-Klein pair (a, b) of complex arrays, never a 2x2 matrix.
+Pairs compose element-wise, U2 U1 = (a2 a1 - b2* b1, b2 a1 + a2* b1), and the
+same formula applied to a ket (x, y) in place of (a1, b1) gives U2 (x, y).
+U^H is the pair (a*, -b), and the exact derivatives dU/da_x and dU/da_y have
+the same real-quaternion form, so they are pairs too.  Ordered products over
+the step axis run as a pairwise tree (final propagators) or as a log-depth
+prefix scan (every intermediate propagator, for the gradient); 2x2 matrices
+are built only for `Propagator` at the API boundary.
 """
 
 from __future__ import annotations
@@ -40,44 +50,60 @@ class PulseStep:
     q_amp: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PulseProgram:
-    """An ordered list of control steps with a uniform step duration."""
+    """An ordered list of control steps with a uniform step duration.
 
-    steps: tuple
+    The I and Q amplitudes (Hz) are stored as read-only float arrays;
+    `steps` rebuilds the `PulseStep` view on demand.
+    """
+
+    i_amps: np.ndarray
+    q_amps: np.ndarray
     dt: float  # s
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if len(steps) < 1:
+    def __init__(self, steps, dt: float):
+        steps = tuple(steps)
+        self._store([s.i_amp for s in steps], [s.q_amp for s in steps], dt)
+
+    def _store(self, i_amps, q_amps, dt) -> None:
+        i_amps = np.array(i_amps, dtype=float)
+        q_amps = np.array(q_amps, dtype=float)
+        if i_amps.shape != q_amps.shape or i_amps.ndim != 1:
+            raise ValueError("I and Q must be 1-d arrays of equal length")
+        if len(i_amps) < 1:
             raise ValueError("a pulse needs at least one step")
-        if self.dt <= 0:
+        if dt <= 0:
             raise ValueError("dt must be positive")
-        object.__setattr__(self, "steps", steps)
+        i_amps.setflags(write=False)
+        q_amps.setflags(write=False)
+        object.__setattr__(self, "i_amps", i_amps)
+        object.__setattr__(self, "q_amps", q_amps)
+        object.__setattr__(self, "dt", dt)
+
+    @property
+    def steps(self) -> tuple:
+        return tuple(PulseStep(float(i), float(q))
+                     for i, q in zip(self.i_amps, self.q_amps))
 
     @property
     def duration(self) -> float:
-        return len(self.steps) * self.dt
+        return len(self.i_amps) * self.dt
 
     def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (I, Q) amplitude arrays in Hz."""
-        i = np.array([s.i_amp for s in self.steps])
-        q = np.array([s.q_amp for s in self.steps])
-        return i, q
+        """The stored (read-only) (I, Q) amplitude arrays in Hz."""
+        return self.i_amps, self.q_amps
 
     @classmethod
     def from_arrays(cls, i_amps, q_amps, dt: float) -> "PulseProgram":
-        i_amps = np.asarray(i_amps, dtype=float)
-        q_amps = np.asarray(q_amps, dtype=float)
-        if i_amps.shape != q_amps.shape or i_amps.ndim != 1:
-            raise ValueError("I and Q must be 1-d arrays of equal length")
-        steps = tuple(PulseStep(float(a), float(b)) for a, b in zip(i_amps, q_amps))
-        return cls(steps=steps, dt=dt)
+        pulse = cls.__new__(cls)
+        pulse._store(i_amps, q_amps, dt)
+        return pulse
 
     def total_variation(self) -> float:
         """Sum of absolute adjacent I and Q differences, Hz."""
-        i, q = self.amplitudes()
-        return float(np.sum(np.abs(np.diff(i))) + np.sum(np.abs(np.diff(q))))
+        return float(np.sum(np.abs(np.diff(self.i_amps)))
+                     + np.sum(np.abs(np.diff(self.q_amps))))
 
 
 @dataclass(frozen=True)
@@ -129,25 +155,22 @@ class Propagator:
         return QubitState(self.matrix @ state.amplitudes)
 
 
-def _pauli(c, x, y, z) -> np.ndarray:
-    """The matrices c*1 - i*(x*sx + y*sy + z*sz), broadcast over the inputs."""
-    out = np.empty(np.broadcast(c, x, y, z).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c - 1j * z
-    out[..., 0, 1] = -1j * x - y
-    out[..., 1, 0] = -1j * x + y
-    out[..., 1, 1] = c + 1j * z
-    return out
+def _pair(c, x, y, z):
+    """The SU(2)-form pair of c*1 - i*(x*sx + y*sy + z*sz) for real c, x, y, z."""
+    return c - 1j * z, y - 1j * x
 
 
-def _su2_matrices(ax, ay, az, dt, derivatives: bool = False):
-    """exp(-i*(dt/2)*(ax*sx + ay*sy + az*sz)) for stacked angular rates (rad/s).
+def _su2_pairs(ax, ay, az, dt, derivatives: bool = False):
+    """exp(-i*(dt/2)*(ax*sx + ay*sy + az*sz)) as (a, b) pairs for stacked
+    angular rates (rad/s).
 
-    ax, ay, az and dt broadcast together; the result gains a trailing (2, 2).
+    ax, ay, az and dt broadcast together, and so do the returned arrays.
     This is the only place a step unitary is built.  With `derivatives`, also
-    returns the exact dU/dax and dU/day.  Writing U = cos(theta) - i*k*(a.sigma)
-    with theta = |a| dt/2 and k = sin(theta)/|a|, d/da_x gives
-    d(cos) = -(dt/2) k a_x and d(k a) = q a_x a + k e_x, where
-    q = ((dt/2) cos(theta) - k)/|a|^2 takes its series as |a| -> 0.
+    returns the exact dU/dax and dU/day pairs: ((a, b), d_ax, d_ay).  Writing
+    U = cos(theta) - i*k*(a.sigma) with theta = |a| dt/2 and
+    k = sin(theta)/|a|, d/da_x gives d(cos) = -(dt/2) k a_x and
+    d(k a) = q a_x a + k e_x, where q = ((dt/2) cos(theta) - k)/|a|^2 takes
+    its series as |a| -> 0.
     """
     ax = np.asarray(ax, dtype=float)
     ay = np.asarray(ay, dtype=float)
@@ -161,31 +184,65 @@ def _su2_matrices(ax, ay, az, dt, derivatives: bool = False):
     with np.errstate(invalid="ignore", divide="ignore"):
         k = np.where(omega > 0.0, np.sin(theta) / np.where(omega > 0, omega, 1.0),
                      half_dt)
-    u = _pauli(cos_t, k * ax, k * ay, k * az)
+    u = _pair(cos_t, k * ax, k * ay, k * az)
     if not derivatives:
         return u
     # q series: -(dt/2)^3 * (1/3 - theta^2/30)
     q = np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
                  (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
-    du_dax = _pauli(-half_dt * k * ax, q * ax * ax + k, q * ax * ay, q * ax * az)
-    du_day = _pauli(-half_dt * k * ay, q * ay * ax, q * ay * ay + k, q * ay * az)
+    du_dax = _pair(-half_dt * k * ax, q * ax * ax + k, q * ax * ay, q * ax * az)
+    du_day = _pair(-half_dt * k * ay, q * ay * ax, q * ay * ay + k, q * ay * az)
     return u, du_dax, du_day
 
 
-def _propagate(steps: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Apply steps[:, 0], steps[:, 1], ... in order to a batch of kets.
+def _compose(a2, b2, a1, b1):
+    """U2 U1 for pairs (a2, b2) and (a1, b1), element-wise over broadcast arrays.
 
-    `steps` is (members, m, 2, 2), or (1, m, 2, 2) to share one pulse across
-    all members; `kets` is (members, 2).  Returns the (members, m + 1, 2)
-    trajectory: entry l is the ket entering step l, entry m the final ket.
-    Every ordered step product in the package runs through this loop.
+    With a ket (x, y) in place of (a1, b1) this is U2 applied to the ket.
     """
-    steps = np.broadcast_to(steps, (len(kets),) + steps.shape[1:])
-    out = np.empty((steps.shape[1] + 1, len(kets), 2, 1), dtype=complex)
-    out[0] = kets[..., None]
-    for l, u in enumerate(steps.swapaxes(0, 1)):
-        np.matmul(u, out[l], out=out[l + 1])
-    return out[..., 0].swapaxes(0, 1)
+    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+
+
+def _product(a, b):
+    """Ordered product U[..., n-1] ... U[..., 0] along the last axis.
+
+    A pairwise tree: each level composes neighbours (odd, even) at once, and
+    an odd leftover rides up to the next level unchanged.
+    """
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
+        pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
+        if n % 2:
+            pa = np.concatenate([pa, a[..., -1:]], axis=-1)
+            pb = np.concatenate([pb, b[..., -1:]], axis=-1)
+        a, b = pa, pb
+    return a[..., 0], b[..., 0]
+
+
+def _scan(a, b):
+    """Inclusive prefix products along the last axis: entry l is U_l ... U_0.
+
+    The log-depth odd/even scan (Blelloch 1990): scan the products of
+    neighbouring pairs recursively, which gives every odd entry, then each
+    even entry is its own step composed onto the odd entry before it.
+    """
+    n = a.shape[-1]
+    if n <= 1:
+        return a, b
+    pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
+    sa, sb = _scan(pa, pb)
+    out_a, out_b = np.empty_like(a), np.empty_like(b)
+    out_a[..., 1::2], out_b[..., 1::2] = sa, sb
+    out_a[..., 0], out_b[..., 0] = a[..., 0], b[..., 0]
+    k = (n - 1) // 2
+    out_a[..., 2::2], out_b[..., 2::2] = _compose(a[..., 2::2], b[..., 2::2],
+                                                  sa[..., :k], sb[..., :k])
+    return out_a, out_b
+
+
+def _matrix(a, b) -> np.ndarray:
+    """The 2x2 unitary [[a, -b*], [b, a*]] of one pair."""
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
 
 
 def _clamp_unit(p):
@@ -199,16 +256,15 @@ def step_propagator(delta: float, i_amp: float, q_amp: float, dt: float) -> Prop
     """Closed-form propagator of one constant step at a given detuning (Hz)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    u = _su2_matrices(TWO_PI * i_amp, TWO_PI * q_amp, TWO_PI * delta, dt)
-    return Propagator(u)
+    return Propagator(_matrix(*_su2_pairs(TWO_PI * i_amp, TWO_PI * q_amp,
+                                          TWO_PI * delta, dt)))
 
 
 def evolve(pulse: PulseProgram, delta: float) -> Propagator:
     """Total propagator of a pulse at detuning `delta`, step 1 applied first."""
-    i_amps, q_amps = pulse.amplitudes()
-    steps = _su2_matrices(TWO_PI * i_amps, TWO_PI * q_amps, TWO_PI * delta, pulse.dt)
-    # the images of the basis kets are the columns of the product
-    return Propagator(_propagate(steps[None], np.eye(2, dtype=complex))[:, -1].T)
+    steps = _su2_pairs(TWO_PI * pulse.i_amps, TWO_PI * pulse.q_amps,
+                       TWO_PI * delta, pulse.dt)
+    return Propagator(_matrix(*_product(*steps)))
 
 
 def state_error(u: Propagator, initial: QubitState) -> float:
@@ -236,4 +292,4 @@ def rect_pi_pulse(rabi: float, m: int = 1) -> PulseProgram:
     if m < 1:
         raise ValueError("m must be >= 1")
     dt = 1.0 / (2.0 * rabi * m)
-    return PulseProgram(steps=tuple(PulseStep(rabi, 0.0) for _ in range(m)), dt=dt)
+    return PulseProgram.from_arrays(np.full(m, float(rabi)), np.zeros(m), dt)

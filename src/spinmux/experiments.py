@@ -9,12 +9,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TWO_PI, _clamp_unit, _su2_matrices
-from .fields import FieldEnvironment, WireDrive, field_sample, rabi_frequency
+from .dynamics import TWO_PI, _clamp_unit, _su2_pairs
+from .fields import (
+    FieldEnvironment,
+    WireDrive,
+    _field_arrays,
+    field_sample,
+    rabi_frequency,
+)
 from .spins import (
     DipoleOrientation,
     HyperfineManifold,
     SpinSite,
+    dipole_axis,
     hyperfine_detunings,
 )
 
@@ -42,8 +49,8 @@ class CrosstalkReport:
 
 def _flip_populations(rabi, delta, duration) -> np.ndarray:
     """|<1|U|0>|^2 after constant drives; the arguments broadcast together."""
-    u = _su2_matrices(TWO_PI * rabi, 0.0, TWO_PI * delta, duration)
-    return np.abs(u[..., 1, 0]) ** 2
+    _, b = _su2_pairs(TWO_PI * rabi, 0.0, TWO_PI * delta, duration)
+    return np.abs(b) ** 2
 
 
 def simulate_rabi(rabi: float, delta: float, durations) -> np.ndarray:
@@ -133,6 +140,10 @@ def crosstalk_landscape(
     if rabi_target <= 0:
         raise ValueError("rabi_target must be positive")
     orientation = orientation or DipoleOrientation()
+    positions = np.asarray(list(grid), dtype=float)
+    if positions.size and (positions.ndim != 2 or positions.shape[1] != 3):
+        raise ValueError("grid positions must be 3-vectors")
+    positions = positions.reshape(-1, 3)
 
     target = SpinSite(id="target", position=np.array([target_u, 0.0, 0.0]),
                       orientation=orientation)
@@ -146,20 +157,18 @@ def crosstalk_landscape(
     duration = 1.0 / (2.0 * rabi_target)
 
     drive = WireDrive(i_dc=drive_dc, i_ac=i_ac)
-    ids, rabis, deltas = [], [], []
-    for k, position in enumerate(grid):
-        site = SpinSite(id=f"g{k:04d}", position=np.asarray(position, dtype=float),
-                        orientation=orientation)
-        sample = field_sample(env, drive, site)
-        ids.append(site.id)
-        rabis.append(rabi_frequency(env.constants, sample.b_ac_xy))
-        deltas.append(sample.omega_plus - omega_mw)
-    u = _su2_matrices(TWO_PI * np.array(rabis), 0.0, TWO_PI * np.array(deltas),
-                      duration)
-    eps = _clamp_unit(1.0 - np.abs(u[..., 0, 0]) ** 2)
+    # one array pass over the grid; it rounds exactly as field_sample does
+    # per point, so a grid point on the target gets zero detuning
+    *_, b_ac_xy, omega_plus = _field_arrays(env, drive, positions,
+                                            dipole_axis(orientation))
+    rabis = rabi_frequency(env.constants, b_ac_xy)
+    deltas = omega_plus - omega_mw
+    a, _ = _su2_pairs(TWO_PI * rabis, 0.0, TWO_PI * deltas, duration)
+    eps = _clamp_unit(1.0 - np.abs(a) ** 2)
     entries = [
-        CrosstalkEntry(site_id=site_id, detuning=delta, epsilon=float(e),
+        CrosstalkEntry(site_id=f"g{k:04d}", detuning=delta, epsilon=e,
                        bound=math.inf if delta == 0.0 else (rabi / delta) ** 2)
-        for site_id, rabi, delta, e in zip(ids, rabis, deltas, eps)
+        for k, (rabi, delta, e) in enumerate(zip(rabis.tolist(), deltas.tolist(),
+                                                 eps.tolist()))
     ]
     return CrosstalkReport(entries=tuple(entries))

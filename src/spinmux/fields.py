@@ -19,6 +19,7 @@ from .spins import (
     DipoleOrientation,
     PhysicalConstants,
     SpinSite,
+    _dot,
     dipole_axis,
     project_field,
     transition_frequencies,
@@ -141,45 +142,54 @@ class AddressMap:
 
 
 def wire_field(wire: WireGeometry, current: float, point: np.ndarray) -> np.ndarray:
-    """Static field (T) of the wire carrying `current` (A) at `point` (m)."""
-    point = np.asarray(point, dtype=float)
-    total = np.zeros(3)
-    # the degeneracy check below runs even at zero current, keeping the
-    # precondition independent of the drive
-    i_fil = current / wire.num_filaments
+    """Static field (T) of the wire carrying `current` (A) at `point` (m).
+
+    `point` may stack positions as (..., 3); all points and filaments are
+    evaluated in one array pass and the result has the shape of `point`.
+    """
+    points = np.asarray(point, dtype=float)
     d_hat = wire.direction
-    for anchor in wire.filament_anchors():
-        r = point - anchor
-        r_perp = r - np.dot(r, d_hat) * d_hat
-        dist = np.linalg.norm(r_perp)
-        if dist <= MIN_FILAMENT_DISTANCE:
-            raise DegeneratePoint(
-                f"point {point.tolist()} lies within {MIN_FILAMENT_DISTANCE} m "
-                "of a filament centerline"
-            )
-        # azimuthal field, right-hand rule around the current direction
-        total += (MU0 * i_fil / (2.0 * math.pi * dist * dist)) * np.cross(d_hat, r_perp)
-    return total
+    r = points[..., None, :] - wire.filament_anchors()     # (..., filaments, 3)
+    r_perp = r - _dot(r, d_hat)[..., None] * d_hat
+    dist = np.sqrt(_dot(r_perp, r_perp))
+    # the degeneracy check runs even at zero current, keeping the
+    # precondition independent of the drive
+    bad = dist <= MIN_FILAMENT_DISTANCE
+    if bad.any():
+        offender = points[tuple(np.argwhere(bad)[0][:-1])]
+        raise DegeneratePoint(
+            f"point {offender.tolist()} lies within {MIN_FILAMENT_DISTANCE} m "
+            "of a filament centerline"
+        )
+    # azimuthal field, right-hand rule around the current direction
+    i_fil = current / wire.num_filaments
+    scale = MU0 * i_fil / (2.0 * math.pi * dist * dist)
+    return np.sum(scale[..., None] * np.cross(d_hat, r_perp), axis=-2)
 
 
-def rabi_frequency(constants: PhysicalConstants, b_ac_xy: float) -> float:
-    """Cyclic Rabi frequency (Hz) driven by a transverse AC field (T)."""
-    if b_ac_xy < 0:
+def rabi_frequency(constants: PhysicalConstants, b_ac_xy):
+    """Cyclic Rabi frequency (Hz) driven by a transverse AC field (T).
+
+    Accepts a float or an array of fields.
+    """
+    if np.any(np.asarray(b_ac_xy) < 0):
         raise ValueError("b_ac_xy must be >= 0")
     return constants.gamma_nv * b_ac_xy / math.sqrt(2.0)
 
 
-def field_sample(env: FieldEnvironment, drive: WireDrive, site: SpinSite) -> FieldSample:
-    """Resolve DC and AC wire fields plus the bias field at one site."""
-    axis = dipole_axis(site.orientation)
-    b_dc = wire_field(env.wire, drive.i_dc, site.position)
-    b_ac = wire_field(env.wire, drive.i_ac, site.position)
-    b_dc_z, _ = project_field(b_dc, axis)
-    _, b_ac_xy = project_field(b_ac, axis)
+def _field_arrays(env: FieldEnvironment, drive: WireDrive, positions, axis):
+    """(b_dc_z, b_ext_z, b_ac_xy, omega_plus) at stacked positions (..., 3)."""
+    b_dc_z, _ = project_field(wire_field(env.wire, drive.i_dc, positions), axis)
+    _, b_ac_xy = project_field(wire_field(env.wire, drive.i_ac, positions), axis)
     b_ext_z, _ = project_field(env.b_ext, axis)
     omega_plus, _ = transition_frequencies(env.constants, b_ext_z + b_dc_z)
-    return FieldSample(b_dc_z=b_dc_z, b_ext_z=b_ext_z, b_ac_xy=b_ac_xy,
-                       omega_plus=omega_plus)
+    return b_dc_z, b_ext_z, b_ac_xy, omega_plus
+
+
+def field_sample(env: FieldEnvironment, drive: WireDrive, site: SpinSite) -> FieldSample:
+    """Resolve DC and AC wire fields plus the bias field at one site."""
+    values = _field_arrays(env, drive, site.position, dipole_axis(site.orientation))
+    return FieldSample(*(float(v) for v in values))
 
 
 def address_map(env: FieldEnvironment, drive: WireDrive, sites) -> AddressMap:

@@ -114,18 +114,31 @@ def dipole_axis(orientation: DipoleOrientation) -> np.ndarray:
     )
 
 
-def project_field(b: np.ndarray, axis: np.ndarray) -> tuple[float, float]:
+def _dot(x, y):
+    """Dot products over the last axis, broadcast over the leading ones.
+
+    A stacked (1 x n) @ (n x 1) matmul rounds each entry exactly as np.dot of
+    the two vectors, so batched and single evaluations agree bit for bit.
+    """
+    return np.matmul(np.asarray(x)[..., None, :], np.asarray(y)[..., :, None])[..., 0, 0]
+
+
+def project_field(b: np.ndarray, axis: np.ndarray):
     """Split a field into (signed parallel, non-negative perpendicular) parts.
 
     `axis` must be unit-norm; the decomposition satisfies
-    b_z**2 + b_xy**2 == |b|**2.
+    b_z**2 + b_xy**2 == |b|**2.  A stack of fields (..., 3) gives arrays of
+    the leading shape; a single 3-vector gives floats.
     """
     b = np.asarray(b, dtype=float)
     axis = np.asarray(axis, dtype=float)
     if abs(np.dot(axis, axis) - 1.0) > 1e-9:
         raise ValueError("axis must be unit-norm")
-    b_z = float(np.dot(b, axis))
-    b_xy = float(np.linalg.norm(b - b_z * axis))
+    b_z = _dot(b, axis)
+    perp = b - b_z[..., None] * axis
+    b_xy = np.sqrt(_dot(perp, perp))
+    if b.ndim == 1:
+        return float(b_z), float(b_xy)
     return b_z, b_xy
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (TWO_PI, PulseProgram, QubitState, _clamp_unit, _propagate,
-                       _su2_matrices, rect_pi_pulse)
+from .dynamics import (TWO_PI, PulseProgram, QubitState, _clamp_unit, _compose,
+                       _product, _scan, _su2_pairs, rect_pi_pulse)
 from .errors import Diverged
 from .spins import HyperfineManifold
 
@@ -175,18 +175,19 @@ class _Ensemble:
         return cls(spins, scenario.manifold)
 
     def steps(self, i_amps, q_amps, dt, derivatives: bool = False):
-        """Step propagators (members, steps, 2, 2), optionally with d/dax, d/day."""
-        return _su2_matrices(TWO_PI * np.asarray(i_amps)[None, :],
-                             TWO_PI * np.asarray(q_amps)[None, :],
-                             TWO_PI * self.deltas[:, None], dt, derivatives)
+        """Step pairs (members, steps), optionally with the d/dax, d/day pairs."""
+        return _su2_pairs(TWO_PI * np.asarray(i_amps)[None, :],
+                          TWO_PI * np.asarray(q_amps)[None, :],
+                          TWO_PI * self.deltas[:, None], dt, derivatives)
 
     def transfer_means(self, i_amps, q_amps, dt) -> np.ndarray:
         """Mean |<bra|U|ket>|^2 per spin, in spin order."""
-        final = _propagate(self.steps(i_amps, q_amps, dt), self.kets)[:, -1]
-        return _clamp_unit(self._per_spin(np.abs(self._overlaps(final)) ** 2))
+        final = _compose(*_product(*self.steps(i_amps, q_amps, dt)), *self.kets.T)
+        return _clamp_unit(self._per_spin(np.abs(self._overlaps(*final)) ** 2))
 
-    def _overlaps(self, final: np.ndarray) -> np.ndarray:
-        return np.einsum("nk,nk->n", self.bras.conj(), final)
+    def _overlaps(self, x, y):
+        """<bra|(x, y)> per member."""
+        return self.bras[:, 0].conj() * x + self.bras[:, 1].conj() * y
 
     def _per_spin(self, member_values: np.ndarray) -> np.ndarray:
         sums = np.zeros(self.num_spins)
@@ -241,24 +242,32 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt):
     """Gradient of the epsilon part of f with respect to I and Q.
 
     GRAPE-style: kets propagate forward through the steps and costates (the
-    bras) backward through the reversed, conjugate-transposed steps, so
-    dz/dI_l = chi_l^H dU_l/dI_l psi_l needs only 2-vectors per step.
+    bras) backward through the reversed steps of U^H, so
+    dz/dI_l = chi_l^H dU_l/dI_l psi_l needs only 2-vectors per step.  Both
+    sets of intermediate propagators come from one prefix scan each.
     """
-    u, du_dax, du_day = ens.steps(i_amps, q_amps, dt, derivatives=True)
-    m = u.shape[1]
-    psi = _propagate(u, ens.kets)
-    back = _propagate(u[:, ::-1].conj().swapaxes(-1, -2), ens.bras)
-    chi = back[:, m - 1::-1].conj()     # chi[:, l]: costate after step l, as a bra
+    (a, b), du_dax, du_day = ens.steps(i_amps, q_amps, dt, derivatives=True)
+    kets, bras = ens.kets.T[..., None], ens.bras.T[..., None]
 
-    z = ens._overlaps(psi[:, m])
-    dz_dax = np.einsum("nlj,nljk,nlk->nl", chi, du_dax, psi[:, :m])
-    dz_day = np.einsum("nlj,nljk,nlk->nl", chi, du_day, psi[:, :m])
+    # psi[:, l]: ket entering step l; forward[:, l] = U_l ... U_0 ket
+    forward = _compose(*_scan(a, b), *kets)
+    psi = [np.concatenate([k, f[:, :-1]], axis=1) for k, f in zip(kets, forward)]
+    z = ens._overlaps(forward[0][:, -1], forward[1][:, -1])
+
+    # chi[:, l]: costate after step l, (U_{m-1} ... U_{l+1})^H bra; the scan
+    # of the reversed U^H = (a*, -b) gives it for l = m-2 down to 0
+    backward = _compose(*_scan(a[:, :0:-1].conj(), -b[:, :0:-1]), *bras)
+    chi = [np.concatenate([c[:, ::-1], k], axis=1).conj() for k, c in zip(bras, backward)]
+
+    def dz(du):
+        v0, v1 = _compose(*du, *psi)
+        return chi[0] * v0 + chi[1] * v1
 
     # every spin contributes a (1 - |z|^2) term to f, so the gradient per
     # member is -2 Re(conj(z) dz), manifold-weighted; 2*pi chains a to I, Q
     coeff = -2.0 * TWO_PI * ens.weight
-    g_i = coeff * np.real(z.conj()[:, None] * dz_dax).sum(axis=0)
-    g_q = coeff * np.real(z.conj()[:, None] * dz_day).sum(axis=0)
+    g_i = coeff * np.real(z.conj()[:, None] * dz(du_dax)).sum(axis=0)
+    g_q = coeff * np.real(z.conj()[:, None] * dz(du_day)).sum(axis=0)
     return g_i, g_q
 
 

@@ -129,8 +129,9 @@ class TestOptimizeCommand:
         assert rows[-1]["eps_i"] >= 0.99
 
     def test_smoothing_flag_reduces_total_variation(self, close_pair_config, tmp_path):
+        # lambda = 1e-7 stops short of the 1e-3 tolerance, so that run exits 4
         tv = {}
-        for lam in ("0", "1e-7"):
+        for lam, expected_code in (("0", 0), ("1e-7", 4)):
             pulse_path = tmp_path / f"pulse_{lam}.csv"
             code = cli.main([
                 "optimize", "--config", close_pair_config,
@@ -140,9 +141,30 @@ class TestOptimizeCommand:
                 "--out-pulse", str(pulse_path),
                 "--out-trace", str(tmp_path / f"trace_{lam}.jsonl"),
             ])
-            assert code == 0
+            assert code == expected_code
             tv[lam] = read_pulse(pulse_path).total_variation()
         assert tv["1e-7"] <= tv["0"]
+
+    def test_missed_tolerance_exits_4_and_still_writes_artifacts(
+            self, close_pair_config, tmp_path, capsys):
+        # 20 steps over 0.3 us cannot separate a 1.1 MHz pair
+        pulse_path = tmp_path / "pulse.csv"
+        trace_path = tmp_path / "trace.jsonl"
+        code = cli.main([
+            "optimize", "--config", close_pair_config,
+            "--target-site", "nv-b", "--idle-site", "nv-c",
+            "--steps", "20", "--duration", "0.3e-6",
+            "--out-pulse", str(pulse_path), "--out-trace", str(trace_path),
+        ])
+        assert code == 4
+        assert len(read_pulse(pulse_path).steps) == 20
+        last = json.loads(trace_path.read_text().splitlines()[-1])
+        assert (1.0 - last["eps_i"]) + sum(last["eps_j"]) > 1e-3
+        stderr = capsys.readouterr().err.strip().splitlines()
+        assert len(stderr) == 1
+        assert f"eps_i={last['eps_i']:.6g}" in stderr[0]
+        assert f"sum(eps_j)={sum(last['eps_j']):.6g}" in stderr[0]
+        assert "tol=0.001" in stderr[0]
 
     def test_divergence_exit_code_still_writes_artifacts(self, close_pair_config,
                                                          tmp_path, monkeypatch):

@@ -222,6 +222,25 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             QubitState(np.array([1.0, 1.0], dtype=complex))
 
+    def test_pulse_stores_read_only_amplitude_arrays(self):
+        i_in, q_in = np.array([1e6, 2e6, 3e6]), np.array([0.0, -1e6, 5e5])
+        pulse = PulseProgram.from_arrays(i_in, q_in, 50e-9)
+        i_amps, q_amps = pulse.amplitudes()
+        assert i_amps is pulse.amplitudes()[0] and q_amps is pulse.amplitudes()[1]
+        assert np.array_equal(i_amps, i_in) and np.array_equal(q_amps, q_in)
+        with pytest.raises(ValueError):
+            i_amps[0] = 0.0
+        i_in[0] = 7e6  # the pulse holds its own copy
+        assert pulse.amplitudes()[0][0] == 1e6
+
+    def test_steps_and_arrays_describe_the_same_pulse(self):
+        steps = (PulseStep(1e6, -2e6), PulseStep(3e6, 4e6))
+        pulse = PulseProgram(steps=steps, dt=20e-9)
+        assert pulse.steps == steps
+        assert np.array_equal(pulse.amplitudes()[0], [1e6, 3e6])
+        assert np.array_equal(pulse.amplitudes()[1], [-2e6, 4e6])
+        assert pulse.duration == pytest.approx(40e-9)
+
     def test_pulse_needs_steps_and_positive_dt(self):
         with pytest.raises(ValueError):
             PulseProgram(steps=(), dt=1e-9)

@@ -213,6 +213,13 @@ class TestCrosstalkLandscape:
         for entry in report.entries:
             assert entry.epsilon <= entry.bound + 1e-12
 
+    def test_grid_point_on_the_target_has_zero_detuning(self):
+        env = demo_environment()
+        grid = [np.array([u, 0.0, 0.0]) for u in (-1e-6, 1.5e-6, 3e-6)]
+        for drive_dc in (0.0, 0.15):
+            entry = crosstalk_landscape(env, drive_dc, 1.5e-6, 1e7, grid).entries[1]
+            assert entry.detuning == 0.0 and entry.bound == math.inf
+
     def test_matches_per_point_propagators(self):
         # reference: the per-point loop, one field sample, step propagator
         # and state error per grid position

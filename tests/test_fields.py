@@ -85,6 +85,21 @@ class TestWireField:
         with pytest.raises(DegeneratePoint):
             wire_field(thin_wire_along_u(), 0.1, np.array([0.0, 0.5e-9, 0.0]))
 
+    def test_stacked_points_match_single_points_bitwise(self):
+        strip = WireGeometry(anchor=np.array([0.0, 0.0, -1e-6]), direction=U_HAT,
+                             num_filaments=4, width=2e-6)
+        rng = np.random.default_rng(8)
+        points = rng.uniform(-5e-6, 5e-6, (6, 7, 3))
+        stacked = wire_field(strip, 0.12, points)
+        assert stacked.shape == points.shape
+        for index in np.ndindex(points.shape[:-1]):
+            assert np.array_equal(stacked[index], wire_field(strip, 0.12, points[index]))
+
+    def test_degenerate_point_in_a_stack_is_named_even_at_zero_current(self):
+        points = np.array([[0.0, 3e-6, 0.0], [4e-6, 0.0, 0.2e-9], [1e-6, 1e-6, 0.0]])
+        with pytest.raises(DegeneratePoint, match=r"\[4e-06, 0\.0, 2e-10\]"):
+            wire_field(thin_wire_along_u(), 0.0, points)
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             WireGeometry(anchor=np.zeros(3), direction=np.array([0.0, 2.0, 0.0]))

@@ -19,12 +19,14 @@ from spinmux import (
     PulseProgram,
     QubitState,
     cost,
+    crosstalk_bound,
     demo_config_path,
     evolve,
     field_sample,
     gradient,
     load_config,
     read_pulse,
+    rect_pi_pulse,
     state_error,
     write_pulse,
 )
@@ -47,6 +49,15 @@ def pulses(draw, min_m=1, max_m=60, max_amp=1e7):
 def test_step_products_stay_unitary(pulse, delta):
     u = evolve(pulse, delta).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10
+
+
+@PROPERTY
+@given(rabi=st.floats(1e5, 1e7), ratio=st.floats(0.02, 0.99),
+       sign=st.sampled_from([-1.0, 1.0]), m=st.integers(1, 12))
+def test_rectangular_pulses_stay_under_the_crosstalk_bound(rabi, ratio, sign, m):
+    delta = sign * rabi / ratio
+    eps = state_error(evolve(rect_pi_pulse(rabi, m), delta), QubitState.ground())
+    assert eps <= crosstalk_bound(rabi, delta) + 1e-12
 
 
 # spectator detunings keep clear of the target so the scenario stays valid

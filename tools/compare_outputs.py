@@ -1,0 +1,179 @@
+"""Run the README's eight CLI commands and compare their outputs between trees.
+
+    python tools/compare_outputs.py run SRC OUTDIR [--pulse PULSE_CSV]
+    python tools/compare_outputs.py diff OUTDIR_A OUTDIR_B [--tol TOL] [--rtol RTOL]
+
+`run` executes address-map, simulate rabi/ramsey/odmr, crosstalk-map,
+optimize, simulate pulse and sweep exactly as the README quick start does,
+each as a fresh `python -m spinmux` process importing the package from SRC
+(a `src/` directory) and reading the demo configs bundled there.  Outputs
+and the exit codes (`exit_codes.json`) land in OUTDIR.  With `--pulse`,
+`simulate pulse` and `sweep` read that pulse file instead of the one
+`optimize` wrote, so two trees can be compared on identical inputs.
+
+`diff` prints, per file and column, the maximum absolute difference between
+the two directories: CSV columns by header name, trace JSON-lines fields by
+key (list entries as key[k]), with the largest relative difference beside
+it.  Text columns must match exactly.  With `--tol` and/or `--rtol`, a cell
+passes when |a - b| <= tol + rtol * max(|a|, |b|), and the exit status is 1
+when any cell fails, a file or column is missing on one side, row counts
+differ, or the exit codes differ.
+
+Needs only the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def readme_commands(data: Path, out: Path, pulse: Path):
+    cfg, pair = str(data / "demo_register.json"), str(data / "demo_close_pair.json")
+    return [
+        ["address-map", "--config", cfg, "--idc-ma", "150",
+         "--out", str(out / "addresses.csv")],
+        ["simulate", "rabi", "--config", cfg, "--rabi-mhz", "7.5", "--t-max-ns", "300",
+         "--out", str(out / "rabi.csv")],
+        ["simulate", "ramsey", "--config", cfg, "--delta-mhz", "3", "--tau-max-us", "8",
+         "--out", str(out / "ramsey.csv")],
+        ["simulate", "odmr", "--config", cfg, "--f-min-ghz", "2.99", "--f-max-ghz", "3.01",
+         "--out", str(out / "odmr.csv")],
+        ["crosstalk-map", "--config", cfg, "--idc-ma", "0", "--idc-ma", "150",
+         "--target-u-um", "1.5", "--rabi-mhz", "10", "--u-min-um", "-4",
+         "--u-max-um", "4", "--nu", "65", "--out-prefix", str(out / "xtalk")],
+        ["optimize", "--config", pair, "--target-site", "nv-b", "--idle-site", "nv-c",
+         "--lambda", "1e-9", "--steps", "200", "--duration", "10e-6", "--seed", "0",
+         "--restarts", "5", "--out-pulse", str(out / "pulse.csv"),
+         "--out-trace", str(out / "trace.jsonl")],
+        ["simulate", "pulse", "--config", pair, "--pulse", str(pulse),
+         "--out", str(out / "eps.csv")],
+        ["sweep", "--config", pair, "--pulse", str(pulse), "--target-site", "nv-b",
+         "--idle-site", "nv-c", "--delta-range=-0.2:0.2:21", "--amp-range", "0.9:1.1:5",
+         "--out", str(out / "sweep.csv")],
+    ]
+
+
+def run(src: Path, out: Path, pulse: Path | None) -> int:
+    src = src.resolve()
+    if not (src / "spinmux" / "__init__.py").is_file():
+        print(f"error: no spinmux package under {src}", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    out = out.resolve()
+    if pulse is not None:
+        given = out / "given_pulse.csv"
+        shutil.copyfile(pulse, given)
+        pulse = given
+    env = dict(os.environ, PYTHONPATH=str(src))
+    codes = {}
+    for argv in readme_commands(src / "spinmux" / "data", out, pulse or out / "pulse.csv"):
+        name = " ".join(argv[:2]) if argv[0] == "simulate" else argv[0]
+        proc = subprocess.run([sys.executable, "-m", "spinmux", *argv], env=env,
+                              capture_output=True, text=True)
+        codes[name] = proc.returncode
+        print(f"{name}: exit {proc.returncode}")
+        if proc.stderr.strip():
+            print("  " + proc.stderr.strip().replace("\n", "\n  "))
+    (out / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+    return 0
+
+
+def _columns(path: Path) -> tuple[dict, int]:
+    """{column: list of cells} and the row count of a CSV or JSON-lines file."""
+    lines = path.read_text().splitlines()
+    cols: dict[str, list] = {}
+    if path.suffix == ".jsonl":
+        for row in map(json.loads, lines):
+            for key, value in row.items():
+                values = value if isinstance(value, list) else [value]
+                for k, v in enumerate(values):
+                    name = f"{key}[{k}]" if isinstance(value, list) else key
+                    cols.setdefault(name, []).append(v)
+        return cols, len(lines)
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for k, name in enumerate(header):
+        cols[name] = [row[k] for row in rows]
+    return cols, len(rows)
+
+
+def _differences(a: list, b: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell |a - b| and max(|a|, |b|); text cells differ by inf."""
+    try:
+        x = np.array(a, dtype=float)
+        y = np.array(b, dtype=float)
+    except ValueError:
+        same = np.array([p == q for p, q in zip(a, b)])
+        return np.where(same, 0.0, np.inf), np.ones(len(a))
+    same = (x == y) | (np.isnan(x) & np.isnan(y))
+    with np.errstate(invalid="ignore"):
+        return np.where(same, 0.0, np.abs(x - y)), np.maximum(np.abs(x), np.abs(y))
+
+
+def diff(dir_a: Path, dir_b: Path, tol: float | None, rtol: float | None) -> int:
+    ok = True
+    names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir()
+                    if p.suffix in (".csv", ".jsonl") and p.name != "given_pulse.csv"})
+    for name in names:
+        pa, pb = dir_a / name, dir_b / name
+        if not (pa.is_file() and pb.is_file()):
+            print(f"{name}: only in {dir_a if pa.is_file() else dir_b}")
+            ok = False
+            continue
+        if pa.read_bytes() == pb.read_bytes():
+            print(f"{name}: byte-identical")
+            continue
+        cols_a, rows_a = _columns(pa)
+        cols_b, rows_b = _columns(pb)
+        if rows_a != rows_b:
+            print(f"{name}: {rows_a} rows against {rows_b}")
+            ok = False
+            continue
+        for col in list(cols_a) + [c for c in cols_b if c not in cols_a]:
+            if col not in cols_a or col not in cols_b:
+                print(f"{name} {col}: missing on one side")
+                ok = False
+                continue
+            delta, size = _differences(cols_a[col], cols_b[col])
+            with np.errstate(invalid="ignore", divide="ignore"):
+                rel = np.where(delta > 0.0, delta / size, 0.0)
+            print(f"{name} {col}: max abs diff {np.max(delta, initial=0.0):.3g}, "
+                  f"max rel diff {np.max(rel, initial=0.0):.3g}")
+            ok = ok and bool(np.all(delta <= (tol or 0.0) + (rtol or 0.0) * size))
+    codes = [json.loads((d / "exit_codes.json").read_text())
+             if (d / "exit_codes.json").is_file() else None for d in (dir_a, dir_b)]
+    if codes[0] != codes[1]:
+        print(f"exit codes differ: {codes[0]} against {codes[1]}")
+        ok = False
+    return 0 if ok or (tol is None and rtol is None) else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run", help="run the README commands into a directory")
+    p.add_argument("src", type=Path, help="the src/ directory holding spinmux")
+    p.add_argument("out", type=Path)
+    p.add_argument("--pulse", type=Path, default=None,
+                   help="pulse CSV for simulate pulse and sweep")
+    p = sub.add_parser("diff", help="max abs difference per file and column")
+    p.add_argument("dir_a", type=Path)
+    p.add_argument("dir_b", type=Path)
+    p.add_argument("--tol", type=float, default=None, help="absolute tolerance")
+    p.add_argument("--rtol", type=float, default=None, help="relative tolerance")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        return run(args.src, args.out, args.pulse)
+    return diff(args.dir_a, args.dir_b, args.tol, args.rtol)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
