@@ -53,24 +53,38 @@ def demo_config_path(name: str = "demo_register") -> str:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans and NaN/Infinity do not count."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A JSON number that fits a finite float; booleans and NaN/Infinity do
+    not count."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _get(mapping, key, default, path, kind):
+def _get(mapping, key, default, path, kind, scale=1.0):
+    """A field's value: a number or 3-vector converted to SI by `scale`, or
+    an integer count."""
     value = mapping.get(key, default)
+    field = f"{path}.{key}"
     if value is None:
-        raise ValidationError("missing required field", field=f"{path}.{key}")
-    if kind == "number" and not _is_number(value):
-        raise ValidationError("expected a finite number", field=f"{path}.{key}")
-    if kind == "vector":
-        if not (isinstance(value, list) and len(value) == 3
-                and all(_is_number(v) for v in value)):
-            raise ValidationError("expected a list of 3 finite numbers",
-                                  field=f"{path}.{key}")
-        value = np.asarray(value, dtype=float)
-    return value
+        raise ValidationError("missing required field", field=field)
+    if kind == "integer":
+        if not (_is_number(value) and float(value).is_integer()):
+            raise ValidationError("expected an integer", field=field)
+        return int(value)
+    if kind == "number":
+        if not _is_number(value):
+            raise ValidationError("expected a finite number", field=field)
+        # a GHz or MHz value near the float limit overflows in Hz
+        if not math.isfinite(value * scale):
+            raise ValidationError("too large to convert to SI units", field=field)
+        return value * scale
+    if not (isinstance(value, list) and len(value) == 3
+            and all(_is_number(v) for v in value)):
+        raise ValidationError("expected a list of 3 finite numbers", field=field)
+    return np.asarray(value, dtype=float) * scale
 
 
 def load_config(path) -> RegisterConfig:
@@ -90,10 +104,11 @@ def load_config(path) -> RegisterConfig:
     c = raw.get("constants", {})
     try:
         constants = PhysicalConstants(
-            d_zfs=_get(c, "d_zfs_ghz", 2.87, "constants", "number") * 1e9,
-            gamma_nv=_get(c, "gamma_nv_ghz_per_t", 28.03, "constants", "number") * 1e9,
-            hyperfine_splitting=_get(c, "hyperfine_mhz", 2.2, "constants", "number")
-            * 1e6,
+            d_zfs=_get(c, "d_zfs_ghz", 2.87, "constants", "number", 1e9),
+            gamma_nv=_get(c, "gamma_nv_ghz_per_t", 28.03, "constants", "number",
+                          1e9),
+            hyperfine_splitting=_get(c, "hyperfine_mhz", 2.2, "constants", "number",
+                                     1e6),
         )
     except ValueError as exc:
         raise ValidationError(str(exc), field="constants") from None
@@ -111,18 +126,18 @@ def load_config(path) -> RegisterConfig:
                               field="environment.wire.direction")
     try:
         wire = WireGeometry(
-            anchor=_get(wire_raw, "anchor_um", None, "environment.wire", "vector")
-            * 1e-6,
+            anchor=_get(wire_raw, "anchor_um", None, "environment.wire", "vector",
+                        1e-6),
             direction=direction / norm,
-            num_filaments=int(_get(wire_raw, "num_filaments", 1,
-                                   "environment.wire", "number")),
-            width=_get(wire_raw, "width_um", 0.0, "environment.wire", "number") * 1e-6,
+            num_filaments=_get(wire_raw, "num_filaments", 1, "environment.wire",
+                               "integer"),
+            width=_get(wire_raw, "width_um", 0.0, "environment.wire", "number", 1e-6),
         )
     except ValueError as exc:
         raise ValidationError(str(exc), field="environment.wire") from None
     try:
         environment = FieldEnvironment(
-            b_ext=_get(env_raw, "b_ext_mt", None, "environment", "vector") * 1e-3,
+            b_ext=_get(env_raw, "b_ext_mt", None, "environment", "vector", 1e-3),
             wire=wire,
             constants=constants,
         )
@@ -132,10 +147,10 @@ def load_config(path) -> RegisterConfig:
     d = raw.get("drive", {})
     try:
         carrier = DriveCarrier(
-            omega_mw=_get(d, "carrier_ghz", 2.87, "drive", "number") * 1e9)
+            omega_mw=_get(d, "carrier_ghz", 2.87, "drive", "number", 1e9))
         drive = WireDrive(
-            i_dc=_get(d, "i_dc_ma", 0.0, "drive", "number") * 1e-3,
-            i_ac=_get(d, "i_ac_ma", 0.0, "drive", "number") * 1e-3,
+            i_dc=_get(d, "i_dc_ma", 0.0, "drive", "number", 1e-3),
+            i_ac=_get(d, "i_ac_ma", 0.0, "drive", "number", 1e-3),
             carrier=carrier,
         )
     except ValueError as exc:
@@ -173,11 +188,11 @@ def load_config(path) -> RegisterConfig:
             sites.append(
                 SpinSite(
                     id=site_id,
-                    position=_get(s, "position_um", None, path_k, "vector") * 1e-6,
+                    position=_get(s, "position_um", None, path_k, "vector", 1e-6),
                     orientation=DipoleOrientation(theta_w=theta_w, theta_u=theta_u),
                     coherence=CoherenceParams(
-                        t2_star=_get(s, "t2_star_us", 1.7, path_k, "number") * 1e-6,
-                        t2=_get(s, "t2_us", 150.0, path_k, "number") * 1e-6,
+                        t2_star=_get(s, "t2_star_us", 1.7, path_k, "number", 1e-6),
+                        t2=_get(s, "t2_us", 150.0, path_k, "number", 1e-6),
                     ),
                 )
             )

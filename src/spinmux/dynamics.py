@@ -9,11 +9,12 @@ Every step unitary lies in SU(2), U = [[a, -b*], [b, a*]], so internally a
 step is the Cayley-Klein pair (a, b) of complex arrays, never a 2x2 matrix.
 Pairs compose element-wise, U2 U1 = (a2 a1 - b2* b1, b2 a1 + a2* b1), and the
 same formula applied to a ket (x, y) in place of (a1, b1) gives U2 (x, y).
-U^H is the pair (a*, -b), and the exact derivatives dU/da_x and dU/da_y have
-the same real-quaternion form, so they are pairs too.  Ordered products over
-the step axis run as a pairwise tree (final propagators) or as a log-depth
-prefix scan (every intermediate propagator, for the gradient); 2x2 matrices
-are built only for `Propagator` at the API boundary.
+U^H is the pair (a*, -b).  The exact derivative dU/da_j is never formed:
+`_su2_pairs` returns two real coefficients per step, from which the gradient
+contracts it in closed form.  Ordered products over the step axis run as a
+pairwise tree (final propagators) or as a log-depth prefix scan (every
+intermediate propagator, for the gradient); 2x2 matrices are built only for
+`Propagator` at the API boundary.
 """
 
 from __future__ import annotations
@@ -156,8 +157,21 @@ class Propagator:
 
 
 def _pair(c, x, y, z):
-    """The SU(2)-form pair of c*1 - i*(x*sx + y*sy + z*sz) for real c, x, y, z."""
-    return c - 1j * z, y - 1j * x
+    """The SU(2)-form pair (c - i*z, y - i*x) of c*1 - i*(x*sx + y*sy + z*sz)
+    for real c, x, y, z.
+
+    The real and imaginary parts are written into complex arrays directly, so
+    no mixed real/complex ufunc (with its buffered cast) runs.  The imaginary
+    parts are 0.0 - z and 0.0 - x, element-wise what c - 1j*z and y - 1j*x
+    give.
+    """
+    a = np.empty(np.broadcast(c, z).shape, dtype=complex)
+    a.real = c
+    np.subtract(0.0, z, out=a.imag)
+    b = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    b.real = y
+    np.subtract(0.0, x, out=b.imag)
+    return a, b
 
 
 def _su2_pairs(ax, ay, az, dt, derivatives: bool = False):
@@ -165,12 +179,15 @@ def _su2_pairs(ax, ay, az, dt, derivatives: bool = False):
     angular rates (rad/s).
 
     ax, ay, az and dt broadcast together, and so do the returned arrays.
-    This is the only place a step unitary is built.  With `derivatives`, also
-    returns the exact dU/dax and dU/day pairs: ((a, b), d_ax, d_ay).  Writing
+    This is the only place a step unitary is built.  Writing
     U = cos(theta) - i*k*(a.sigma) with theta = |a| dt/2 and
-    k = sin(theta)/|a|, d/da_x gives d(cos) = -(dt/2) k a_x and
-    d(k a) = q a_x a + k e_x, where q = ((dt/2) cos(theta) - k)/|a|^2 takes
-    its series as |a| -> 0.
+    k = sin(theta)/|a|, the exact derivative is
+
+        dU/da_j = -(dt/2) k a_j 1 - i sum_n (q a_j a_n + k delta_jn) sigma_n
+
+    with q = ((dt/2) cos(theta) - k)/|a|^2, which takes its series as
+    |a| -> 0.  With `derivatives`, returns ((a, b), (k, q)): the real
+    coefficients, not dU itself, which the gradient contracts in closed form.
     """
     ax = np.asarray(ax, dtype=float)
     ay = np.asarray(ay, dtype=float)
@@ -181,18 +198,15 @@ def _su2_pairs(ax, ay, az, dt, derivatives: bool = False):
     theta = half_dt * omega
     cos_t = np.cos(theta)
     # k = sin(theta)/omega, finite (dt/2) at omega -> 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k = np.where(omega > 0.0, np.sin(theta) / np.where(omega > 0, omega, 1.0),
-                     half_dt)
+    moving = omega > 0.0
+    k = np.where(moving, np.sin(theta) / np.where(moving, omega, 1.0), half_dt)
     u = _pair(cos_t, k * ax, k * ay, k * az)
     if not derivatives:
         return u
     # q series: -(dt/2)^3 * (1/3 - theta^2/30)
     q = np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
                  (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
-    du_dax = _pair(-half_dt * k * ax, q * ax * ax + k, q * ax * ay, q * ax * az)
-    du_day = _pair(-half_dt * k * ay, q * ay * ax, q * ay * ay + k, q * ay * az)
-    return u, du_dax, du_day
+    return u, (k, q)
 
 
 def _compose(a2, b2, a1, b1):

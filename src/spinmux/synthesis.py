@@ -150,17 +150,15 @@ class _Ensemble:
         offsets = np.asarray(manifold.detuning_offsets)
         if offsets[2] == 0.0:
             offsets = offsets[:1]
-        deltas, bras, kets, owner = [], [], [], []
-        for s_index, (delta, bra_state, ket_state) in enumerate(spins):
+        deltas, bras, kets = [], [], []
+        for delta, bra_state, ket_state in spins:
             for off in offsets:
                 deltas.append(delta + off)
                 bras.append(bra_state.amplitudes)
                 kets.append(ket_state.amplitudes)
-                owner.append(s_index)
         self.deltas = np.array(deltas)
         self.bras = np.array(bras)
         self.kets = np.array(kets)
-        self.owner = np.array(owner)
         self.num_spins = len(spins)
         self.weight = 1.0 / len(offsets)
 
@@ -175,7 +173,8 @@ class _Ensemble:
         return cls(spins, scenario.manifold)
 
     def steps(self, i_amps, q_amps, dt, derivatives: bool = False):
-        """Step pairs (members, steps), optionally with the d/dax, d/day pairs."""
+        """Step pairs (members, steps), optionally with the derivative
+        coefficients (k, q) of `_su2_pairs`."""
         return _su2_pairs(TWO_PI * np.asarray(i_amps)[None, :],
                           TWO_PI * np.asarray(q_amps)[None, :],
                           TWO_PI * self.deltas[:, None], dt, derivatives)
@@ -190,9 +189,8 @@ class _Ensemble:
         return self.bras[:, 0].conj() * x + self.bras[:, 1].conj() * y
 
     def _per_spin(self, member_values: np.ndarray) -> np.ndarray:
-        sums = np.zeros(self.num_spins)
-        np.add.at(sums, self.owner, member_values)
-        return sums * self.weight
+        """Mean over each spin's members, which are laid out spin-major."""
+        return member_values.reshape(self.num_spins, -1).sum(axis=1) * self.weight
 
 
 def regularization(pulse: PulseProgram, lam: float) -> float:
@@ -241,34 +239,58 @@ def gradient(pulse: PulseProgram, scenario: ControlScenario, lam: float):
 def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt):
     """Gradient of the epsilon part of f with respect to I and Q.
 
-    GRAPE-style: kets propagate forward through the steps and costates (the
-    bras) backward through the reversed steps of U^H, so
-    dz/dI_l = chi_l^H dU_l/dI_l psi_l needs only 2-vectors per step.  Both
-    sets of intermediate propagators come from one prefix scan each.
+    GRAPE-style, from one prefix scan P_l = U_l ... U_0 with U = P_{m-1}.
+    The state entering step l is psi_l = P_{l-1} ket (psi_0 = ket).  By
+    unitarity U_{m-1} ... U_{l+1} = U P_l^H, so the costate after step l is
+
+        chi_l = P_l U^H bra,
+
+    and dz/da_j = <chi_l|dU_l/da_j|psi_l> with z = <bra|U|ket>.  Every spin
+    contributes a (1 - |z|^2) term to f, so a member's gradient is
+    -2 Re(conj(z) dz/da_j).  With the step derivative of `_su2_pairs`,
+
+        Re(conj(z) dz/da_j) = a_j (q (a.R) - (dt/2) k R_0) + k R_j,
+
+    where R_0 = Re(conj(z) <chi|psi>) and R_n = Im(conj(z) <chi|sigma_n|psi>)
+    per member and step.  z is folded into the costate,
+    z chi_l = P_l (z U^H bra), so the four forms take four complex products
+    and dU is never formed.
     """
-    (a, b), du_dax, du_day = ens.steps(i_amps, q_amps, dt, derivatives=True)
-    kets, bras = ens.kets.T[..., None], ens.bras.T[..., None]
+    (a, b), (k, q) = ens.steps(i_amps, q_amps, dt, derivatives=True)
+    a, b = _scan(a, b)
+    (ket0, ket1), bras = ens.kets.T, ens.bras.T
+    # f_l = P_l ket, so psi_l = f_{l-1} and z = <bra|f_{m-1}>
+    f0, f1 = _compose(a, b, ket0[:, None], ket1[:, None])
+    z = ens._overlaps(f0[:, -1], f1[:, -1])
+    # conj(z chi_l) = conj(P_l) v with v = conj(z U^H bra), U^H = (a*, -b)
+    w0, w1 = _compose(a[:, -1].conj(), -b[:, -1], *bras)
+    c0, c1 = _compose(a.conj(), b.conj(),
+                      (z * w0).conj()[:, None], (z * w1).conj()[:, None])
+    del a, b
+    psi0 = np.concatenate([ket0[:, None], f0[:, :-1]], axis=1)
+    psi1 = np.concatenate([ket1[:, None], f1[:, :-1]], axis=1)
+    del f0, f1
 
-    # psi[:, l]: ket entering step l; forward[:, l] = U_l ... U_0 ket
-    forward = _compose(*_scan(a, b), *kets)
-    psi = [np.concatenate([k, f[:, :-1]], axis=1) for k, f in zip(kets, forward)]
-    z = ens._overlaps(forward[0][:, -1], forward[1][:, -1])
+    # the four forms, from the products conj(z chi)_i psi_j
+    u00, u11 = c0 * psi0, c1 * psi1
+    r0 = u00.real + u11.real
+    rz = u00.imag - u11.imag
+    del u00, u11
+    u01, u10 = c0 * psi1, c1 * psi0
+    del c0, c1, psi0, psi1
+    rx = u01.imag + u10.imag
+    ry = u10.real - u01.real
+    del u01, u10
 
-    # chi[:, l]: costate after step l, (U_{m-1} ... U_{l+1})^H bra; the scan
-    # of the reversed U^H = (a*, -b) gives it for l = m-2 down to 0
-    backward = _compose(*_scan(a[:, :0:-1].conj(), -b[:, :0:-1]), *bras)
-    chi = [np.concatenate([c[:, ::-1], k], axis=1).conj() for k, c in zip(bras, backward)]
-
-    def dz(du):
-        v0, v1 = _compose(*du, *psi)
-        return chi[0] * v0 + chi[1] * v1
-
-    # every spin contributes a (1 - |z|^2) term to f, so the gradient per
-    # member is -2 Re(conj(z) dz), manifold-weighted; 2*pi chains a to I, Q
+    # a_x and a_y are shared by every member, so they multiply the member sum
+    ax = TWO_PI * np.asarray(i_amps, dtype=float)
+    ay = TWO_PI * np.asarray(q_amps, dtype=float)
+    az = TWO_PI * ens.deltas[:, None]
+    t = (q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0).sum(axis=0)
+    # -2 per member, manifold-weighted; 2*pi chains a_x, a_y to I, Q
     coeff = -2.0 * TWO_PI * ens.weight
-    g_i = coeff * np.real(z.conj()[:, None] * dz(du_dax)).sum(axis=0)
-    g_q = coeff * np.real(z.conj()[:, None] * dz(du_day)).sum(axis=0)
-    return g_i, g_q
+    return (coeff * (ax * t + (k * rx).sum(axis=0)),
+            coeff * (ay * t + (k * ry).sum(axis=0)))
 
 
 def _initial_amplitudes(config: OptimizerConfig, restart: int):

@@ -318,6 +318,21 @@ class TestExitCodes:
         assert code == 2
         assert field in capsys.readouterr().err
 
+    def test_fractional_filament_count_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "environment": {
+                "b_ext_mt": [0, 0, 1],
+                "wire": {"anchor_um": [0, 0, -1], "direction": [0, 1, 0],
+                         "num_filaments": 2.7, "width_um": 1.0},
+            },
+            "sites": [{"id": "a", "position_um": [0, 0, 0]}],
+        }))
+        code = cli.main(["address-map", "--config", str(bad),
+                         "--idc-ma", "0", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "environment.wire.num_filaments" in capsys.readouterr().err
+
     def test_nan_lambda_exits_2(self, close_pair_config, tmp_path, capsys):
         code = cli.main([
             "optimize", "--config", close_pair_config,

@@ -98,6 +98,41 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, doc))
         assert err.value.field == field
 
+    @pytest.mark.parametrize("count", [2.7, 0.5, -1.5, 1e-300])
+    def test_fractional_filament_count_names_the_field(self, tmp_path, count):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["environment"]["wire"].update(num_filaments=count, width_um=1.0)
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.field == "environment.wire.num_filaments"
+
+    def test_integer_valued_filament_count_loads(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["environment"]["wire"].update(num_filaments=3.0, width_um=1.0)
+        wire = load_config(write_config(tmp_path, doc)).environment.wire
+        assert wire.num_filaments == 3 and isinstance(wire.num_filaments, int)
+
+    @pytest.mark.parametrize("path, value, field", [
+        # integers beyond the float range used to raise a bare OverflowError
+        (("drive", "i_dc_ma"), 10 ** 400, "drive.i_dc_ma"),
+        (("environment", "wire", "num_filaments"), 10 ** 400,
+         "environment.wire.num_filaments"),
+        # finite in GHz or MHz but infinite in Hz used to load as inf
+        (("constants", "d_zfs_ghz"), 1e300, "constants.d_zfs_ghz"),
+        (("constants", "hyperfine_mhz"), 1.7e308, "constants.hyperfine_mhz"),
+        (("drive", "carrier_ghz"), 1e300, "drive.carrier_ghz"),
+    ], ids=["i_dc_int", "num_filaments_int", "d_zfs", "hyperfine", "carrier"])
+    def test_numbers_beyond_float_range_name_the_field(self, tmp_path, path, value,
+                                                       field):
+        doc = json.loads(json.dumps(MINIMAL))
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.field == field
+
     def test_zero_hyperfine_disables_the_triplet(self, tmp_path):
         doc = dict(MINIMAL, constants={"hyperfine_mhz": 0})
         cfg = load_config(write_config(tmp_path, doc))

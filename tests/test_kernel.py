@@ -1,11 +1,15 @@
-"""The pair kernel (tree product and prefix scan) against a stepwise 2x2 loop."""
+"""The pair kernel (tree product and prefix scan) against a stepwise 2x2 loop,
+and the one-scan gradient against the two-scan, derivative-pair gradient."""
 
 import numpy as np
 import pytest
 
-from spinmux import ControlScenario, PulseProgram, evolve, step_propagator
-from spinmux.dynamics import TWO_PI, _compose, _matrix, _product, _scan, _su2_pairs
-from spinmux.synthesis import _Ensemble
+import spinmux.synthesis as synthesis
+from spinmux import (ControlScenario, HyperfineManifold, PulseProgram, QubitState,
+                     evolve, step_propagator)
+from spinmux.dynamics import (TWO_PI, _compose, _matrix, _pair, _product, _scan,
+                              _su2_pairs)
+from spinmux.synthesis import _cost_gradient_arrays, _Ensemble
 
 DT = 40e-9
 
@@ -103,3 +107,101 @@ def test_transfer_means_match_stepwise_loop(m):
     want = np.array(per_member).reshape(ens.num_spins, -1).mean(axis=1)
     got = ens.transfer_means(i_amps, q_amps, DT)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_pair_matches_the_complex_formula():
+    # zeros of both signs, negatives, and operands of different shapes
+    rng = np.random.default_rng(4)
+    c = np.array([[0.0], [-0.0], [1.5], [-2.0]])
+    x = np.concatenate([[0.0, -0.0, -3.0], rng.normal(size=4)])
+    y = rng.normal(size=(4, 1))
+    z = np.float64(-0.25)
+    for args in ((c, x, y, z), (x, c, z, y), (0.5, -0.0, 0.0, -1.0)):
+        a, b = _pair(*args)
+        want_a, want_b = args[0] - 1j * args[3], args[2] - 1j * args[1]
+        assert np.shape(a) == np.shape(want_a) and np.shape(b) == np.shape(want_b)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+
+def reference_gradient(ens, i_amps, q_amps, dt):
+    """The two-scan gradient: exact dU/dax and dU/day pairs applied to the
+    forward states, and costates from a scan of the reversed U^H steps."""
+    ax = TWO_PI * np.asarray(i_amps)[None, :]
+    ay = TWO_PI * np.asarray(q_amps)[None, :]
+    az = TWO_PI * ens.deltas[:, None]
+    half_dt = 0.5 * dt
+    omega2 = ax * ax + ay * ay + az * az
+    omega = np.sqrt(omega2)
+    theta = half_dt * omega
+    cos_t = np.cos(theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        k = np.where(omega > 0.0, np.sin(theta) / np.where(omega > 0, omega, 1.0),
+                     half_dt)
+    q = np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
+                 (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
+
+    def pair(c, x, y, z):
+        return c - 1j * z, y - 1j * x
+
+    a, b = pair(cos_t, k * ax, k * ay, k * az)
+    du_dax = pair(-half_dt * k * ax, q * ax * ax + k, q * ax * ay, q * ax * az)
+    du_day = pair(-half_dt * k * ay, q * ay * ax, q * ay * ay + k, q * ay * az)
+    kets, bras = ens.kets.T[..., None], ens.bras.T[..., None]
+
+    forward = _compose(*_scan(a, b), *kets)
+    psi = [np.concatenate([kt, f[:, :-1]], axis=1) for kt, f in zip(kets, forward)]
+    z = ens._overlaps(forward[0][:, -1], forward[1][:, -1])
+    backward = _compose(*_scan(a[:, :0:-1].conj(), -b[:, :0:-1]), *bras)
+    chi = [np.concatenate([c[:, ::-1], br], axis=1).conj()
+           for br, c in zip(bras, backward)]
+
+    def dz(du):
+        v0, v1 = _compose(*du, *psi)
+        return chi[0] * v0 + chi[1] * v1
+
+    coeff = -2.0 * TWO_PI * ens.weight
+    g_i = coeff * np.real(z.conj()[:, None] * dz(du_dax)).sum(axis=0)
+    g_q = coeff * np.real(z.conj()[:, None] * dz(du_day)).sum(axis=0)
+    return g_i, g_q
+
+
+def superposition(rng):
+    amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return QubitState(amp / np.linalg.norm(amp))
+
+
+@pytest.mark.parametrize("m", M_VALUES + (3000,))
+@pytest.mark.parametrize("triplet", (True, False))
+@pytest.mark.parametrize("spectators", (1, 4))
+@pytest.mark.parametrize("superposed", (False, True))
+def test_gradient_matches_two_scan_reference(m, triplet, spectators, superposed):
+    rng = np.random.default_rng([m, triplet, spectators, superposed])
+    signs = rng.choice([-1.0, 1.0], spectators)
+    idle = tuple(rng.uniform(0.3e6, 3e6, spectators) * signs)
+    states = {}
+    if superposed:
+        states = dict(target_initial=superposition(rng),
+                      idle_initials=tuple(superposition(rng) for _ in idle))
+    manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.disabled()
+    ens = _Ensemble.for_scenario(ControlScenario(idle_detunings=idle, manifold=manifold,
+                                                 **states))
+    i_amps, q_amps = random_pulse(rng, m)
+    dt = 10e-6 / m
+    want = np.concatenate(reference_gradient(ens, i_amps, q_amps, dt))
+    got = np.concatenate(_cost_gradient_arrays(ens, i_amps, q_amps, dt))
+    # float64 rounding over a log-depth scan, set before measuring
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_gradient_runs_one_scan(monkeypatch):
+    calls = []
+
+    def counting_scan(a, b):
+        calls.append(a.shape)
+        return _scan(a, b)
+
+    monkeypatch.setattr(synthesis, "_scan", counting_scan)
+    rng = np.random.default_rng(5)
+    ens = _Ensemble.for_scenario(ControlScenario(idle_detunings=(1.1e6, -0.7e6)))
+    _cost_gradient_arrays(ens, *random_pulse(rng, 50), DT)
+    assert calls == [(len(ens.deltas), 50)]

@@ -3,7 +3,9 @@
 Examples are derandomized and not stored, so every run checks the same cases.
 """
 
+import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -16,8 +18,10 @@ import spinmux.cli as cli
 from spinmux import (
     ControlScenario,
     HyperfineManifold,
+    ParseError,
     PulseProgram,
     QubitState,
+    ValidationError,
     cost,
     crosstalk_bound,
     demo_config_path,
@@ -122,3 +126,112 @@ def test_simulate_pulse_without_hyperfine_is_single_member_evolve(
                  - cfg.drive.carrier.omega_mw)
         expected = state_error(evolve(read_back, delta), ground)
         assert abs(float(eps) - expected) <= 1e-12
+
+
+DEMO = json.loads(Path(demo_config_path()).read_text())
+
+# negative, fractional, huge, tiny, out-of-range and non-finite numbers, with
+# integers beyond float range
+NUMBERS = st.one_of(
+    st.sampled_from([0, -0.0, -1, -0.5, 0.5, 2.7, 181.0, -181.0, 1e300, -1e300,
+                     1.7e308, 1e-300, 10 ** 400, -(10 ** 400), float("nan"),
+                     float("inf"), float("-inf")]),
+    st.integers(),
+    st.floats(),
+)
+OTHER_TYPES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(NUMBERS, max_size=4),
+    st.dictionaries(st.text(max_size=3), NUMBERS, max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """Every key and list index path in a JSON document."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _is_plain_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def mutated_configs(draw):
+    """The demo register after 1-3 mutations: a number replaced by an awkward
+    one (twice as likely as the rest), a key or list entry dropped, a value of
+    another type, or an empty list or object."""
+    doc = json.loads(json.dumps(DEMO))
+    for _ in range(draw(st.integers(1, 3))):
+        parents = {}
+        for path in _paths(doc):
+            node = doc
+            for p in path[:-1]:
+                node = node[p]
+            parents[path] = node
+        if not parents:
+            break
+        kind = draw(st.sampled_from(["number", "number", "drop", "type", "empty"]))
+        # a number is drawn field first, so the entries of 3-vectors do not
+        # crowd out the scalar fields
+        numeric = {}
+        for p, node in parents.items():
+            if _is_plain_number(node[p[-1]]):
+                field = p[:-1] if isinstance(node, list) else p
+                numeric.setdefault(field, []).append(p)
+        if kind == "number" and numeric:
+            path = draw(st.sampled_from(numeric[draw(st.sampled_from(list(numeric)))]))
+        else:
+            path = draw(st.sampled_from(list(parents)))
+        parent, key = parents[path], path[-1]
+        old = parent[key]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "number":
+            scaled = ([-old, old + 0.5, old * 1e300, old * 1e-300]
+                      if _is_plain_number(old) and abs(old) <= 1e300 else [0])
+            parent[key] = draw(st.one_of(st.sampled_from(scaled), NUMBERS))
+        elif kind == "type":
+            parent[key] = draw(OTHER_TYPES)
+        else:
+            parent[key] = draw(st.sampled_from([[], {}]))
+    return doc
+
+
+def _finite(value):
+    """True when every number held by a loaded config is finite."""
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    if isinstance(value, np.ndarray):
+        return bool(np.all(np.isfinite(value)))
+    if _is_plain_number(value):
+        return math.isfinite(value)
+    return True
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "config.json"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_configs())
+def test_random_configs_load_or_name_the_field(config_file, doc):
+    # a config either loads, holding only finite numbers, or stops with an
+    # error that names the field or line
+    config_file.write_text(json.dumps(doc))
+    try:
+        cfg = load_config(config_file)
+    except ValidationError as exc:
+        assert exc.field
+    except ParseError as exc:
+        assert exc.line
+    else:
+        assert _finite(cfg)

@@ -1,15 +1,23 @@
 """Run the README's eight CLI commands and compare their outputs between trees.
 
     python tools/compare_outputs.py run SRC OUTDIR [--pulse PULSE_CSV]
+    python tools/compare_outputs.py run --rev REV OUTDIR [--pulse PULSE_CSV]
     python tools/compare_outputs.py diff OUTDIR_A OUTDIR_B [--tol TOL] [--rtol RTOL]
 
 `run` executes address-map, simulate rabi/ramsey/odmr, crosstalk-map,
 optimize, simulate pulse and sweep exactly as the README quick start does,
 each as a fresh `python -m spinmux` process importing the package from SRC
-(a `src/` directory) and reading the demo configs bundled there.  Outputs
-and the exit codes (`exit_codes.json`) land in OUTDIR.  With `--pulse`,
+(a `src/` directory) and reading the demo configs bundled there.  With
+`--rev`, SRC is that git revision's `src/`, exported with `git archive`
+into a temporary directory that is removed afterwards.  Outputs and the
+exit codes (`exit_codes.json`) land in OUTDIR.  With `--pulse`,
 `simulate pulse` and `sweep` read that pulse file instead of the one
-`optimize` wrote, so two trees can be compared on identical inputs.
+`optimize` wrote, so two trees can be compared on identical inputs.  A
+revision against the working tree is then three commands:
+
+    python tools/compare_outputs.py run --rev HEAD~1 A
+    python tools/compare_outputs.py run src B --pulse A/pulse.csv
+    python tools/compare_outputs.py diff A B --tol 1e-14 --rtol 1e-14
 
 `diff` prints, per file and column, the maximum absolute difference between
 the two directories: CSV columns by header name, trace JSON-lines fields by
@@ -30,6 +38,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +94,22 @@ def run(src: Path, out: Path, pulse: Path | None) -> int:
             print("  " + proc.stderr.strip().replace("\n", "\n  "))
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
     return 0
+
+
+def run_rev(rev: str, out: Path, pulse: Path | None) -> int:
+    """`run` on the `src/` of git revision `rev` of this repository."""
+    repo = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = Path(tmp) / "src.tar"
+        proc = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar",
+                               "-o", str(archive), rev, "src"],
+                              capture_output=True, text=True)
+        if proc.returncode:
+            print(f"error: git archive {rev}: {proc.stderr.strip()}", file=sys.stderr)
+            return 2
+        with tarfile.open(archive) as tar:
+            tar.extractall(tmp, filter="data")
+        return run(Path(tmp) / "src", out, pulse)
 
 
 def _columns(path: Path) -> tuple[dict, int]:
@@ -160,8 +186,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run", help="run the README commands into a directory")
-    p.add_argument("src", type=Path, help="the src/ directory holding spinmux")
+    p.add_argument("src", type=Path, nargs="?", default=None,
+                   help="the src/ directory holding spinmux")
     p.add_argument("out", type=Path)
+    p.add_argument("--rev", default=None,
+                   help="use this git revision's src/ instead of SRC")
     p.add_argument("--pulse", type=Path, default=None,
                    help="pulse CSV for simulate pulse and sweep")
     p = sub.add_parser("diff", help="max abs difference per file and column")
@@ -171,6 +200,10 @@ def main(argv=None) -> int:
     p.add_argument("--rtol", type=float, default=None, help="relative tolerance")
     args = parser.parse_args(argv)
     if args.command == "run":
+        if (args.src is None) == (args.rev is None):
+            parser.error("run needs exactly one of SRC and --rev")
+        if args.rev is not None:
+            return run_rev(args.rev, args.out, args.pulse)
         return run(args.src, args.out, args.pulse)
     return diff(args.dir_a, args.dir_b, args.tol, args.rtol)
 
