@@ -7,7 +7,6 @@ spectrally close neighbors untouched.
 """
 
 from .dynamics import (
-    DriveCarrier,
     Propagator,
     PulseProgram,
     PulseStep,
@@ -67,7 +66,6 @@ from .synthesis import (
 )
 from .pulse_io import read_pulse, write_pulse
 from .spins import (
-    CoherenceParams,
     DipoleOrientation,
     HyperfineManifold,
     PhysicalConstants,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,18 +51,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_range(spec: str, flag: str):
-    """Parse "lo:hi:n" into an evenly spaced list."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"{flag} must look like lo:hi:n")
+def _range(spec: str):
+    """Parse "lo:hi:n" into (lo, hi, n); an argparse type."""
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise UsageError(f"{flag} must look like lo:hi:n") from None
+        raise argparse.ArgumentTypeError("must look like lo:hi:n") from None
     if n < 1:
-        raise UsageError(f"{flag} needs n >= 1")
+        raise argparse.ArgumentTypeError("needs n >= 1")
+    return lo, hi, n
+
+
+def _grid(lo, hi, n):
+    """An evenly spaced list of n values from lo to hi."""
     return [lo] if n == 1 else list(np.linspace(lo, hi, n))
+
+
+def _check_finite(args) -> None:
+    """Reject NaN and infinite values of every float flag, range bounds too."""
+    for name, value in vars(args).items():
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValidationError("must be a finite number",
+                                  field="--" + name.replace("_", "-"))
 
 
 def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
@@ -80,8 +93,7 @@ def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
 
 def cmd_address_map(args) -> int:
     cfg = load_config(args.config)
-    drive = WireDrive(i_dc=args.idc_ma * 1e-3, i_ac=cfg.drive.i_ac,
-                      carrier=cfg.drive.carrier)
+    drive = WireDrive(i_dc=args.idc_ma * 1e-3, i_ac=0.0)
     result = address_map(cfg.environment, drive, cfg.sites)
     _write_csv(args.out, "site,u_um,f_ghz",
                [(e.site_id, e.position_u * 1e6, e.omega_plus * 1e-9)
@@ -92,11 +104,10 @@ def cmd_address_map(args) -> int:
 def _site_epsilons(cfg: RegisterConfig, pulse: PulseProgram):
     """Manifold-averaged departure from |0> per site, at the config carrier."""
     ground = QubitState.ground()
-    sites = sorted(cfg.sites, key=lambda s: s.id)
-    spins = [(field_sample(cfg.environment, cfg.drive, site).omega_plus
-              - cfg.drive.carrier.omega_mw, ground, ground) for site in sites]
+    entries = address_map(cfg.environment, cfg.drive, cfg.sites).entries
+    spins = [(e.omega_plus - cfg.carrier, ground, ground) for e in entries]
     stay = _Ensemble(spins, cfg.manifold).transfer_means(*pulse.amplitudes(), pulse.dt)
-    return [(site.id, 1.0 - p) for site, p in zip(sites, stay)]
+    return [(e.site_id, 1.0 - p) for e, p in zip(entries, stay)]
 
 
 def cmd_simulate(args) -> int:
@@ -109,7 +120,7 @@ def cmd_simulate(args) -> int:
         site = cfg.site(args.site) if args.site else cfg.sites[0]
         taus = np.linspace(0.0, args.tau_max_us * 1e-6, args.points)
         signal = simulate_ramsey(args.delta_mhz * 1e6, cfg.manifold,
-                                 site.coherence.t2_star, taus)
+                                 site.t2_star, taus)
         _write_csv(args.out, "tau_us,signal", zip(taus * 1e6, signal))
     elif args.kind == "odmr":
         if args.f_min_ghz is None or args.f_max_ghz is None:
@@ -201,8 +212,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("need at least one --idle-site")
     pulse = read_pulse(args.pulse)
     scenario = _scenario_from_config(cfg, args.target_site, args.idle_site)
-    offsets = [x * 1e6 for x in _parse_range(args.delta_range, "--delta-range")]
-    scales = _parse_range(args.amp_range, "--amp-range")
+    offsets = [x * 1e6 for x in _grid(*args.delta_range)]
+    scales = _grid(*args.amp_range)
     points = sensitivity_sweep(pulse, scenario, offsets, scales)
     rows = [(p.delta_offset * 1e-6, p.amp_scale, p.eps_i, sum(p.eps_j))
             for p in points]
@@ -275,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse", required=True)
     p.add_argument("--target-site", required=True)
     p.add_argument("--idle-site", action="append", default=[])
-    p.add_argument("--delta-range", required=True, help="lo:hi:n in MHz")
-    p.add_argument("--amp-range", required=True, help="lo:hi:n scale factors")
+    p.add_argument("--delta-range", type=_range, required=True, help="lo:hi:n in MHz")
+    p.add_argument("--amp-range", type=_range, required=True,
+                   help="lo:hi:n scale factors")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -286,17 +298,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_finite(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpinmuxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, SpinmuxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

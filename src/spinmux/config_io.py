@@ -15,26 +15,19 @@ from importlib import resources
 
 import numpy as np
 
-from .dynamics import DriveCarrier
 from .errors import ParseError, ValidationError
-from .fields import FieldEnvironment, WireDrive, WireGeometry
-from .spins import (
-    CoherenceParams,
-    DipoleOrientation,
-    HyperfineManifold,
-    PhysicalConstants,
-    SpinSite,
-)
+from .fields import MAX_FILAMENTS, FieldEnvironment, WireDrive, WireGeometry
+from .spins import DipoleOrientation, HyperfineManifold, PhysicalConstants, SpinSite
 
 
 @dataclass(frozen=True)
 class RegisterConfig:
-    """A fully validated register: constants, fields, sites, default drive."""
+    """A fully validated register: fields, sites, default drive, carrier (Hz)."""
 
-    constants: PhysicalConstants
     environment: FieldEnvironment
     sites: tuple
     drive: WireDrive
+    carrier: float
 
     def site(self, site_id: str) -> SpinSite:
         for s in self.sites:
@@ -44,7 +37,7 @@ class RegisterConfig:
 
     @property
     def manifold(self) -> HyperfineManifold:
-        return HyperfineManifold.triplet(self.constants.hyperfine_splitting)
+        return HyperfineManifold.triplet(self.environment.constants.hyperfine_splitting)
 
 
 def demo_config_path(name: str = "demo_register") -> str:
@@ -63,32 +56,54 @@ def _is_number(value) -> bool:
         return False
 
 
-def _get(mapping, key, default, path, kind, scale=1.0):
-    """A field's value: a number or 3-vector converted to SI by `scale`, or
-    an integer count."""
-    value = mapping.get(key, default)
+def _get(mapping, key, default, path, kind, scale=1.0, bounds=None):
+    """Remove a field from `mapping` and return its value: a 3-vector or a
+    number converted to SI by `scale`, or an integer count.  A number or
+    count must lie within `bounds` (lo, hi), when given, before scaling."""
+    value = mapping.pop(key, default)
     field = f"{path}.{key}"
     if value is None:
         raise ValidationError("missing required field", field=field)
+    if kind == "vector":
+        if not (isinstance(value, list) and len(value) == 3
+                and all(_is_number(v) for v in value)):
+            raise ValidationError("expected a list of 3 finite numbers", field=field)
+        return np.asarray(value, dtype=float) * scale
+    if kind == "integer" and not (_is_number(value) and float(value).is_integer()):
+        raise ValidationError("expected an integer", field=field)
+    if not _is_number(value):
+        raise ValidationError("expected a finite number", field=field)
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        raise ValidationError(f"{value:g} outside [{bounds[0]:g}, {bounds[1]:g}]",
+                              field=field)
     if kind == "integer":
-        if not (_is_number(value) and float(value).is_integer()):
-            raise ValidationError("expected an integer", field=field)
         return int(value)
-    if kind == "number":
-        if not _is_number(value):
-            raise ValidationError("expected a finite number", field=field)
-        # a GHz or MHz value near the float limit overflows in Hz
-        if not math.isfinite(value * scale):
-            raise ValidationError("too large to convert to SI units", field=field)
-        return value * scale
-    if not (isinstance(value, list) and len(value) == 3
-            and all(_is_number(v) for v in value)):
-        raise ValidationError("expected a list of 3 finite numbers", field=field)
-    return np.asarray(value, dtype=float) * scale
+    # a GHz or MHz value near the float limit overflows in Hz
+    if not math.isfinite(value * scale):
+        raise ValidationError("too large to convert to SI units", field=field)
+    return value * scale
+
+
+def _object(mapping, key, path, required=False):
+    """Pop the object at `key` as a copy for `_get` to empty; default empty."""
+    if required and key not in mapping:
+        raise ValidationError("missing required object", field=path)
+    value = mapping.pop(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError("expected an object", field=path)
+    return dict(value)
+
+
+def _no_unknown_keys(mapping, path):
+    """Reject whatever `_get` left in `mapping`: keys that no field reads."""
+    if mapping:
+        key = next(iter(mapping))
+        raise ValidationError("unknown field", field=f"{path}.{key}" if path else key)
 
 
 def load_config(path) -> RegisterConfig:
-    """Load and validate a register config, applying documented defaults."""
+    """Load and validate a register config, applying documented defaults; a
+    key that no field reads, such as a misspelled one, is a ValidationError."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -96,12 +111,9 @@ def load_config(path) -> RegisterConfig:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     if not isinstance(raw, dict):
         raise ValidationError("top level must be an object", field="$")
+    raw = dict(raw)
 
-    for section in ("constants", "drive"):
-        if section in raw and not isinstance(raw[section], dict):
-            raise ValidationError("expected an object", field=section)
-
-    c = raw.get("constants", {})
+    c = _object(raw, "constants", "constants")
     try:
         constants = PhysicalConstants(
             d_zfs=_get(c, "d_zfs_ghz", 2.87, "constants", "number", 1e9),
@@ -112,13 +124,10 @@ def load_config(path) -> RegisterConfig:
         )
     except ValueError as exc:
         raise ValidationError(str(exc), field="constants") from None
+    _no_unknown_keys(c, "constants")
 
-    env_raw = raw.get("environment")
-    if not isinstance(env_raw, dict):
-        raise ValidationError("missing required object", field="environment")
-    wire_raw = env_raw.get("wire")
-    if not isinstance(wire_raw, dict):
-        raise ValidationError("missing required object", field="environment.wire")
+    env_raw = _object(raw, "environment", "environment", required=True)
+    wire_raw = _object(env_raw, "wire", "environment.wire", required=True)
     direction = _get(wire_raw, "direction", None, "environment.wire", "vector")
     norm = float(np.linalg.norm(direction))
     if norm < 1e-12:
@@ -130,11 +139,12 @@ def load_config(path) -> RegisterConfig:
                         1e-6),
             direction=direction / norm,
             num_filaments=_get(wire_raw, "num_filaments", 1, "environment.wire",
-                               "integer"),
+                               "integer", bounds=(1, MAX_FILAMENTS)),
             width=_get(wire_raw, "width_um", 0.0, "environment.wire", "number", 1e-6),
         )
     except ValueError as exc:
         raise ValidationError(str(exc), field="environment.wire") from None
+    _no_unknown_keys(wire_raw, "environment.wire")
     try:
         environment = FieldEnvironment(
             b_ext=_get(env_raw, "b_ext_mt", None, "environment", "vector", 1e-3),
@@ -143,20 +153,17 @@ def load_config(path) -> RegisterConfig:
         )
     except ValueError as exc:
         raise ValidationError(str(exc), field="environment") from None
+    _no_unknown_keys(env_raw, "environment")
 
-    d = raw.get("drive", {})
-    try:
-        carrier = DriveCarrier(
-            omega_mw=_get(d, "carrier_ghz", 2.87, "drive", "number", 1e9))
-        drive = WireDrive(
-            i_dc=_get(d, "i_dc_ma", 0.0, "drive", "number", 1e-3),
-            i_ac=_get(d, "i_ac_ma", 0.0, "drive", "number", 1e-3),
-            carrier=carrier,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc), field="drive") from None
+    d = _object(raw, "drive", "drive")
+    drive = WireDrive(i_dc=_get(d, "i_dc_ma", 0.0, "drive", "number", 1e-3), i_ac=0.0)
+    carrier = _get(d, "carrier_ghz", 2.87, "drive", "number", 1e9)
+    if carrier <= 0:
+        raise ValidationError("carrier frequency must be positive",
+                              field="drive.carrier_ghz")
+    _no_unknown_keys(d, "drive")
 
-    sites_raw = raw.get("sites")
+    sites_raw = raw.pop("sites", None)
     if not isinstance(sites_raw, list) or not sites_raw:
         raise ValidationError("need a non-empty site list", field="sites")
     sites = []
@@ -165,39 +172,31 @@ def load_config(path) -> RegisterConfig:
         path_k = f"sites[{k}]"
         if not isinstance(s, dict):
             raise ValidationError("expected an object", field=path_k)
-        site_id = s.get("id")
+        s = dict(s)
+        site_id = s.pop("id", None)
         if not isinstance(site_id, str) or not site_id:
             raise ValidationError("missing site id", field=f"{path_k}.id")
         if site_id in seen:
             raise ValidationError(f"duplicate site id {site_id!r}",
                                   field=f"{path_k}.id")
         seen.add(site_id)
-        theta_w = _get(s, "theta_w_deg", 54.7, path_k, "number")
-        theta_u = _get(s, "theta_u_deg", 41.0, path_k, "number")
-        if not 0.0 <= theta_w <= 180.0:
-            raise ValidationError(
-                f"theta_w {theta_w} outside [0, 180] degrees",
-                field=f"{path_k}.theta_w_deg",
-            )
-        if not -180.0 <= theta_u <= 180.0:
-            raise ValidationError(
-                f"theta_u {theta_u} outside [-180, 180] degrees",
-                field=f"{path_k}.theta_u_deg",
-            )
         try:
             sites.append(
                 SpinSite(
                     id=site_id,
                     position=_get(s, "position_um", None, path_k, "vector", 1e-6),
-                    orientation=DipoleOrientation(theta_w=theta_w, theta_u=theta_u),
-                    coherence=CoherenceParams(
-                        t2_star=_get(s, "t2_star_us", 1.7, path_k, "number", 1e-6),
-                        t2=_get(s, "t2_us", 150.0, path_k, "number", 1e-6),
-                    ),
+                    orientation=DipoleOrientation(
+                        theta_w=_get(s, "theta_w_deg", 54.7, path_k, "number",
+                                     bounds=(0.0, 180.0)),
+                        theta_u=_get(s, "theta_u_deg", 41.0, path_k, "number",
+                                     bounds=(-180.0, 180.0))),
+                    t2_star=_get(s, "t2_star_us", 1.7, path_k, "number", 1e-6),
                 )
             )
         except ValueError as exc:
             raise ValidationError(str(exc), field=path_k) from None
+        _no_unknown_keys(s, path_k)
+    _no_unknown_keys(raw, "")
 
-    return RegisterConfig(constants=constants, environment=environment,
-                          sites=tuple(sites), drive=drive)
+    return RegisterConfig(environment=environment, sites=tuple(sites), drive=drive,
+                          carrier=carrier)

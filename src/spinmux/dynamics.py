@@ -33,17 +33,6 @@ _BOUNDARY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class DriveCarrier:
-    """Microwave carrier frequency (Hz); it defines the rotating frame."""
-
-    omega_mw: float
-
-    def __post_init__(self):
-        if self.omega_mw <= 0:
-            raise ValueError("carrier frequency must be positive")
-
-
-@dataclass(frozen=True)
 class PulseStep:
     """One piecewise-constant control step, amplitudes in cyclic Hz."""
 

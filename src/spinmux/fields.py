@@ -30,6 +30,10 @@ MU0 = 4e-7 * math.pi  # T*m/A
 # Field evaluation closer than this to a filament centerline is rejected.
 MIN_FILAMENT_DISTANCE = 1e-9  # m
 
+# Largest filament count; a (points, filaments, 3) float temporary on a
+# 1,000-point grid stays at 24 MB.
+MAX_FILAMENTS = 1000
+
 W_HAT = np.array([0.0, 0.0, 1.0])
 
 
@@ -50,8 +54,8 @@ class WireGeometry:
         norm = np.linalg.norm(direction)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError("direction must be unit-norm")
-        if self.num_filaments < 1:
-            raise ValueError("num_filaments must be >= 1")
+        if not 1 <= self.num_filaments <= MAX_FILAMENTS:
+            raise ValueError(f"num_filaments must be in [1, {MAX_FILAMENTS}]")
         if self.width < 0:
             raise ValueError("width must be >= 0")
         if self.width == 0.0 and self.num_filaments != 1:
@@ -104,7 +108,6 @@ class WireDrive:
 
     i_dc: float                        # A, signed
     i_ac: float                        # A, peak envelope value, >= 0
-    carrier: "DriveCarrier | None" = None
 
     def __post_init__(self):
         if self.i_ac < 0:

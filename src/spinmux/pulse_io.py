@@ -29,8 +29,13 @@ def write_pulse(path, pulse: PulseProgram) -> None:
             fh.write(f"{t_ns:.17g},{i * 1e-6:.17g},{q * 1e-6:.17g}\n")
 
 
+def _row_line(lines, row) -> int:
+    """File line number of data row `row` (from 0), skipping blank lines."""
+    return [n for n, line in enumerate(lines, start=1) if n > 1 and line.strip()][row]
+
+
 def read_pulse(path) -> PulseProgram:
-    """Parse a pulse CSV, checking the header and the uniform time grid."""
+    """Parse a pulse CSV, checking the header, finite values and the time grid."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0].strip() != PULSE_HEADER:
@@ -52,15 +57,18 @@ def read_pulse(path) -> PulseProgram:
     if not times:
         raise ParseError("no data rows", line=2)
 
-    times = np.asarray(times)
-    if np.any(np.diff(times) <= 0):
-        bad = int(np.argmax(np.diff(times) <= 0)) + 3
-        raise ParseError("times must be strictly increasing", line=bad)
+    times, i_mhz, q_mhz = np.asarray(times), np.asarray(i_mhz), np.asarray(q_mhz)
+    bad = ~(np.isfinite(times) & np.isfinite(i_mhz) & np.isfinite(q_mhz))
+    if bad.any():
+        raise ParseError("non-finite value", line=_row_line(lines, np.argmax(bad)))
+    bad = np.diff(times, prepend=-np.inf) <= 0
+    if bad.any():
+        raise ParseError("times must be strictly increasing",
+                         line=_row_line(lines, np.argmax(bad)))
     dt_ns = times[-1] / len(times)
-    expected = dt_ns * np.arange(1, len(times) + 1)
-    if np.max(np.abs(times - expected)) > _SPACING_TOL * times[-1]:
-        raise ParseError("time grid is not uniformly spaced", line=2)
+    deviation = np.abs(times - dt_ns * np.arange(1, len(times) + 1))
+    if np.max(deviation) > _SPACING_TOL * times[-1]:
+        raise ParseError("time grid is not uniformly spaced",
+                         line=_row_line(lines, np.argmax(deviation)))
 
-    return PulseProgram.from_arrays(
-        np.asarray(i_mhz) * 1e6, np.asarray(q_mhz) * 1e6, dt_ns * 1e-9
-    )
+    return PulseProgram.from_arrays(i_mhz * 1e6, q_mhz * 1e6, dt_ns * 1e-9)

@@ -53,18 +53,6 @@ class DipoleOrientation:
 
 
 @dataclass(frozen=True)
-class CoherenceParams:
-    """Dephasing and coherence times in seconds."""
-
-    t2_star: float = 1.7e-6
-    t2: float = 150e-6
-
-    def __post_init__(self):
-        if not 0.0 < self.t2_star <= self.t2:
-            raise ValueError("coherence times must satisfy 0 < t2_star <= t2")
-
-
-@dataclass(frozen=True)
 class HyperfineManifold:
     """Detuning offsets of the three nuclear-spin states, (-a, 0, +a) in Hz."""
 
@@ -91,17 +79,19 @@ class HyperfineManifold:
 
 @dataclass(frozen=True)
 class SpinSite:
-    """One spin qubit: label, chip-frame position (m), orientation, coherence."""
+    """One spin qubit: label, chip-frame position (m), orientation, t2_star (s)."""
 
     id: str
     position: np.ndarray
     orientation: DipoleOrientation = field(default_factory=DipoleOrientation)
-    coherence: CoherenceParams = field(default_factory=CoherenceParams)
+    t2_star: float = 1.7e-6
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
         if pos.shape != (3,):
             raise ValueError("position must be a 3-vector")
+        if not self.t2_star > 0:
+            raise ValueError("t2_star must be positive")
         object.__setattr__(self, "position", pos)
 
 

@@ -299,7 +299,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("drive, position, field", [
         ({"i_dc_ma": float("nan")}, [0, 0, 0], "drive.i_dc_ma"),
-        ({"i_ac_ma": True}, [0, 0, 0], "drive.i_ac_ma"),
+        ({"carrier_ghz": True}, [0, 0, 0], "drive.carrier_ghz"),
         ({}, [float("inf"), 0, 0], "sites[0].position_um"),
     ])
     def test_bad_numbers_exit_2_and_name_the_field(self, tmp_path, capsys, drive,
@@ -317,6 +317,49 @@ class TestExitCodes:
                          "--idc-ma", "0", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert field in capsys.readouterr().err
+
+    def test_misspelled_config_key_exits_2_and_names_it(self, tmp_path, capsys):
+        # "i_dc_mA" used to load as the 0 mA default and exit 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "environment": {
+                "b_ext_mt": [0, 0, 1],
+                "wire": {"anchor_um": [0, 0, -1], "direction": [0, 1, 0]},
+            },
+            "drive": {"i_dc_mA": 150},
+            "sites": [{"id": "a", "position_um": [0, 0, 0]}],
+        }))
+        code = cli.main(["simulate", "odmr", "--config", str(bad),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "drive.i_dc_mA" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["address-map", "--idc-ma", "nan"], "--idc-ma"),
+        (["simulate", "rabi", "--rabi-mhz", "nan"], "--rabi-mhz"),
+        (["simulate", "odmr", "--f-min-ghz", "inf", "--f-max-ghz", "3"],
+         "--f-min-ghz"),
+        (["crosstalk-map", "--idc-ma", "0", "--idc-ma=-inf",
+          "--target-u-um", "1.5", "--u-min-um", "-4", "--u-max-um", "4",
+          "--nu", "3"], "--idc-ma"),
+        (["sweep", "--delta-range=nan:0.2:2", "--amp-range", "1:1:1"],
+         "--delta-range"),
+        (["sweep", "--delta-range", "0:0:1", "--amp-range", "1:1e999:1"],
+         "--amp-range"),
+    ], ids=["address-map", "rabi", "odmr", "crosstalk-map", "delta-range",
+            "amp-range"])
+    def test_non_finite_flag_exits_2_and_names_it(self, close_pair_config, tmp_path,
+                                                  capsys, argv, flag):
+        pulse_path = tmp_path / "p.csv"
+        write_pulse(pulse_path, rect_pi_pulse(1e6, m=4))
+        paths = {"sweep": ["--pulse", str(pulse_path), "--target-site", "nv-b",
+                           "--idle-site", "nv-c", "--out", str(tmp_path / "o.csv")],
+                 "crosstalk-map": ["--out-prefix", str(tmp_path / "o")]}
+        out = paths.get(argv[0], ["--out", str(tmp_path / "o.csv")])
+        code = cli.main([*argv, "--config", close_pair_config, *out])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.glob("o*"))
 
     def test_fractional_filament_count_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

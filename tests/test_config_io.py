@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from spinmux import (
     field_sample,
     load_config,
 )
+from spinmux.fields import MAX_FILAMENTS
 
 MINIMAL = {
     "environment": {
@@ -31,15 +35,17 @@ def write_config(tmp_path, doc, name="cfg.json"):
 class TestLoadConfig:
     def test_minimal_config_gets_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
-        assert cfg.constants.d_zfs == 2.87e9
-        assert cfg.constants.gamma_nv == 2.803e10
-        assert cfg.constants.hyperfine_splitting == pytest.approx(2.2e6)
+        constants = cfg.environment.constants
+        assert constants.d_zfs == 2.87e9
+        assert constants.gamma_nv == 2.803e10
+        assert constants.hyperfine_splitting == pytest.approx(2.2e6)
         site = cfg.sites[0]
         assert site.orientation.theta_w == 54.7
         assert site.orientation.theta_u == 41.0
-        assert site.coherence.t2_star == pytest.approx(1.7e-6)
-        assert site.coherence.t2 == pytest.approx(150e-6)
+        assert site.t2_star == pytest.approx(1.7e-6)
         assert cfg.drive.i_dc == 0.0
+        assert cfg.drive.i_ac == 0.0
+        assert cfg.carrier == pytest.approx(2.87e9)
         assert np.allclose(cfg.environment.b_ext, [0.0, 0.0, 3e-3])
 
     def test_duplicate_site_id_names_the_id(self, tmp_path):
@@ -70,21 +76,53 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, {"sites": MINIMAL["sites"]}))
         assert "environment" in str(err.value)
 
-    def test_bad_coherence_ordering_reports_site(self, tmp_path):
-        doc = dict(MINIMAL)
-        doc["sites"] = [{"id": "q0", "position_um": [0, 0, 0],
-                         "t2_star_us": 10.0, "t2_us": 1.0}]
+    def test_non_positive_t2_star_reports_site(self, tmp_path):
+        for t2_star in (0.0, -1.0):
+            doc = dict(MINIMAL)
+            doc["sites"] = [{"id": "q0", "position_um": [0, 0, 0],
+                             "t2_star_us": t2_star}]
+            with pytest.raises(ValidationError) as err:
+                load_config(write_config(tmp_path, doc))
+            assert "sites[0]" in str(err.value)
+
+    @pytest.mark.parametrize("path, key, field", [
+        # a misspelled unit used to load as the 0 mA default
+        (("drive",), "i_dc_mA", "drive.i_dc_mA"),
+        # fields that were parsed but reached no output
+        (("drive",), "i_ac_ma", "drive.i_ac_ma"),
+        (("sites", 0), "t2_us", "sites[0].t2_us"),
+        ((), "site", "site"),
+        (("constants",), "d_zfs", "constants.d_zfs"),
+        (("environment",), "b_ext", "environment.b_ext"),
+        (("environment", "wire"), "anchor", "environment.wire.anchor"),
+    ], ids=["typo", "i_ac_ma", "t2_us", "top", "constants", "environment", "wire"])
+    def test_unknown_key_names_the_field(self, tmp_path, path, key, field):
+        doc = json.loads(json.dumps(MINIMAL))
+        node = doc
+        for step in path:
+            node = node[step] if isinstance(node, list) else node.setdefault(step, {})
+        node[key] = 1.0
         with pytest.raises(ValidationError) as err:
             load_config(write_config(tmp_path, doc))
-        assert "sites[0]" in str(err.value)
+        assert err.value.field == field
+
+    def test_filament_count_above_the_cap_names_the_field(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["environment"]["wire"].update(num_filaments=1e15, width_um=1.0)
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.field == "environment.wire.num_filaments"
+        doc["environment"]["wire"]["num_filaments"] = MAX_FILAMENTS
+        wire = load_config(write_config(tmp_path, doc)).environment.wire
+        assert wire.num_filaments == MAX_FILAMENTS
 
     @pytest.mark.parametrize("section, key, value, field", [
         ("drive", "i_dc_ma", float("nan"), "drive.i_dc_ma"),
-        ("drive", "i_ac_ma", True, "drive.i_ac_ma"),
+        ("drive", "carrier_ghz", True, "drive.carrier_ghz"),
         ("drive", "carrier_ghz", float("inf"), "drive.carrier_ghz"),
         ("constants", "hyperfine_mhz", float("-inf"), "constants.hyperfine_mhz"),
         ("sites", "position_um", [float("inf"), 0, 0], "sites[0].position_um"),
-        ("sites", "t2_us", False, "sites[0].t2_us"),
+        ("sites", "t2_star_us", False, "sites[0].t2_star_us"),
         ("environment", "b_ext_mt", [0, float("nan"), 3], "environment.b_ext_mt"),
     ])
     def test_non_finite_and_boolean_numbers_name_the_field(self, tmp_path, section,
@@ -136,7 +174,7 @@ class TestLoadConfig:
     def test_zero_hyperfine_disables_the_triplet(self, tmp_path):
         doc = dict(MINIMAL, constants={"hyperfine_mhz": 0})
         cfg = load_config(write_config(tmp_path, doc))
-        assert cfg.constants.hyperfine_splitting == 0.0
+        assert cfg.environment.constants.hyperfine_splitting == 0.0
         assert cfg.manifold.splitting == 0.0
 
     def test_negative_hyperfine_rejected(self, tmp_path):
@@ -156,7 +194,7 @@ class TestDemoConfigs:
         cfg = load_config(demo_config)
         assert [s.id for s in cfg.sites] == ["nv-a", "nv-b", "nv-c", "nv-d", "nv-e"]
         assert cfg.drive.i_dc == pytest.approx(0.15)
-        assert cfg.drive.carrier.omega_mw == pytest.approx(3.0e9)
+        assert cfg.carrier == pytest.approx(3.0e9)
 
     def test_demo_wire_depth_matches_fresh_calibration(self, demo_config):
         # the bundled depth was produced by calibrate_wire at 170 MHz @ 2 um
@@ -183,3 +221,31 @@ class TestDemoConfigs:
         amap = address_map(cfg.environment, cfg.drive, cfg.sites)
         freqs = {e.site_id: e.omega_plus for e in amap.entries}
         assert freqs["nv-c"] - freqs["nv-b"] == pytest.approx(1.1e6, rel=1e-6)
+
+    def test_demos_match_their_generator(self, demo_config, close_pair_config):
+        # the bundled files are what tools/regen_demo_configs.py writes, up to
+        # the last bits of the wire-depth bisection
+        tool = Path(__file__).resolve().parents[1] / "tools" / "regen_demo_configs.py"
+        spec = importlib.util.spec_from_file_location("regen_demo_configs", tool)
+        regen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(regen)
+
+        def assert_same(got, want, where):
+            if isinstance(want, dict):
+                assert isinstance(got, dict) and got.keys() == want.keys(), where
+                for key in want:
+                    assert_same(got[key], want[key], f"{where}.{key}")
+            elif isinstance(want, list):
+                assert isinstance(got, list) and len(got) == len(want), where
+                for k, (g, w) in enumerate(zip(got, want)):
+                    assert_same(g, w, f"{where}[{k}]")
+            elif isinstance(want, str):
+                assert got == want, where
+            else:
+                assert math.isclose(got, want, rel_tol=1e-9), where
+
+        generated = regen.demo_configs()
+        assert generated.keys() == {"demo_register", "demo_close_pair"}
+        for name, path in (("demo_register", demo_config),
+                           ("demo_close_pair", close_pair_config)):
+            assert_same(generated[name], json.loads(Path(path).read_text()), name)

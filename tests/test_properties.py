@@ -123,7 +123,7 @@ def test_simulate_pulse_without_hyperfine_is_single_member_evolve(
     assert [r[0] for r in rows] == sorted(s.id for s in cfg.sites)
     for site_id, eps in rows:
         delta = (field_sample(cfg.environment, cfg.drive, cfg.site(site_id)).omega_plus
-                 - cfg.drive.carrier.omega_mw)
+                 - cfg.carrier)
         expected = state_error(evolve(read_back, delta), ground)
         assert abs(float(eps) - expected) <= 1e-12
 

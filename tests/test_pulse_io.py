@@ -86,3 +86,23 @@ class TestParseErrors:
         path.write_text("t_ns,i_mhz,q_mhz\n")
         with pytest.raises(ParseError):
             read_pulse(path)
+
+    @pytest.mark.parametrize("body, line", [
+        ("10,1,0\n20,nan,0\n30,1,0\n", 3),
+        ("10,1,0\n20,1,inf\n30,1,0\n", 3),
+        ("10,1,0\n20,1,0\nnan,1,0\n", 4),
+    ], ids=["i", "q", "last-time"])
+    def test_non_finite_value_reports_line(self, tmp_path, body, line):
+        path = tmp_path / "p.csv"
+        path.write_text("t_ns,i_mhz,q_mhz\n" + body)
+        with pytest.raises(ParseError) as err:
+            read_pulse(path)
+        assert err.value.line == line
+
+    def test_lines_are_counted_across_blank_lines(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("t_ns,i_mhz,q_mhz\n\n10,1,0\n\n20,1,0\n20,1,0\n")
+        with pytest.raises(ParseError) as err:
+            read_pulse(path)
+        assert err.value.line == 6
+        assert "increasing" in str(err.value)

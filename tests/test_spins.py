@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from spinmux import (
-    CoherenceParams,
     DipoleOrientation,
     HyperfineManifold,
     PhysicalConstants,
+    SpinSite,
     dipole_axis,
     hyperfine_detunings,
     project_field,
@@ -144,9 +144,8 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             PhysicalConstants(gamma_nv=0.0)
 
-    def test_coherence_ordering(self):
-        with pytest.raises(ValueError):
-            CoherenceParams(t2_star=2e-4, t2=1.5e-4)
-        with pytest.raises(ValueError):
-            CoherenceParams(t2_star=0.0, t2=1.5e-4)
-        CoherenceParams()  # defaults are fine
+    def test_site_t2_star_must_be_positive(self):
+        for t2_star in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError):
+                SpinSite(id="q", position=np.zeros(3), t2_star=t2_star)
+        assert SpinSite(id="q", position=np.zeros(3)).t2_star == 1.7e-6

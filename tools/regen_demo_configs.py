@@ -4,9 +4,11 @@
 The wire runs along the in-plane projection of the default dipole axis, so
 the DC Zeeman shift vanishes directly above the crossing (u = 0) and grows
 along +u.  The standoff depth is calibrated so the shift reaches 170 MHz at
-u = 2 um with 150 mA of DC current; the AC amplitude drives the u = 0.4 um
-site at 7.5 MHz.  The close-pair variant lowers the DC current until the
-0.4/1.0 um pair is split by 1.1 MHz.
+u = 2 um with 150 mA of DC current.  The close-pair variant lowers the DC
+current until the 0.4/1.0 um pair is split by 1.1 MHz, and puts the carrier
+on the 0.4 um site's address.
+
+    python tools/regen_demo_configs.py     # rewrites src/spinmux/data/demo_*.json
 """
 
 import json
@@ -25,14 +27,14 @@ from spinmux import (
     calibrate_wire,
     dipole_axis,
     field_sample,
-    rabi_frequency,
     zeeman_shift,
 )
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "spinmux", "data")
 
 
-def main():
+def demo_configs():
+    """The two demo config documents, keyed by file name without ".json"."""
     constants = PhysicalConstants()
     axis = dipole_axis(DipoleOrientation())
     direction = -np.array(
@@ -49,11 +51,6 @@ def main():
     env = FieldEnvironment(b_ext=b_ext, wire=wire, constants=constants)
 
     ref = SpinSite(id="nv-b", position=np.array([0.4e-6, 0.0, 0.0]))
-    per_amp = rabi_frequency(
-        constants, field_sample(env, WireDrive(i_dc=0.0, i_ac=1.0), ref).b_ac_xy
-    )
-    i_ac = 7.5e6 / per_amp
-
     split_per_amp = zeeman_shift(env, 1.0, np.array([1.0e-6, 0.0, 0.0])) - \
         zeeman_shift(env, 1.0, np.array([0.4e-6, 0.0, 0.0]))
     i_dc_pair = 1.1e6 / split_per_amp
@@ -74,21 +71,22 @@ def main():
         },
     }
     register = dict(shared)
-    register["drive"] = {"i_dc_ma": 150.0, "i_ac_ma": i_ac * 1e3,
-                         "carrier_ghz": 3.0}
+    register["drive"] = {"i_dc_ma": 150.0, "carrier_ghz": 3.0}
     register["sites"] = [
         {"id": f"nv-{tag}", "position_um": [u, 0.0, 0.0]}
         for tag, u in zip("abcde", [0.0, 0.4, 1.0, 1.5, 2.0])
     ]
     pair = dict(shared)
-    pair["drive"] = {"i_dc_ma": i_dc_pair * 1e3, "i_ac_ma": i_ac * 1e3,
-                      "carrier_ghz": pair_carrier * 1e-9}
+    pair["drive"] = {"i_dc_ma": i_dc_pair * 1e3, "carrier_ghz": pair_carrier * 1e-9}
     pair["sites"] = [
         {"id": "nv-b", "position_um": [0.4, 0.0, 0.0]},
         {"id": "nv-c", "position_um": [1.0, 0.0, 0.0]},
     ]
+    return {"demo_register": register, "demo_close_pair": pair}
 
-    for name, doc in [("demo_register", register), ("demo_close_pair", pair)]:
+
+def main():
+    for name, doc in demo_configs().items():
         path = os.path.join(DATA_DIR, f"{name}.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
