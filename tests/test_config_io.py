@@ -118,6 +118,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("section, key, value, field", [
         ("drive", "i_dc_ma", float("nan"), "drive.i_dc_ma"),
+        # a deleted field is rejected as unknown, still under its own name
+        ("drive", "i_ac_ma", True, "drive.i_ac_ma"),
         ("drive", "carrier_ghz", True, "drive.carrier_ghz"),
         ("drive", "carrier_ghz", float("inf"), "drive.carrier_ghz"),
         ("constants", "hyperfine_mhz", float("-inf"), "constants.hyperfine_mhz"),
