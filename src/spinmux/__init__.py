@@ -46,7 +46,6 @@ from .fields import (
     calibrate_wire,
     field_sample,
     rabi_frequency,
-    resolvability,
     wire_field,
     zeeman_shift,
 )
@@ -57,7 +56,6 @@ from .synthesis import (
     OptimizationTrace,
     OptimizerConfig,
     SweepPoint,
-    compare_rectangular,
     cost,
     gradient,
     optimize,

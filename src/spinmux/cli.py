@@ -77,8 +77,21 @@ def _check_finite(args) -> None:
                                   field="--" + name.replace("_", "-"))
 
 
+_COUNT_FLAGS = {"steps": 1, "restarts": 1, "points": 1, "nu": 1, "nv": 1, "seed": 0}
+
+
+def _check_counts(args) -> None:
+    """Reject integer flags below their least meaningful value."""
+    for name, least in _COUNT_FLAGS.items():
+        value = getattr(args, name, least)
+        if value < least:
+            raise ValidationError(f"must be >= {least}", field="--" + name)
+
+
 def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
     """Detunings from the frequency addresses at the configured DC current."""
+    if not idle_ids:
+        raise UsageError("need at least one --idle-site")
     addr = {e.site_id: e.omega_plus
             for e in address_map(cfg.environment, cfg.drive, cfg.sites).entries}
     if target_id not in addr:
@@ -157,8 +170,6 @@ def _write_trace(path, trace) -> None:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
-    if not args.idle_site:
-        raise UsageError("need at least one --idle-site")
     scenario = _scenario_from_config(cfg, args.target_site, args.idle_site)
     opt = OptimizerConfig(
         m=args.steps,
@@ -208,10 +219,8 @@ def cmd_crosstalk_map(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if not args.idle_site:
-        raise UsageError("need at least one --idle-site")
-    pulse = read_pulse(args.pulse)
     scenario = _scenario_from_config(cfg, args.target_site, args.idle_site)
+    pulse = read_pulse(args.pulse)
     offsets = [x * 1e6 for x in _grid(*args.delta_range)]
     scales = _grid(*args.amp_range)
     points = sensitivity_sweep(pulse, scenario, offsets, scales)
@@ -299,6 +308,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_finite(args)
+        _check_counts(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -129,7 +129,7 @@ def load_config(path) -> RegisterConfig:
     env_raw = _object(raw, "environment", "environment", required=True)
     wire_raw = _object(env_raw, "wire", "environment.wire", required=True)
     direction = _get(wire_raw, "direction", None, "environment.wire", "vector")
-    norm = float(np.linalg.norm(direction))
+    norm = math.hypot(*direction)  # no overflow for finite components
     if norm < 1e-12:
         raise ValidationError("direction must be non-zero",
                               field="environment.wire.direction")

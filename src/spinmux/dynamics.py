@@ -45,18 +45,16 @@ class PulseProgram:
     """An ordered list of control steps with a uniform step duration.
 
     The I and Q amplitudes (Hz) are stored as read-only float arrays;
-    `steps` rebuilds the `PulseStep` view on demand.
+    `steps` rebuilds the `PulseStep` view on demand.  Build one with
+    `from_arrays`.
     """
 
     i_amps: np.ndarray
     q_amps: np.ndarray
     dt: float  # s
 
-    def __init__(self, steps, dt: float):
-        steps = tuple(steps)
-        self._store([s.i_amp for s in steps], [s.q_amp for s in steps], dt)
-
-    def _store(self, i_amps, q_amps, dt) -> None:
+    @classmethod
+    def from_arrays(cls, i_amps, q_amps, dt: float) -> "PulseProgram":
         i_amps = np.array(i_amps, dtype=float)
         q_amps = np.array(q_amps, dtype=float)
         if i_amps.shape != q_amps.shape or i_amps.ndim != 1:
@@ -67,9 +65,11 @@ class PulseProgram:
             raise ValueError("dt must be positive")
         i_amps.setflags(write=False)
         q_amps.setflags(write=False)
-        object.__setattr__(self, "i_amps", i_amps)
-        object.__setattr__(self, "q_amps", q_amps)
-        object.__setattr__(self, "dt", dt)
+        pulse = cls.__new__(cls)
+        object.__setattr__(pulse, "i_amps", i_amps)
+        object.__setattr__(pulse, "q_amps", q_amps)
+        object.__setattr__(pulse, "dt", dt)
+        return pulse
 
     @property
     def steps(self) -> tuple:
@@ -83,17 +83,6 @@ class PulseProgram:
     def amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored (read-only) (I, Q) amplitude arrays in Hz."""
         return self.i_amps, self.q_amps
-
-    @classmethod
-    def from_arrays(cls, i_amps, q_amps, dt: float) -> "PulseProgram":
-        pulse = cls.__new__(cls)
-        pulse._store(i_amps, q_amps, dt)
-        return pulse
-
-    def total_variation(self) -> float:
-        """Sum of absolute adjacent I and Q differences, Hz."""
-        return float(np.sum(np.abs(np.diff(self.i_amps)))
-                     + np.sum(np.abs(np.diff(self.q_amps))))
 
 
 @dataclass(frozen=True)
@@ -137,9 +126,6 @@ class Propagator:
         if drift > 1e-10:
             raise ValueError(f"matrix is not unitary (drift {drift:.3e})")
         object.__setattr__(self, "matrix", m)
-
-    def __matmul__(self, other: "Propagator") -> "Propagator":
-        return Propagator(self.matrix @ other.matrix)
 
     def apply(self, state: QubitState) -> QubitState:
         return QubitState(self.matrix @ state.amplitudes)

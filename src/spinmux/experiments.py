@@ -71,6 +71,8 @@ def simulate_ramsey(
     if t2_star <= 0:
         raise ValueError("t2_star must be positive")
     taus = np.asarray(list(taus), dtype=float)
+    if not np.all(taus >= 0.0):
+        raise ValueError("taus must be >= 0")
     detunings = hyperfine_detunings(delta, manifold)
     phases = 2.0 * math.pi * np.outer(taus, detunings)
     return np.mean(np.cos(phases), axis=1) * np.exp(-taus / t2_star)
@@ -104,6 +106,8 @@ def simulate_odmr(
         raise ValueError("scan must be non-empty")
     if probe_rabi <= 0:
         raise ValueError("probe_rabi must be positive")
+    if not linewidth_floor >= 0:
+        raise ValueError("linewidth_floor must be >= 0")
     manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)
     duration = 1.0 / (2.0 * probe_rabi)
 

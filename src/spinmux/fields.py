@@ -283,20 +283,3 @@ def calibrate_wire(
         raise NoSolution("bisection converged but missed the 1 kHz tolerance")
     return env.wire.with_depth(depth)
 
-
-def resolvability(addr: AddressMap, rabi: float, factor: float = 20.0):
-    """Flag site pairs whose address spacing supports plain frequency addressing.
-
-    A pair resolves when |address difference| >= factor * rabi.
-    """
-    if factor <= 0:
-        raise ValueError("factor must be > 0")
-    out = []
-    entries = addr.entries
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            split = abs(entries[i].omega_plus - entries[j].omega_plus)
-            out.append(
-                ((entries[i].site_id, entries[j].site_id), split >= factor * rabi)
-            )
-    return out

@@ -72,10 +72,6 @@ class HyperfineManifold:
     def triplet(cls, splitting: float = HYPERFINE_DEFAULT) -> "HyperfineManifold":
         return cls((-splitting, 0.0, splitting))
 
-    @classmethod
-    def disabled(cls) -> "HyperfineManifold":
-        return cls((0.0, 0.0, 0.0))
-
 
 @dataclass(frozen=True)
 class SpinSite:

@@ -4,9 +4,9 @@ The objective for a target spin i and spectators j is
 
     f(I, Q) = (1 - eps_i) + sum_j eps_j + R
 
-where eps_i is the (nuclear-manifold averaged) probability of reaching the
-target goal state, eps_j the averaged departure of each spectator from its
-initial state, and R a total-variation penalty that keeps the waveform
+where eps_i is the (nuclear-manifold averaged) probability that the target
+goes from |0> to |1>, eps_j the averaged departure of each spectator from |0>,
+and R a total-variation penalty that keeps the waveform
 generator-friendly.  The epsilon terms carry exact analytic gradients through
 the closed-form step exponentials; R contributes a sign subgradient.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (TWO_PI, PulseProgram, QubitState, _clamp_unit, _compose,
-                       _product, _scan, _su2_pairs, rect_pi_pulse)
+                       _product, _scan, _su2_pairs)
 from .errors import Diverged
 from .spins import HyperfineManifold
 
@@ -35,14 +35,12 @@ _DECREASE_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class ControlScenario:
-    """A selective-control task: flip the target, freeze the spectators."""
+    """A selective-control task: flip the target |0> -> |1>, keep the
+    spectators in |0>."""
 
     idle_detunings: tuple                      # Hz, one per spectator
     target_detuning: float = 0.0               # Hz, normally 0 (carrier on target)
     manifold: HyperfineManifold = field(default_factory=HyperfineManifold.triplet)
-    target_initial: QubitState = field(default_factory=QubitState.ground)
-    target_goal: QubitState = field(default_factory=QubitState.excited)
-    idle_initials: tuple | None = None         # default: all ground
 
     def __post_init__(self):
         idles = tuple(float(d) for d in self.idle_detunings)
@@ -50,16 +48,6 @@ class ControlScenario:
             if d == self.target_detuning:
                 raise ValueError("idle detunings must differ from the target's")
         object.__setattr__(self, "idle_detunings", idles)
-        if self.idle_initials is None:
-            object.__setattr__(
-                self, "idle_initials", tuple(QubitState.ground() for _ in idles)
-            )
-        elif len(self.idle_initials) != len(idles):
-            raise ValueError("need one initial state per spectator")
-
-    @property
-    def num_spectators(self) -> int:
-        return len(self.idle_detunings)
 
 
 @dataclass(frozen=True)
@@ -125,10 +113,9 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Accepted-iteration history of the descent that produced `pulse`."""
+    """Accepted-iteration history of the descent that produced a pulse."""
 
     rows: tuple
-    pulse: PulseProgram
     converged: bool
     restart: int
 
@@ -164,12 +151,11 @@ class _Ensemble:
 
     @classmethod
     def for_scenario(cls, scenario: ControlScenario) -> "_Ensemble":
-        """Target first (bra = goal state), then the spectators (bra = their
-        initial state, so 1 - |z|^2 is their departure)."""
-        spins = [(scenario.target_detuning, scenario.target_goal,
-                  scenario.target_initial)]
-        spins += [(d, s, s)
-                  for d, s in zip(scenario.idle_detunings, scenario.idle_initials)]
+        """Target first (|0> -> |1>), then the spectators (|0> -> |0>, so
+        1 - |z|^2 is their departure)."""
+        ground, excited = QubitState.ground(), QubitState.excited()
+        spins = [(scenario.target_detuning, excited, ground)]
+        spins += [(d, ground, ground) for d in scenario.idle_detunings]
         return cls(spins, scenario.manifold)
 
     def steps(self, i_amps, q_amps, dt, derivatives: bool = False):
@@ -195,9 +181,17 @@ class _Ensemble:
 
 def regularization(pulse: PulseProgram, lam: float) -> float:
     """Total-variation penalty lam * sum(|dI| + |dQ|) over adjacent steps."""
+    return _regularization(*pulse.amplitudes(), lam)
+
+
+def _regularization(i_amps, q_amps, lam: float) -> float:
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    return lam * pulse.total_variation()
+    if lam == 0:
+        # sweeps and unpenalized costs skip the differences; float(lam) is
+        # what lam * TV gives, down to the sign of a -0.0 weight
+        return float(lam)
+    return lam * float(np.sum(np.abs(np.diff(i_amps))) + np.sum(np.abs(np.diff(q_amps))))
 
 
 def _regularization_gradient(i_amps, q_amps, lam: float):
@@ -213,27 +207,33 @@ def _regularization_gradient(i_amps, q_amps, lam: float):
     return sub(np.asarray(i_amps, dtype=float)), sub(np.asarray(q_amps, dtype=float))
 
 
-def _breakdown(transfer: np.ndarray, reg: float) -> CostBreakdown:
+def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float) -> CostBreakdown:
+    """f and its parts for amplitude arrays; the one place f is assembled."""
+    transfer = ens.transfer_means(i_amps, q_amps, dt)
+    reg = _regularization(i_amps, q_amps, lam)
     eps_i = float(transfer[0])
     eps_j = tuple(1.0 - float(v) for v in transfer[1:])
     f = (1.0 - eps_i) + sum(eps_j) + reg
     return CostBreakdown(eps_i=eps_i, eps_j=eps_j, reg=reg, f=f)
 
 
+def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float):
+    """df/dI_l and df/dQ_l (1/Hz) for amplitude arrays, R subgradient included."""
+    g_i, g_q = _cost_gradient_arrays(ens, i_amps, q_amps, dt)
+    r_i, r_q = _regularization_gradient(i_amps, q_amps, lam)
+    return g_i + r_i, g_q + r_q
+
+
 def cost(pulse: PulseProgram, scenario: ControlScenario, lam: float) -> CostBreakdown:
     """Evaluate the full objective, manifold-averaged per spin."""
-    i_amps, q_amps = pulse.amplitudes()
-    transfer = _Ensemble.for_scenario(scenario).transfer_means(i_amps, q_amps, pulse.dt)
-    return _breakdown(transfer, regularization(pulse, lam))
+    return _objective(_Ensemble.for_scenario(scenario), *pulse.amplitudes(),
+                      pulse.dt, lam)
 
 
 def gradient(pulse: PulseProgram, scenario: ControlScenario, lam: float):
     """Exact df/dI_l and df/dQ_l (1/Hz), including the R subgradient."""
-    i_amps, q_amps = pulse.amplitudes()
-    ens = _Ensemble.for_scenario(scenario)
-    g_i, g_q = _cost_gradient_arrays(ens, i_amps, q_amps, pulse.dt)
-    r_i, r_q = _regularization_gradient(i_amps, q_amps, lam)
-    return g_i + r_i, g_q + r_q
+    return _objective_gradient(_Ensemble.for_scenario(scenario), *pulse.amplitudes(),
+                               pulse.dt, lam)
 
 
 def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt):
@@ -309,12 +309,7 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
     lam = config.lam
     clip = config.max_amp
     i_amps, q_amps = _initial_amplitudes(config, restart)
-
-    def tv(i_a, q_a):
-        return float(np.sum(np.abs(np.diff(i_a))) + np.sum(np.abs(np.diff(q_a))))
-
-    transfer = ens.transfer_means(i_amps, q_amps, dt)
-    bd = _breakdown(transfer, lam * tv(i_amps, q_amps))
+    bd = _objective(ens, i_amps, q_amps, dt, lam)
     rows = [TraceRow(0, bd.f, bd.eps_i, bd.eps_j, bd.reg, 0.0)]
     alpha = None
     converged = bd.f - bd.reg <= config.tol
@@ -323,10 +318,7 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
     for it in range(1, config.max_iters + 1):
         if converged:
             break
-        g_i, g_q = _cost_gradient_arrays(ens, i_amps, q_amps, dt)
-        r_i, r_q = _regularization_gradient(i_amps, q_amps, lam)
-        g_i = g_i + r_i
-        g_q = g_q + r_q
+        g_i, g_q = _objective_gradient(ens, i_amps, q_amps, dt, lam)
         gnorm2 = float(np.dot(g_i, g_i) + np.dot(g_q, g_q))
         if gnorm2 == 0.0:
             break
@@ -344,8 +336,7 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
             if ARMIJO_C * move < _DECREASE_FLOOR * max(1.0, abs(bd.f)):
                 floor_hit = True
                 break
-            cand_transfer = ens.transfer_means(cand_i, cand_q, dt)
-            cand_bd = _breakdown(cand_transfer, lam * tv(cand_i, cand_q))
+            cand_bd = _objective(ens, cand_i, cand_q, dt, lam)
             if cand_bd.f <= bd.f - ARMIJO_C * move:
                 i_amps, q_amps, bd = cand_i, cand_q, cand_bd
                 rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, trial))
@@ -361,8 +352,7 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
         converged = bd.f - bd.reg <= config.tol
 
     pulse = PulseProgram.from_arrays(i_amps, q_amps, dt)
-    trace = OptimizationTrace(rows=tuple(rows), pulse=pulse,
-                              converged=converged, restart=restart)
+    trace = OptimizationTrace(rows=tuple(rows), converged=converged, restart=restart)
     return pulse, trace, bd, diverged
 
 
@@ -390,25 +380,6 @@ def optimize(scenario: ControlScenario, config: OptimizerConfig):
     return best[0], best[1]
 
 
-def compare_rectangular(
-    scenario: ControlScenario,
-    rabi_fast: float,
-    rabi_slow: float,
-    optimized: PulseProgram | None = None,
-):
-    """Crosstalk table for fast/slow rectangular pi-pulses and, optionally,
-    an optimized pulse: rows of (label, eps_i, eps_j tuple)."""
-    rows = []
-    for label, pulse in (("rect_fast", rect_pi_pulse(rabi_fast)),
-                         ("rect_slow", rect_pi_pulse(rabi_slow))):
-        bd = cost(pulse, scenario, lam=0.0)
-        rows.append((label, bd.eps_i, bd.eps_j))
-    if optimized is not None:
-        bd = cost(optimized, scenario, lam=0.0)
-        rows.append(("optimized", bd.eps_i, bd.eps_j))
-    return rows
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     delta_offset: float   # Hz added to every spectator detuning
@@ -429,14 +400,10 @@ def sensitivity_sweep(
     out = []
     for offset in delta_offsets:
         shifted = replace(
-            scenario,
-            idle_detunings=tuple(d + offset for d in scenario.idle_detunings),
-            idle_initials=scenario.idle_initials,
-        )
+            scenario, idle_detunings=tuple(d + offset for d in scenario.idle_detunings))
         ens = _Ensemble.for_scenario(shifted)
         for scale in amp_scales:
-            transfer = ens.transfer_means(i_amps * scale, q_amps * scale, pulse.dt)
-            bd = _breakdown(transfer, 0.0)
+            bd = _objective(ens, i_amps * scale, q_amps * scale, pulse.dt, 0.0)
             out.append(SweepPoint(delta_offset=float(offset), amp_scale=float(scale),
                                   eps_i=bd.eps_i, eps_j=bd.eps_j))
     return out

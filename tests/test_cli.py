@@ -11,6 +11,7 @@ from spinmux import (
     PulseProgram,
     read_pulse,
     rect_pi_pulse,
+    regularization,
     write_pulse,
 )
 from spinmux.synthesis import TraceRow
@@ -142,7 +143,8 @@ class TestOptimizeCommand:
                 "--out-trace", str(tmp_path / f"trace_{lam}.jsonl"),
             ])
             assert code == expected_code
-            tv[lam] = read_pulse(pulse_path).total_variation()
+            # the penalty at unit weight is the total variation itself
+            tv[lam] = regularization(read_pulse(pulse_path), 1.0)
         assert tv["1e-7"] <= tv["0"]
 
     def test_missed_tolerance_exits_4_and_still_writes_artifacts(
@@ -171,7 +173,7 @@ class TestOptimizeCommand:
         best = rect_pi_pulse(1e6, m=4)
         trace = OptimizationTrace(
             rows=(TraceRow(0, 1.0, 0.0, (0.0,), 0.0, 0.0),),
-            pulse=best, converged=False, restart=0,
+            converged=False, restart=0,
         )
 
         def stalled(scenario, config):
@@ -360,6 +362,39 @@ class TestExitCodes:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["optimize", "--steps", "0"], "--steps"),
+        (["optimize", "--restarts", "0"], "--restarts"),
+        (["optimize", "--seed=-1"], "--seed"),
+        (["simulate", "rabi", "--points", "0"], "--points"),
+        (["crosstalk-map", "--nu", "0"], "--nu"),
+        (["crosstalk-map", "--nu", "3", "--nv=-1"], "--nv"),
+    ], ids=["steps", "restarts", "seed", "points", "nu", "nv"])
+    def test_count_flag_below_its_least_value_exits_2_and_names_it(
+            self, close_pair_config, tmp_path, capsys, argv, flag):
+        outs = {"optimize": ["--target-site", "nv-b", "--idle-site", "nv-c",
+                             "--out-pulse", str(tmp_path / "o.csv"),
+                             "--out-trace", str(tmp_path / "o.jsonl")],
+                "crosstalk-map": ["--idc-ma", "0", "--target-u-um", "1.5",
+                                  "--u-min-um", "-4", "--u-max-um", "4",
+                                  "--out-prefix", str(tmp_path / "o")]}
+        out = outs.get(argv[0], ["--out", str(tmp_path / "o.csv")])
+        code = cli.main([*argv, "--config", close_pair_config, *out])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["ramsey", "--tau-max-us=-8"],
+        ["odmr", "--linewidth-mhz=-1"],
+    ], ids=["ramsey-delay", "odmr-linewidth"])
+    def test_negative_delay_or_linewidth_exits_2(self, demo_config, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        code = cli.main(["simulate", *argv, "--config", demo_config, "--points", "11",
+                         "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_fractional_filament_count_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

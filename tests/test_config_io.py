@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,16 @@ class TestLoadConfig:
         with pytest.raises(ValidationError) as err:
             load_config(write_config(tmp_path, doc))
         assert err.value.field == field
+
+    def test_huge_direction_component_loads_without_overflow(self, tmp_path):
+        # a plain norm of this finite direction overflows to inf, which would
+        # divide it to a zero vector and fail the load as "must be unit-norm"
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["environment"]["wire"]["direction"] = [-7.5e299, -0.656, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wire = load_config(write_config(tmp_path, doc)).environment.wire
+        assert wire.direction[0] == -1.0
 
     def test_zero_hyperfine_disables_the_triplet(self, tmp_path):
         doc = dict(MINIMAL, constants={"hyperfine_mhz": 0})

@@ -64,7 +64,7 @@ class TestStepPropagator:
 
 class TestEvolve:
     def test_single_step_matches_step_propagator(self):
-        pulse = PulseProgram(steps=(PulseStep(3e6, -2e6),), dt=70e-9)
+        pulse = PulseProgram.from_arrays([3e6], [-2e6], 70e-9)
         u1 = evolve(pulse, 1.5e6)
         u2 = step_propagator(1.5e6, 3e6, -2e6, 70e-9)
         assert np.allclose(u1.matrix, u2.matrix, atol=1e-15)
@@ -73,14 +73,14 @@ class TestEvolve:
         # each step rotates by pi/2 about x; two of them give -i*sx
         rabi = 5e6
         dt = 1.0 / (8.0 * rabi)  # quarter of a pi time
-        pulse = PulseProgram(steps=(PulseStep(rabi, 0.0),) * 2, dt=2 * dt)
+        pulse = PulseProgram.from_arrays([rabi] * 2, [0.0] * 2, 2 * dt)
         u = evolve(pulse, 0.0)
         assert np.allclose(u.matrix, -1j * SX, atol=1e-12)
 
     def test_order_is_first_step_first(self):
         # a pi/2 about x then pi/2 about y is distinguishable from the reverse
-        a = PulseProgram(steps=(PulseStep(2.5e6, 0.0),), dt=50e-9)
-        b = PulseProgram(steps=(PulseStep(0.0, 2.5e6),), dt=50e-9)
+        a = PulseProgram.from_arrays([2.5e6], [0.0], 50e-9)
+        b = PulseProgram.from_arrays([0.0], [2.5e6], 50e-9)
         u_ab = evolve(PulseProgram.from_arrays([2.5e6, 0.0], [0.0, 2.5e6], 50e-9),
                       0.0).matrix
         expected = evolve(b, 0.0).matrix @ evolve(a, 0.0).matrix
@@ -99,7 +99,7 @@ class TestEvolve:
         ab = PulseProgram.from_arrays(np.concatenate([a_i, b_i]),
                                       np.concatenate([a_q, b_q]), dt)
         lhs = evolve(ab, 2.2e6).matrix
-        rhs = (evolve(b, 2.2e6) @ evolve(a, 2.2e6)).matrix
+        rhs = evolve(b, 2.2e6).matrix @ evolve(a, 2.2e6).matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_matches_ordered_product_of_step_propagators(self):
@@ -234,15 +234,16 @@ class TestTypeInvariants:
         assert pulse.amplitudes()[0][0] == 1e6
 
     def test_steps_and_arrays_describe_the_same_pulse(self):
-        steps = (PulseStep(1e6, -2e6), PulseStep(3e6, 4e6))
-        pulse = PulseProgram(steps=steps, dt=20e-9)
-        assert pulse.steps == steps
+        pulse = PulseProgram.from_arrays([1e6, 3e6], [-2e6, 4e6], 20e-9)
+        assert pulse.steps == (PulseStep(1e6, -2e6), PulseStep(3e6, 4e6))
         assert np.array_equal(pulse.amplitudes()[0], [1e6, 3e6])
         assert np.array_equal(pulse.amplitudes()[1], [-2e6, 4e6])
         assert pulse.duration == pytest.approx(40e-9)
 
     def test_pulse_needs_steps_and_positive_dt(self):
         with pytest.raises(ValueError):
-            PulseProgram(steps=(), dt=1e-9)
+            PulseProgram.from_arrays([], [], 1e-9)
         with pytest.raises(ValueError):
-            PulseProgram(steps=(PulseStep(0.0, 0.0),), dt=0.0)
+            PulseProgram.from_arrays([0.0], [0.0], 0.0)
+        with pytest.raises(ValueError):
+            PulseProgram.from_arrays([0.0, 1.0], [0.0], 1e-9)

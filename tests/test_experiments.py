@@ -73,7 +73,7 @@ class TestSimulateRamsey:
 
     def test_pure_cosine_when_manifold_disabled(self):
         taus = np.linspace(0.0, 4e-6, 101)
-        sig = simulate_ramsey(1e6, HyperfineManifold.disabled(), math.inf, taus)
+        sig = simulate_ramsey(1e6, HyperfineManifold.triplet(0.0), math.inf, taus)
         assert np.max(np.abs(sig - np.cos(2 * math.pi * 1e6 * taus))) <= 1e-12
 
     def test_triplet_beat_spectrum(self):
@@ -108,6 +108,12 @@ class TestSimulateRamsey:
     def test_rejects_nonpositive_t2star(self):
         with pytest.raises(ValueError):
             simulate_ramsey(1e6, HyperfineManifold.triplet(), 0.0, [1e-6])
+
+    def test_rejects_negative_delays(self):
+        # exp(-tau/t2_star) grows for tau < 0 and would push the signal
+        # outside [-1, 1]
+        with pytest.raises(ValueError, match="taus"):
+            simulate_ramsey(1e6, HyperfineManifold.triplet(), 1.7e-6, [0.0, -1e-6])
 
 
 class TestSimulateOdmr:
@@ -171,6 +177,11 @@ class TestSimulateOdmr:
         smooth = simulate_odmr(self.env, self.drive, [self.site], 2e5, scan, 2e5)
         assert smooth.max() < sharp.max()
         assert self._count_peaks(smooth) == 3  # 0.2 MHz floor keeps the triplet
+
+    def test_rejects_negative_linewidth_floor(self):
+        # a negative width would silently skip the smoothing, as zero does
+        with pytest.raises(ValueError, match="linewidth_floor"):
+            simulate_odmr(self.env, self.drive, [self.site], 2e5, self.scan(), -2e5)
 
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from spinmux import (
     dipole_axis,
     field_sample,
     rabi_frequency,
-    resolvability,
     wire_field,
     zeeman_shift,
 )
@@ -227,33 +226,3 @@ class TestZeemanShift:
         env = demo_environment()
         assert abs(zeeman_shift(env, 0.15, np.zeros(3))) < 1e-3
 
-
-class TestResolvability:
-    def two_site_map(self, split):
-        from spinmux import AddressMap, AddressMapEntry
-
-        return AddressMap(entries=(
-            AddressMapEntry("a", 0.0, 3.0e9),
-            AddressMapEntry("b", 1e-6, 3.0e9 + split),
-        ))
-
-    def test_threshold_semantics(self):
-        amap = self.two_site_map(1.6e8)
-        [(pair, ok)] = resolvability(amap, rabi=1e7, factor=20.0)
-        assert pair == ("a", "b")
-        assert not ok  # 1.6e8 < 20 * 1e7
-        [(_, ok)] = resolvability(self.two_site_map(2.1e8), rabi=1e7, factor=20.0)
-        assert ok  # 2.1e8 >= 2e8
-
-    def test_identical_addresses_never_resolve(self):
-        amap = self.two_site_map(0.0)
-        [(_, ok)] = resolvability(amap, rabi=1e3, factor=1e-6)
-        assert not ok
-
-    def test_comparison_is_inclusive(self):
-        [(_, ok)] = resolvability(self.two_site_map(1.1e6), rabi=1e7, factor=0.1)
-        assert ok  # 1.1e6 >= 0.1 * 1e7 exactly at threshold passes
-        [(_, ok)] = resolvability(self.two_site_map(1e6), rabi=1e7, factor=0.1)
-        assert ok  # equality still resolves
-        with pytest.raises(ValueError):
-            resolvability(self.two_site_map(1e6), rabi=1e7, factor=0.0)

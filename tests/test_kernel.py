@@ -178,13 +178,16 @@ def test_gradient_matches_two_scan_reference(m, triplet, spectators, superposed)
     rng = np.random.default_rng([m, triplet, spectators, superposed])
     signs = rng.choice([-1.0, 1.0], spectators)
     idle = tuple(rng.uniform(0.3e6, 3e6, spectators) * signs)
-    states = {}
+    manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.triplet(0.0)
     if superposed:
-        states = dict(target_initial=superposition(rng),
-                      idle_initials=tuple(superposition(rng) for _ in idle))
-    manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.disabled()
-    ens = _Ensemble.for_scenario(ControlScenario(idle_detunings=idle, manifold=manifold,
-                                                 **states))
+        # general bras and kets: the target leaves a random state for |1>,
+        # each spectator is held in its own random state
+        spins = [(0.0, QubitState.excited(), superposition(rng))]
+        spins += [(d, s, s) for d, s in zip(idle, [superposition(rng) for _ in idle])]
+        ens = _Ensemble(spins, manifold)
+    else:
+        ens = _Ensemble.for_scenario(ControlScenario(idle_detunings=idle,
+                                                     manifold=manifold))
     i_amps, q_amps = random_pulse(rng, m)
     dt = 10e-6 / m
     want = np.concatenate(reference_gradient(ens, i_amps, q_amps, dt))

@@ -76,7 +76,7 @@ SPECTATOR = st.floats(0.3e6, 5e6).flatmap(
 def test_gradient_matches_central_differences(pulse, idle, triplet):
     # h = 64 Hz as in the acceptance suite: rounding noise of the oracle stays
     # near 1e-17 and its O(h^2) truncation below that
-    manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.disabled()
+    manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.triplet(0.0)
     scen = ControlScenario(idle_detunings=tuple(idle), manifold=manifold)
     g_i, g_q = gradient(pulse, scen, 0.0)
     i_amps, q_amps = pulse.amplitudes()

@@ -119,7 +119,7 @@ class TestHyperfine:
         assert out == pytest.approx([-1.1e6, 1.1e6, 3.3e6])
 
     def test_disabled_manifold(self):
-        out = hyperfine_detunings(5e5, HyperfineManifold.disabled())
+        out = hyperfine_detunings(5e5, HyperfineManifold.triplet(0.0))
         assert out == pytest.approx([5e5, 5e5, 5e5])
 
     def test_symmetric_about_middle(self):

@@ -6,17 +6,17 @@ from spinmux import (
     HyperfineManifold,
     OptimizerConfig,
     PulseProgram,
-    compare_rectangular,
     cost,
     gradient,
     optimize,
+    rect_pi_pulse,
     regularization,
     sensitivity_sweep,
 )
 from spinmux.synthesis import _initial_amplitudes
 
 TRIPLET = HyperfineManifold.triplet()
-NO_MANIFOLD = HyperfineManifold.disabled()
+NO_MANIFOLD = HyperfineManifold.triplet(0.0)
 
 
 def random_pulse(rng, m=20, dt=50e-9, scale=5e6):
@@ -63,8 +63,6 @@ class TestCost:
             assert abs(bd.f - ((1 - bd.eps_i) + sum(bd.eps_j) + bd.reg)) <= 1e-12
 
     def test_resonant_pi_without_manifold(self):
-        from spinmux import rect_pi_pulse
-
         scen = ControlScenario(idle_detunings=(1.6e8,), manifold=NO_MANIFOLD)
         bd = cost(rect_pi_pulse(1e7, m=8), scen, 0.0)
         assert bd.eps_i == pytest.approx(1.0, abs=1e-10)
@@ -209,7 +207,7 @@ class TestOptimize:
             config = OptimizerConfig(m=100, dt=100e-9, lam=lam, tol=5e-3, seed=0,
                                      restarts=1, max_iters=400)
             pulse, _ = optimize(scen, config)
-            tvs[lam] = pulse.total_variation()
+            tvs[lam] = regularization(pulse, 1.0)  # the total variation
         assert tvs[1e-7] <= tvs[0.0]
 
     def test_config_validation(self):
@@ -226,29 +224,20 @@ class TestOptimize:
 
 
 class TestCompareRectangular:
+    """Fast (10 MHz) and slow (200 kHz) rectangular pi-pulses on the scenario."""
+
     def test_fast_pulse_has_large_crosstalk(self):
         scen = ControlScenario(idle_detunings=(1.1e6,), manifold=TRIPLET)
-        rows = compare_rectangular(scen, rabi_fast=1e7, rabi_slow=2e5)
-        fast = dict((r[0], r) for r in rows)["rect_fast"]
-        assert fast[2][0] > 0.9
+        assert cost(rect_pi_pulse(1e7), scen, 0.0).eps_j[0] > 0.9
 
     def test_slow_pulse_is_nuclear_state_selective(self):
         scen = ControlScenario(idle_detunings=(1.1e6,), manifold=TRIPLET)
-        rows = compare_rectangular(scen, rabi_fast=1e7, rabi_slow=2e5)
-        slow = dict((r[0], r) for r in rows)["rect_slow"]
-        assert 0.33 <= slow[1] <= 0.40
+        assert 0.33 <= cost(rect_pi_pulse(2e5), scen, 0.0).eps_i <= 0.40
 
     def test_resolved_slow_pulse_meets_bound(self):
         scen = ControlScenario(idle_detunings=(4e6,), manifold=NO_MANIFOLD)
-        rows = compare_rectangular(scen, rabi_fast=1e7, rabi_slow=2e5)
-        slow = dict((r[0], r) for r in rows)["rect_slow"]
-        assert slow[2][0] <= 1.0 / 400.0  # delta/rabi = 20
-
-    def test_optional_optimized_row(self):
-        scen = ControlScenario(idle_detunings=(1.1e6,), manifold=TRIPLET)
-        pulse = PulseProgram.from_arrays(np.zeros(4), np.zeros(4), 50e-9)
-        rows = compare_rectangular(scen, 1e7, 2e5, optimized=pulse)
-        assert [r[0] for r in rows] == ["rect_fast", "rect_slow", "optimized"]
+        # delta/rabi = 20
+        assert cost(rect_pi_pulse(2e5), scen, 0.0).eps_j[0] <= 1.0 / 400.0
 
 
 class TestSensitivitySweep:
