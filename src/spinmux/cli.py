@@ -77,15 +77,21 @@ def _check_finite(args) -> None:
                                   field="--" + name.replace("_", "-"))
 
 
-_COUNT_FLAGS = {"steps": 1, "restarts": 1, "points": 1, "nu": 1, "nv": 1, "seed": 0}
+# (least value, whether it is allowed) per numeric flag; checked here so the
+# error names the flag, not the library parameter that would reject it.
+_LEAST = {"steps": (1, True), "restarts": (1, True), "points": (1, True),
+          "nu": (1, True), "nv": (1, True), "seed": (0, True),
+          "duration": (0, False), "probe_rabi_mhz": (0, False),
+          "t_max_ns": (0, True), "tau_max_us": (0, True), "linewidth_mhz": (0, True)}
 
 
-def _check_counts(args) -> None:
-    """Reject integer flags below their least meaningful value."""
-    for name, least in _COUNT_FLAGS.items():
-        value = getattr(args, name, least)
-        if value < least:
-            raise ValidationError(f"must be >= {least}", field="--" + name)
+def _check_least(args) -> None:
+    """Reject numeric flags below their least meaningful value."""
+    for name, (least, allowed) in _LEAST.items():
+        value = getattr(args, name, None)   # None: not a flag of this command
+        if value is not None and (value < least or (value == least and not allowed)):
+            raise ValidationError(f"must be {'>=' if allowed else '>'} {least}",
+                                  field="--" + name.replace("_", "-"))
 
 
 def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
@@ -308,7 +314,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_finite(args)
-        _check_counts(args)
+        _check_least(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -81,8 +81,11 @@ def simulate_ramsey(
 def _lorentzian_smooth(scan: np.ndarray, values: np.ndarray, fwhm: float) -> np.ndarray:
     """Normalized Lorentzian convolution over a (possibly uneven) scan grid."""
     half = fwhm / 2.0
-    diffs = scan[:, None] - scan[None, :]
-    kernel = half * half / (diffs * diffs + half * half)
+    # built in place, so one (points, points) array is alive at a time
+    kernel = scan[:, None] - scan[None, :]
+    kernel *= kernel
+    kernel += half * half
+    np.divide(half * half, kernel, out=kernel)
     return kernel @ values / kernel.sum(axis=1)
 
 

@@ -181,9 +181,11 @@ def rabi_frequency(constants: PhysicalConstants, b_ac_xy):
 
 
 def _field_arrays(env: FieldEnvironment, drive: WireDrive, positions, axis):
-    """(b_dc_z, b_ext_z, b_ac_xy, omega_plus) at stacked positions (..., 3)."""
+    """(b_dc_z, b_ext_z, b_ac_xy, omega_plus) at stacked positions (..., 3).
+    The DC call checks the positions, so zero AC current skips its field."""
     b_dc_z, _ = project_field(wire_field(env.wire, drive.i_dc, positions), axis)
-    _, b_ac_xy = project_field(wire_field(env.wire, drive.i_ac, positions), axis)
+    b_ac_xy = (project_field(wire_field(env.wire, drive.i_ac, positions), axis)[1]
+               if drive.i_ac != 0.0 else np.zeros_like(b_dc_z))
     b_ext_z, _ = project_field(env.b_ext, axis)
     omega_plus, _ = transition_frequencies(env.constants, b_ext_z + b_dc_z)
     return b_dc_z, b_ext_z, b_ac_xy, omega_plus

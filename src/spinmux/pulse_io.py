@@ -18,20 +18,52 @@ PULSE_HEADER = "t_ns,i_mhz,q_mhz"
 # Allowed relative wobble of the time grid around perfect uniformity.
 _SPACING_TOL = 1e-6
 
+# Rows are formatted and parsed in blocks of this many, so the temporary
+# strings and floats of a long pulse stay small.
+_BLOCK_ROWS = 512
+
 
 def write_pulse(path, pulse: PulseProgram) -> None:
     """Write a pulse as CSV; one row per step."""
     i_amps, q_amps = pulse.amplitudes()
+    t_ns = np.arange(1, len(i_amps) + 1) * pulse.dt * 1e9
     with open(path, "w", newline="") as fh:
         fh.write(PULSE_HEADER + "\n")
-        for k, (i, q) in enumerate(zip(i_amps, q_amps), start=1):
-            t_ns = k * pulse.dt * 1e9
-            fh.write(f"{t_ns:.17g},{i * 1e-6:.17g},{q * 1e-6:.17g}\n")
+        for block in range(0, len(t_ns), _BLOCK_ROWS):
+            rows = slice(block, block + _BLOCK_ROWS)
+            fh.write("".join(f"{t:.17g},{i:.17g},{q:.17g}\n" for t, i, q in zip(
+                t_ns[rows].tolist(), (i_amps[rows] * 1e-6).tolist(),
+                (q_amps[rows] * 1e-6).tolist())))
 
 
-def _row_line(lines, row) -> int:
-    """File line number of data row `row` (from 0), skipping blank lines."""
-    return [n for n, line in enumerate(lines, start=1) if n > 1 and line.strip()][row]
+def _parse_rows(lines):
+    """Line numbers and (times, i_mhz, q_mhz) arrays of the non-blank data
+    lines: float() on every value in bulk, or, when that fails, row by row
+    to name the first bad line."""
+    numbers = [n for n, line in enumerate(lines, start=1) if n > 1 and line.strip()]
+    if not numbers:
+        raise ParseError("no data rows", line=2)
+    rows = [lines[n - 1] for n in numbers]
+    if all(line.count(",") == 2 for line in rows):
+        values = np.empty((len(rows), 3))
+        try:
+            for block in range(0, len(rows), _BLOCK_ROWS):
+                fields = ",".join(rows[block:block + _BLOCK_ROWS]).split(",")
+                values[block:block + _BLOCK_ROWS].flat = np.fromiter(
+                    map(float, fields), float, len(fields))
+            return numbers, values.T
+        except ValueError:
+            pass
+    values = []
+    for number, line in zip(numbers, rows):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError("expected three comma-separated values", line=number)
+        try:
+            values.append([float(p) for p in parts])
+        except ValueError:
+            raise ParseError("non-numeric value", line=number) from None
+    return numbers, np.array(values).T
 
 
 def read_pulse(path) -> PulseProgram:
@@ -40,35 +72,18 @@ def read_pulse(path) -> PulseProgram:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0].strip() != PULSE_HEADER:
         raise ParseError(f'expected header "{PULSE_HEADER}"', line=1)
-    times, i_mhz, q_mhz = [], [], []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError("expected three comma-separated values", line=number)
-        try:
-            t, i, q = (float(p) for p in parts)
-        except ValueError:
-            raise ParseError("non-numeric value", line=number) from None
-        times.append(t)
-        i_mhz.append(i)
-        q_mhz.append(q)
-    if not times:
-        raise ParseError("no data rows", line=2)
-
-    times, i_mhz, q_mhz = np.asarray(times), np.asarray(i_mhz), np.asarray(q_mhz)
+    numbers, (times, i_mhz, q_mhz) = _parse_rows(lines)
     bad = ~(np.isfinite(times) & np.isfinite(i_mhz) & np.isfinite(q_mhz))
     if bad.any():
-        raise ParseError("non-finite value", line=_row_line(lines, np.argmax(bad)))
+        raise ParseError("non-finite value", line=numbers[np.argmax(bad)])
     bad = np.diff(times, prepend=-np.inf) <= 0
     if bad.any():
         raise ParseError("times must be strictly increasing",
-                         line=_row_line(lines, np.argmax(bad)))
+                         line=numbers[np.argmax(bad)])
     dt_ns = times[-1] / len(times)
     deviation = np.abs(times - dt_ns * np.arange(1, len(times) + 1))
     if np.max(deviation) > _SPACING_TOL * times[-1]:
         raise ParseError("time grid is not uniformly spaced",
-                         line=_row_line(lines, np.argmax(deviation)))
+                         line=numbers[np.argmax(deviation)])
 
     return PulseProgram.from_arrays(i_mhz * 1e6, q_mhz * 1e6, dt_ns * 1e-9)

@@ -32,6 +32,13 @@ STEP_GROWTH = 2.0
 # floating-point floor; treat that as a stationary stop, not divergence.
 _DECREASE_FLOOR = 1e-15
 
+# Member-steps per forward block.  Survey wall_s by size (perfbench, 2 vCPUs):
+# 4k 0.148 s, 8k 0.122, 12k 0.115, 16k 0.108, 20k-24k 0.109, 32k 0.136, and
+# 64k 0.139 with peak RSS up 2.5 MB.  The cli workload's one sweep (66 members
+# x 200 steps, a fresh `spinmux sweep` per run, median of 12): 8k 8.1 ms, 16k
+# 8.6, 32k 10.0, all inside its quartile spread of about 2 ms.
+_BLOCK_MEMBER_STEPS = 2 ** 14
+
 
 @dataclass(frozen=True)
 class ControlScenario:
@@ -158,21 +165,29 @@ class _Ensemble:
         spins += [(d, ground, ground) for d in scenario.idle_detunings]
         return cls(spins, scenario.manifold)
 
-    def steps(self, i_amps, q_amps, dt, derivatives: bool = False):
-        """Step pairs (members, steps), optionally with the derivative
-        coefficients (k, q) of `_su2_pairs`."""
+    def steps(self, i_amps, q_amps, dt, derivatives: bool = False, rows=slice(None)):
+        """Step pairs (members, steps) of the members in `rows`, optionally
+        with the derivative coefficients (k, q) of `_su2_pairs`."""
         return _su2_pairs(TWO_PI * np.asarray(i_amps)[None, :],
                           TWO_PI * np.asarray(q_amps)[None, :],
-                          TWO_PI * self.deltas[:, None], dt, derivatives)
+                          TWO_PI * self.deltas[rows, None], dt, derivatives)
 
     def transfer_means(self, i_amps, q_amps, dt) -> np.ndarray:
-        """Mean |<bra|U|ket>|^2 per spin, in spin order."""
-        final = _compose(*_product(*self.steps(i_amps, q_amps, dt)), *self.kets.T)
-        return _clamp_unit(self._per_spin(np.abs(self._overlaps(*final)) ** 2))
+        """Mean |<bra|U|ket>|^2 per spin, in spin order, evaluated in row
+        blocks of at most _BLOCK_MEMBER_STEPS member-steps (one member per
+        block when the pulse alone is longer)."""
+        n, rows = len(self.deltas), max(1, _BLOCK_MEMBER_STEPS // len(i_amps))
+        members = np.empty(n)
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            final = _compose(*_product(*self.steps(i_amps, q_amps, dt, rows=block)),
+                             *self.kets[block].T)
+            members[block] = np.abs(self._overlaps(*final, block)) ** 2
+        return _clamp_unit(self._per_spin(members))
 
-    def _overlaps(self, x, y):
-        """<bra|(x, y)> per member."""
-        return self.bras[:, 0].conj() * x + self.bras[:, 1].conj() * y
+    def _overlaps(self, x, y, rows=slice(None)):
+        """<bra|(x, y)> per member in `rows`."""
+        return self.bras[rows, 0].conj() * x + self.bras[rows, 1].conj() * y
 
     def _per_spin(self, member_values: np.ndarray) -> np.ndarray:
         """Mean over each spin's members, which are laid out spin-major."""
@@ -207,12 +222,16 @@ def _regularization_gradient(i_amps, q_amps, lam: float):
     return sub(np.asarray(i_amps, dtype=float)), sub(np.asarray(q_amps, dtype=float))
 
 
+def _errors(target_transfer, spectator_transfers):
+    """(eps_i, eps_j) from the target's and the spectators' transfer means."""
+    return float(target_transfer), tuple(1.0 - float(v) for v in spectator_transfers)
+
+
 def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float) -> CostBreakdown:
     """f and its parts for amplitude arrays; the one place f is assembled."""
     transfer = ens.transfer_means(i_amps, q_amps, dt)
     reg = _regularization(i_amps, q_amps, lam)
-    eps_i = float(transfer[0])
-    eps_j = tuple(1.0 - float(v) for v in transfer[1:])
+    eps_i, eps_j = _errors(transfer[0], transfer[1:])
     f = (1.0 - eps_i) + sum(eps_j) + reg
     return CostBreakdown(eps_i=eps_i, eps_j=eps_j, reg=reg, f=f)
 
@@ -395,15 +414,16 @@ def sensitivity_sweep(
     amp_scales,
 ):
     """Re-evaluate the scenario over a grid of detuning offsets and amplitude
-    scales; the Cartesian grid is returned row-major in the given order."""
+    scales; the Cartesian grid is returned row-major in the given order.
+    One ensemble holds every spectator at every offset, so each scale is one
+    forward evaluation."""
+    offsets, scales = list(delta_offsets), list(amp_scales)
+    n = len(scenario.idle_detunings)
+    shifted = tuple(d + offset for offset in offsets for d in scenario.idle_detunings)
+    ens = _Ensemble.for_scenario(replace(scenario, idle_detunings=shifted))
     i_amps, q_amps = pulse.amplitudes()
-    out = []
-    for offset in delta_offsets:
-        shifted = replace(
-            scenario, idle_detunings=tuple(d + offset for d in scenario.idle_detunings))
-        ens = _Ensemble.for_scenario(shifted)
-        for scale in amp_scales:
-            bd = _objective(ens, i_amps * scale, q_amps * scale, pulse.dt, 0.0)
-            out.append(SweepPoint(delta_offset=float(offset), amp_scale=float(scale),
-                                  eps_i=bd.eps_i, eps_j=bd.eps_j))
-    return out
+    transfers = [ens.transfer_means(i_amps * scale, q_amps * scale, pulse.dt)
+                 for scale in scales]
+    return [SweepPoint(float(offset), float(scale),
+                       *_errors(t[0], t[1 + k * n:1 + (k + 1) * n]))
+            for k, offset in enumerate(offsets) for scale, t in zip(scales, transfers)]

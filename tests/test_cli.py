@@ -385,6 +385,23 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.glob("o*"))
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["optimize", "--duration", "0"], "--duration"),
+        (["simulate", "ramsey", "--tau-max-us=-8"], "--tau-max-us"),
+        (["simulate", "odmr", "--probe-rabi-mhz=0"], "--probe-rabi-mhz"),
+        (["simulate", "rabi", "--t-max-ns=-5"], "--t-max-ns"),
+        (["simulate", "odmr", "--linewidth-mhz=-1"], "--linewidth-mhz"),
+    ], ids=["duration", "tau-max", "probe-rabi", "t-max", "linewidth"])
+    def test_value_a_library_call_rejects_names_the_flag(
+            self, close_pair_config, tmp_path, capsys, argv, flag):
+        out = (["--target-site", "nv-b", "--idle-site", "nv-c",
+                "--out-pulse", str(tmp_path / "o.csv"), "--out-trace", str(tmp_path / "o.jsonl")]
+               if argv[0] == "optimize" else ["--out", str(tmp_path / "o.csv")])
+        code = cli.main([*argv, "--config", close_pair_config, *out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: must be")
+        assert not list(tmp_path.glob("o*"))
+
     @pytest.mark.parametrize("argv", [
         ["ramsey", "--tau-max-us=-8"],
         ["odmr", "--linewidth-mhz=-1"],

@@ -18,6 +18,7 @@ from spinmux import (
     state_error,
     step_propagator,
 )
+from spinmux.experiments import _lorentzian_smooth
 
 from test_fields import demo_environment
 
@@ -177,6 +178,16 @@ class TestSimulateOdmr:
         smooth = simulate_odmr(self.env, self.drive, [self.site], 2e5, scan, 2e5)
         assert smooth.max() < sharp.max()
         assert self._count_peaks(smooth) == 3  # 0.2 MHz floor keeps the triplet
+
+    def test_linewidth_kernel_matches_its_formula(self):
+        # the in-place kernel against the expression it evaluates
+        scan = np.sort(np.random.default_rng(6).uniform(-5e6, 5e6, 301))
+        values = np.random.default_rng(7).uniform(0.0, 1.0, 301)
+        half = 3e5 / 2.0
+        diffs = scan[:, None] - scan[None, :]
+        kernel = half * half / (diffs * diffs + half * half)
+        want = kernel @ values / kernel.sum(axis=1)
+        assert np.array_equal(_lorentzian_smooth(scan, values, 3e5), want)
 
     def test_rejects_negative_linewidth_floor(self):
         # a negative width would silently skip the smoothing, as zero does

@@ -16,10 +16,12 @@ from spinmux import (
     calibrate_wire,
     dipole_axis,
     field_sample,
+    project_field,
     rabi_frequency,
     wire_field,
     zeeman_shift,
 )
+import spinmux.fields as fields
 from spinmux.fields import MU0
 
 U_HAT = np.array([1.0, 0.0, 0.0])
@@ -151,6 +153,28 @@ class TestFieldSample:
         on_wire = SpinSite(id="bad", position=env.wire.anchor)
         with pytest.raises(DegeneratePoint):
             field_sample(env, WireDrive(i_dc=0.1, i_ac=0.0), on_wire)
+        with pytest.raises(DegeneratePoint):
+            field_sample(env, WireDrive(i_dc=0.0, i_ac=0.0), on_wire)
+
+    def test_zero_ac_current_is_one_wire_evaluation(self, monkeypatch):
+        env = demo_environment()
+        axis = dipole_axis(DipoleOrientation())
+        positions = np.array([[u, v, 0.0] for u in (-1e-6, 0.0, 2e-6)
+                              for v in (0.0, 1e-6)])
+        _, want = project_field(wire_field(env.wire, 0.0, positions), axis)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return wire_field(*args)
+
+        monkeypatch.setattr(fields, "wire_field", counting)
+        for i_ac, evaluations in ((0.0, 1), (0.02, 2)):
+            calls.clear()
+            fields._field_arrays(env, WireDrive(i_dc=0.1, i_ac=i_ac), positions, axis)
+            assert len(calls) == evaluations
+        got = fields._field_arrays(env, WireDrive(i_dc=0.1, i_ac=0.0), positions, axis)
+        assert got[2].shape == want.shape and np.array_equal(got[2], want)
 
 
 class TestAddressMap:

@@ -1,5 +1,8 @@
 """The pair kernel (tree product and prefix scan) against a stepwise 2x2 loop,
-and the one-scan gradient against the two-scan, derivative-pair gradient."""
+and the one-scan gradient against the two-scan, derivative-pair gradient;
+blocked forward evaluation against one block."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,3 +211,76 @@ def test_gradient_runs_one_scan(monkeypatch):
     ens = _Ensemble.for_scenario(ControlScenario(idle_detunings=(1.1e6, -0.7e6)))
     _cost_gradient_arrays(ens, *random_pulse(rng, 50), DT)
     assert calls == [(len(ens.deltas), 50)]
+
+
+def blocked_transfer_means(monkeypatch, ens, i_amps, q_amps, budget):
+    """transfer_means under a member-step budget, with the number of blocks
+    (tree products) it ran."""
+    calls = []
+
+    def counting_product(a, b):
+        calls.append(a.shape)
+        return _product(a, b)
+
+    monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
+    monkeypatch.setattr(synthesis, "_product", counting_product)
+    got = ens.transfer_means(i_amps, q_amps, DT)
+    monkeypatch.undo()
+    return got, calls
+
+
+def mixed_ensemble(rng, spectators):
+    """A target, spectators held in random states, all over the triplet."""
+    spins = [(0.0, QubitState.excited(), QubitState.ground())]
+    spins += [(d, s, s) for d, s in zip(rng.uniform(-3e6, 3e6, spectators),
+                                         [superposition(rng) for _ in range(spectators)])]
+    return _Ensemble(spins, HyperfineManifold.triplet())
+
+
+@pytest.mark.parametrize("m, budget, blocks", [
+    (5, 61, 1),     # members x m = budget - 1: one block
+    (5, 60, 1),     # members x m = budget: one block
+    (5, 59, 2),     # members x m = budget + 1: blocks of 11 and 1 members
+    (5, 17, 4),     # three members per block, none left over
+    (7, 3, 12),     # m above the budget: one member per block
+    (1, 5, 3),      # m = 1: blocks of 5, 5 and 2 members
+])
+def test_blocked_transfer_means_equal_one_block(monkeypatch, m, budget, blocks):
+    rng = np.random.default_rng([m, budget])
+    ens = mixed_ensemble(rng, 3)          # 4 spins x 3 members
+    i_amps, q_amps = random_pulse(rng, m)
+    whole, calls = blocked_transfer_means(monkeypatch, ens, i_amps, q_amps, 10**9)
+    assert calls == [(12, m)]
+    got, calls = blocked_transfer_means(monkeypatch, ens, i_amps, q_amps, budget)
+    assert len(calls) == blocks and sum(shape[0] for shape in calls) == 12
+    assert all(shape[1] == m for shape in calls)
+    assert np.array_equal(got, whole)
+
+
+def test_long_pulse_transfer_means_equal_one_block(monkeypatch):
+    # the default budget at survey sizes: 225 members x 2000 steps
+    rng = np.random.default_rng(7)
+    ens = mixed_ensemble(rng, 74)
+    i_amps, q_amps = random_pulse(rng, 2000)
+    whole, _ = blocked_transfer_means(monkeypatch, ens, i_amps, q_amps, 10**9)
+    got, calls = blocked_transfer_means(monkeypatch, ens, i_amps, q_amps,
+                                        synthesis._BLOCK_MEMBER_STEPS)
+    assert len(calls) > 1
+    assert np.array_equal(got, whole)
+
+
+def test_transfer_means_memory_stays_flat():
+    # one (225 x 2000) step build takes 43.7 MB; blocks keep it near 1.6 MB
+    rng = np.random.default_rng(8)
+    ens = _Ensemble.for_scenario(ControlScenario(
+        idle_detunings=tuple(rng.uniform(0.5e6, 3e6, 74))))
+    assert len(ens.deltas) == 225
+    i_amps, q_amps = random_pulse(rng, 2000)
+    ens.transfer_means(i_amps, q_amps, DT)
+    tracemalloc.start()
+    try:
+        ens.transfer_means(i_amps, q_amps, DT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -26,6 +26,22 @@ class TestRoundTrip:
         for got, want in zip(back.amplitudes(), pulse.amplitudes()):
             assert np.max(np.abs(got - want)) <= 1e-3  # 1e-9 MHz in Hz
 
+    @pytest.mark.parametrize("m", (511, 512, 513, 1100))
+    def test_long_pulse_matches_row_by_row_text(self, tmp_path, m):
+        # the per-row writer and parser, as references for the blocked ones
+        rng = np.random.default_rng(m)
+        pulse = PulseProgram.from_arrays(rng.uniform(-1e7, 1e7, m),
+                                         rng.uniform(-1e7, 1e7, m), 3.3e-9)
+        rows = [f"{k * pulse.dt * 1e9:.17g},{i * 1e-6:.17g},{q * 1e-6:.17g}"
+                for k, (i, q) in enumerate(zip(pulse.i_amps, pulse.q_amps), start=1)]
+        path = tmp_path / "p.csv"
+        write_pulse(path, pulse)
+        assert path.read_text() == "t_ns,i_mhz,q_mhz\n" + "".join(r + "\n" for r in rows)
+        want = np.array([[float(v) for v in r.split(",")] for r in rows])
+        back = read_pulse(path)
+        assert np.array_equal(back.i_amps, want[:, 1] * 1e6)
+        assert np.array_equal(back.q_amps, want[:, 2] * 1e6)
+
     def test_single_step_pulse(self, tmp_path):
         path = tmp_path / "p.csv"
         write_pulse(path, PulseProgram.from_arrays([5e6], [-1e6], 80e-9))
@@ -106,3 +122,27 @@ class TestParseErrors:
             read_pulse(path)
         assert err.value.line == 6
         assert "increasing" in str(err.value)
+
+    @pytest.mark.parametrize("body, line, message", [
+        ("10,1\n20,1,0,0\n", 2, "three comma-separated"),   # counts that sum to 6
+        ("10,1,0\n\n\n20,1,0,0\n30,1\n", 5, "three comma-separated"),
+        ("10,1,0\n\n20,1,0\n30,1,x\n40,1\n", 5, "non-numeric"),
+        ("10,1,0\n20, ,0\n", 3, "non-numeric"),
+    ], ids=["compensating-counts", "after-blanks", "bad-value-first", "blank-value"])
+    def test_first_bad_row_is_named(self, tmp_path, body, line, message):
+        path = tmp_path / "p.csv"
+        path.write_text("t_ns,i_mhz,q_mhz\n" + body)
+        with pytest.raises(ParseError, match=message) as err:
+            read_pulse(path)
+        assert err.value.line == line
+
+    def test_values_match_float_per_field(self, tmp_path):
+        # padding, signs, exponents and underscores parse as float() does
+        rows = [" 10 ,+1.5e0, -0", "20,1_000.25,\t3e-7 ", "30.0,-0.0,1E2\r"]
+        path = tmp_path / "p.csv"
+        path.write_text("t_ns,i_mhz,q_mhz\n" + "\n".join(rows) + "\n")
+        back = read_pulse(path)
+        want = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.array_equal(back.i_amps, want[:, 1] * 1e6)
+        assert np.array_equal(back.q_amps, want[:, 2] * 1e6)
+        assert back.dt == want[-1, 0] / 3 * 1e-9

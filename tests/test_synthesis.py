@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import spinmux.synthesis as synthesis
 
 from spinmux import (
     ControlScenario,
@@ -12,8 +16,9 @@ from spinmux import (
     rect_pi_pulse,
     regularization,
     sensitivity_sweep,
+    SweepPoint,
 )
-from spinmux.synthesis import _initial_amplitudes
+from spinmux.synthesis import _Ensemble, _initial_amplitudes, _objective
 
 TRIPLET = HyperfineManifold.triplet()
 NO_MANIFOLD = HyperfineManifold.triplet(0.0)
@@ -294,3 +299,86 @@ class TestSensitivitySweep:
             (0.0, 0.5), (0.0, 1.0), (0.0, 1.5),
             (1e5, 0.5), (1e5, 1.0), (1e5, 1.5),
         ]
+
+
+def reference_sweep(pulse, scenario, delta_offsets, amp_scales):
+    """The per-point sweep: one ensemble per offset, one forward evaluation
+    per grid point."""
+    i_amps, q_amps = pulse.amplitudes()
+    out = []
+    for offset in delta_offsets:
+        shifted = replace(
+            scenario, idle_detunings=tuple(d + offset for d in scenario.idle_detunings))
+        ens = _Ensemble.for_scenario(shifted)
+        for scale in amp_scales:
+            bd = _objective(ens, i_amps * scale, q_amps * scale, pulse.dt, 0.0)
+            out.append(SweepPoint(delta_offset=float(offset), amp_scale=float(scale),
+                                  eps_i=bd.eps_i, eps_j=bd.eps_j))
+    return out
+
+
+class TestBatchedSweep:
+    """One ensemble over every offset gives the per-point sweep bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_grids_equal_per_point_sweep(self, seed):
+        rng = np.random.default_rng([9, seed])
+        spectators = int(rng.integers(0, 4))
+        scen = ControlScenario(
+            idle_detunings=tuple(rng.uniform(0.3e6, 3e6, spectators)
+                                 * rng.choice([-1.0, 1.0], spectators)),
+            manifold=TRIPLET if seed % 2 else NO_MANIFOLD)
+        pulse = random_pulse(rng, m=int(rng.integers(1, 300)))
+        offsets = rng.uniform(-0.5e6, 0.5e6, int(rng.integers(1, 6)))
+        scales = rng.uniform(0.0, 1.5, int(rng.integers(1, 4)))
+        got = sensitivity_sweep(pulse, scen, offsets, scales)
+        assert got == reference_sweep(pulse, scen, offsets, scales)
+
+    def test_duplicate_offsets_zero_scale_and_long_pulse(self):
+        # 1 + 3 x 4 spins x 3 members x 3000 steps runs in many blocks
+        rng = np.random.default_rng(10)
+        scen = ControlScenario(idle_detunings=(1.1e6, -2.3e6, 4.4e6), manifold=TRIPLET)
+        pulse = random_pulse(rng, m=3000, dt=5e-9)
+        offsets, scales = [0.0, 1e5, 0.0, -1e5], [0.0, 1.0, 1.0, 1.05]
+        got = sensitivity_sweep(pulse, scen, offsets, scales)
+        assert got == reference_sweep(pulse, scen, offsets, scales)
+        # scale 0 is free precession: only rounding moves the spectators
+        assert got[0].eps_i == 0.0 and max(got[0].eps_j) <= 1e-12
+
+    def test_zero_spectators(self):
+        pulse = random_pulse(np.random.default_rng(11))
+        scen = ControlScenario(idle_detunings=(), manifold=TRIPLET)
+        got = sensitivity_sweep(pulse, scen, [-1e5, 0.0], [0.9, 1.1])
+        assert got == reference_sweep(pulse, scen, [-1e5, 0.0], [0.9, 1.1])
+        assert all(p.eps_j == () for p in got)
+
+    def test_one_forward_evaluation_per_scale(self, monkeypatch):
+        calls = []
+        transfer_means = _Ensemble.transfer_means
+
+        def counting(ens, *args):
+            calls.append(len(ens.deltas))
+            return transfer_means(ens, *args)
+
+        monkeypatch.setattr(_Ensemble, "transfer_means", counting)
+        pulse = random_pulse(np.random.default_rng(12))
+        scen = ControlScenario(idle_detunings=(1.1e6, -0.7e6), manifold=TRIPLET)
+        sensitivity_sweep(pulse, scen, np.linspace(-2e5, 2e5, 5), [0.95, 1.0, 1.05])
+        assert calls == [3 * (1 + 5 * 2)] * 3
+
+    def test_small_budget_equals_per_point_sweep(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        scen = ControlScenario(idle_detunings=(1.1e6, -0.7e6), manifold=TRIPLET)
+        pulse = random_pulse(rng, m=40)
+        want = reference_sweep(pulse, scen, [-1e5, 0.0, 2e5], [0.5, 1.0])
+        monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", 100)
+        assert sensitivity_sweep(pulse, scen, [-1e5, 0.0, 2e5], [0.5, 1.0]) == want
+
+    def test_offset_onto_the_target_raises(self):
+        pulse = random_pulse(np.random.default_rng(14))
+        scen = ControlScenario(idle_detunings=(1.1e6, 2e6), manifold=TRIPLET)
+        with pytest.raises(ValueError, match="must differ from the target") as want:
+            reference_sweep(pulse, scen, [0.0, -1.1e6], [1.0])
+        with pytest.raises(ValueError) as got:
+            sensitivity_sweep(pulse, scen, [0.0, -1.1e6], [1.0])
+        assert str(got.value) == str(want.value)
