@@ -78,7 +78,8 @@ def _check_finite(args) -> None:
 
 
 # (least value, whether it is allowed) per numeric flag; checked here so the
-# error names the flag, not the library parameter that would reject it.
+# error names the flag, not the library parameter that would reject it.  A
+# subcommand adds its own entries as the `least` default of its parser.
 _LEAST = {"steps": (1, True), "restarts": (1, True), "points": (1, True),
           "nu": (1, True), "nv": (1, True), "seed": (0, True),
           "duration": (0, False), "probe_rabi_mhz": (0, False),
@@ -87,7 +88,7 @@ _LEAST = {"steps": (1, True), "restarts": (1, True), "points": (1, True),
 
 def _check_least(args) -> None:
     """Reject numeric flags below their least meaningful value."""
-    for name, (least, allowed) in _LEAST.items():
+    for name, (least, allowed) in {**_LEAST, **getattr(args, "least", {})}.items():
         value = getattr(args, name, None)   # None: not a flag of this command
         if value is not None and (value < least or (value == least and not allowed)):
             raise ValidationError(f"must be {'>=' if allowed else '>'} {least}",
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-max-um", type=float, default=0.0)
     p.add_argument("--nv", type=int, default=1)
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_crosstalk_map)
+    p.set_defaults(func=cmd_crosstalk_map, least={"rabi_mhz": (0, False)})
 
     p = sub.add_parser("sweep", help="pulse sensitivity grid")
     p.add_argument("--config", required=True)

@@ -10,11 +10,11 @@ step is the Cayley-Klein pair (a, b) of complex arrays, never a 2x2 matrix.
 Pairs compose element-wise, U2 U1 = (a2 a1 - b2* b1, b2 a1 + a2* b1), and the
 same formula applied to a ket (x, y) in place of (a1, b1) gives U2 (x, y).
 U^H is the pair (a*, -b).  The exact derivative dU/da_j is never formed:
-`_su2_pairs` returns two real coefficients per step, from which the gradient
-contracts it in closed form.  Ordered products over the step axis run as a
-pairwise tree (final propagators) or as a log-depth prefix scan (every
-intermediate propagator, for the gradient); 2x2 matrices are built only for
-`Propagator` at the API boundary.
+the gradient contracts it in closed form from two real coefficients per step.
+Ordered products over the step axis run as a pairwise tree (`_tree`, whose top
+is the final propagator); the gradient's log-depth prefix scan (every
+intermediate propagator) is that tree's down-sweep, so a kept tree is never
+composed twice.  2x2 matrices are built only for `Propagator` at the API boundary.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _pair(c, x, y, z):
     return a, b
 
 
-def _su2_pairs(ax, ay, az, dt, derivatives: bool = False):
+def _su2_pairs(ax, ay, az, dt, coefficient: bool = False):
     """exp(-i*(dt/2)*(ax*sx + ay*sy + az*sz)) as (a, b) pairs for stacked
     angular rates (rad/s).
 
@@ -160,28 +160,29 @@ def _su2_pairs(ax, ay, az, dt, derivatives: bool = False):
 
         dU/da_j = -(dt/2) k a_j 1 - i sum_n (q a_j a_n + k delta_jn) sigma_n
 
-    with q = ((dt/2) cos(theta) - k)/|a|^2, which takes its series as
-    |a| -> 0.  With `derivatives`, returns ((a, b), (k, q)): the real
-    coefficients, not dU itself, which the gradient contracts in closed form.
+    with q = ((dt/2) cos(theta) - k)/|a|^2 (`_su2_q`), which takes its series
+    as |a| -> 0.  With `coefficient`, returns ((a, b), k).
     """
     ax = np.asarray(ax, dtype=float)
     ay = np.asarray(ay, dtype=float)
     az = np.asarray(az, dtype=float)
     half_dt = 0.5 * np.asarray(dt, dtype=float)
-    omega2 = ax * ax + ay * ay + az * az
-    omega = np.sqrt(omega2)
+    omega = np.sqrt(ax * ax + ay * ay + az * az)
     theta = half_dt * omega
-    cos_t = np.cos(theta)
     # k = sin(theta)/omega, finite (dt/2) at omega -> 0
     moving = omega > 0.0
     k = np.where(moving, np.sin(theta) / np.where(moving, omega, 1.0), half_dt)
-    u = _pair(cos_t, k * ax, k * ay, k * az)
-    if not derivatives:
-        return u
-    # q series: -(dt/2)^3 * (1/3 - theta^2/30)
-    q = np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
-                 (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
-    return u, (k, q)
+    u = _pair(np.cos(theta), k * ax, k * ay, k * az)
+    return (u, k) if coefficient else u
+
+
+def _su2_q(cos_t, k, omega2, dt):
+    """q of `_su2_pairs` from its cos(theta) = Re(a) and k, and omega2 = |a|^2."""
+    half_dt = 0.5 * np.asarray(dt, dtype=float)
+    theta = half_dt * np.sqrt(omega2)
+    # series as |a| -> 0: -(dt/2)^3 * (1/3 - theta^2/30)
+    return np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
+                    (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
 
 
 def _compose(a2, b2, a1, b1):
@@ -192,12 +193,10 @@ def _compose(a2, b2, a1, b1):
     return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
 
 
-def _product(a, b):
-    """Ordered product U[..., n-1] ... U[..., 0] along the last axis.
-
-    A pairwise tree: each level composes neighbours (odd, even) at once, and
-    an odd leftover rides up to the next level unchanged.
-    """
+def _tree(a, b):
+    """Levels of the pairwise product tree along the last axis, steps first:
+    each composes the (odd, even) neighbours below; an odd leftover rides up."""
+    levels = [(a, b)]
     while a.shape[-1] > 1:
         n = a.shape[-1]
         pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
@@ -205,28 +204,34 @@ def _product(a, b):
             pa = np.concatenate([pa, a[..., -1:]], axis=-1)
             pb = np.concatenate([pb, b[..., -1:]], axis=-1)
         a, b = pa, pb
+        levels.append((a, b))
+    return levels
+
+
+def _product(a, b):
+    """Ordered product U[..., n-1] ... U[..., 0] along the last axis: the top of `_tree`."""
+    a, b = _tree(a, b)[-1]
     return a[..., 0], b[..., 0]
 
 
-def _scan(a, b):
-    """Inclusive prefix products along the last axis: entry l is U_l ... U_0.
+def _scan(levels):
+    """Inclusive prefix products along the last axis from the levels of
+    `_tree`: entry l of the result is U_l ... U_0.
 
-    The log-depth odd/even scan (Blelloch 1990): scan the products of
-    neighbouring pairs recursively, which gives every odd entry, then each
-    even entry is its own step composed onto the odd entry before it.
+    The down-sweep of the log-depth odd/even scan (Blelloch 1990): from the
+    top down, each odd entry of a level is its parent's prefix, and each even
+    entry is its own element composed onto the odd prefix before it.
     """
-    n = a.shape[-1]
-    if n <= 1:
-        return a, b
-    pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
-    sa, sb = _scan(pa, pb)
-    out_a, out_b = np.empty_like(a), np.empty_like(b)
-    out_a[..., 1::2], out_b[..., 1::2] = sa, sb
-    out_a[..., 0], out_b[..., 0] = a[..., 0], b[..., 0]
-    k = (n - 1) // 2
-    out_a[..., 2::2], out_b[..., 2::2] = _compose(a[..., 2::2], b[..., 2::2],
-                                                  sa[..., :k], sb[..., :k])
-    return out_a, out_b
+    sa, sb = levels[-1]
+    for a, b in reversed(levels[:-1]):
+        n, k = a.shape[-1], (a.shape[-1] - 1) // 2
+        out_a, out_b = np.empty_like(a), np.empty_like(b)
+        out_a[..., 1::2], out_b[..., 1::2] = sa[..., :n // 2], sb[..., :n // 2]
+        out_a[..., 0], out_b[..., 0] = a[..., 0], b[..., 0]
+        out_a[..., 2::2], out_b[..., 2::2] = _compose(a[..., 2::2], b[..., 2::2],
+                                                      sa[..., :k], sb[..., :k])
+        sa, sb = out_a, out_b
+    return sa, sb
 
 
 def _matrix(a, b) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (TWO_PI, PulseProgram, QubitState, _clamp_unit, _compose,
-                       _product, _scan, _su2_pairs)
+                       _scan, _su2_pairs, _su2_q, _tree)
 from .errors import Diverged
 from .spins import HyperfineManifold
 
@@ -165,24 +165,29 @@ class _Ensemble:
         spins += [(d, ground, ground) for d in scenario.idle_detunings]
         return cls(spins, scenario.manifold)
 
-    def steps(self, i_amps, q_amps, dt, derivatives: bool = False, rows=slice(None)):
-        """Step pairs (members, steps) of the members in `rows`, optionally
-        with the derivative coefficients (k, q) of `_su2_pairs`."""
-        return _su2_pairs(TWO_PI * np.asarray(i_amps)[None, :],
-                          TWO_PI * np.asarray(q_amps)[None, :],
-                          TWO_PI * self.deltas[rows, None], dt, derivatives)
+    def forward(self, i_amps, q_amps, dt, rows):
+        """<bra|U|ket> of the members in `rows`, and the record the gradient
+        reads: (rows, the levels of the steps' `_tree`, `_su2_pairs`'s k)."""
+        steps, k = _su2_pairs(TWO_PI * np.asarray(i_amps)[None, :],
+                              TWO_PI * np.asarray(q_amps)[None, :],
+                              TWO_PI * self.deltas[rows, None], dt, coefficient=True)
+        levels = _tree(*steps)
+        final = _compose(levels[-1][0][:, 0], levels[-1][1][:, 0], *self.kets[rows].T)
+        return self._overlaps(*final, rows), (rows, levels, k)
 
-    def transfer_means(self, i_amps, q_amps, dt) -> np.ndarray:
+    def transfer_means(self, i_amps, q_amps, dt, record=None) -> np.ndarray:
         """Mean |<bra|U|ket>|^2 per spin, in spin order, evaluated in row
         blocks of at most _BLOCK_MEMBER_STEPS member-steps (one member per
-        block when the pulse alone is longer)."""
+        block when the pulse alone is longer).  Each block's `forward` record
+        is appended to the list `record` when one is given."""
         n, rows = len(self.deltas), max(1, _BLOCK_MEMBER_STEPS // len(i_amps))
         members = np.empty(n)
         for start in range(0, n, rows):
-            block = slice(start, start + rows)
-            final = _compose(*_product(*self.steps(i_amps, q_amps, dt, rows=block)),
-                             *self.kets[block].T)
-            members[block] = np.abs(self._overlaps(*final, block)) ** 2
+            z, block_record = self.forward(i_amps, q_amps, dt, slice(start, start + rows))
+            members[block_record[0]] = np.abs(z) ** 2
+            if record is not None:
+                record.append(block_record)
+            del z, block_record     # not alive while the next block is built
         return _clamp_unit(self._per_spin(members))
 
     def _overlaps(self, x, y, rows=slice(None)):
@@ -227,18 +232,18 @@ def _errors(target_transfer, spectator_transfers):
     return float(target_transfer), tuple(1.0 - float(v) for v in spectator_transfers)
 
 
-def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float) -> CostBreakdown:
+def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record=None):
     """f and its parts for amplitude arrays; the one place f is assembled."""
-    transfer = ens.transfer_means(i_amps, q_amps, dt)
+    transfer = ens.transfer_means(i_amps, q_amps, dt, record)
     reg = _regularization(i_amps, q_amps, lam)
     eps_i, eps_j = _errors(transfer[0], transfer[1:])
     f = (1.0 - eps_i) + sum(eps_j) + reg
     return CostBreakdown(eps_i=eps_i, eps_j=eps_j, reg=reg, f=f)
 
 
-def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float):
-    """df/dI_l and df/dQ_l (1/Hz) for amplitude arrays, R subgradient included."""
-    g_i, g_q = _cost_gradient_arrays(ens, i_amps, q_amps, dt)
+def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record):
+    """df/dI_l and df/dQ_l (1/Hz), R subgradient included, from the arrays' `record`."""
+    g_i, g_q = _cost_gradient_arrays(ens, i_amps, q_amps, dt, record)
     r_i, r_q = _regularization_gradient(i_amps, q_amps, lam)
     return g_i + r_i, g_q + r_q
 
@@ -251,16 +256,18 @@ def cost(pulse: PulseProgram, scenario: ControlScenario, lam: float) -> CostBrea
 
 def gradient(pulse: PulseProgram, scenario: ControlScenario, lam: float):
     """Exact df/dI_l and df/dQ_l (1/Hz), including the R subgradient."""
-    return _objective_gradient(_Ensemble.for_scenario(scenario), *pulse.amplitudes(),
-                               pulse.dt, lam)
+    ens, record = _Ensemble.for_scenario(scenario), []
+    ens.transfer_means(*pulse.amplitudes(), pulse.dt, record)
+    return _objective_gradient(ens, *pulse.amplitudes(), pulse.dt, lam, record)
 
 
-def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt):
+def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
     """Gradient of the epsilon part of f with respect to I and Q.
 
-    GRAPE-style, from one prefix scan P_l = U_l ... U_0 with U = P_{m-1}.
-    The state entering step l is psi_l = P_{l-1} ket (psi_0 = ket).  By
-    unitarity U_{m-1} ... U_{l+1} = U P_l^H, so the costate after step l is
+    GRAPE-style, from one prefix scan P_l = U_l ... U_0 with U = P_{m-1}, the
+    down-sweep of each member block's tree in the forward `record`.  The state
+    entering step l is psi_l = P_{l-1} ket (psi_0 = ket).  By unitarity
+    U_{m-1} ... U_{l+1} = U P_l^H, so the costate after step l is
 
         chi_l = P_l U^H bra,
 
@@ -275,41 +282,46 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt):
     z chi_l = P_l (z U^H bra), so the four forms take four complex products
     and dU is never formed.
     """
-    (a, b), (k, q) = ens.steps(i_amps, q_amps, dt, derivatives=True)
-    a, b = _scan(a, b)
-    (ket0, ket1), bras = ens.kets.T, ens.bras.T
-    # f_l = P_l ket, so psi_l = f_{l-1} and z = <bra|f_{m-1}>
-    f0, f1 = _compose(a, b, ket0[:, None], ket1[:, None])
-    z = ens._overlaps(f0[:, -1], f1[:, -1])
-    # conj(z chi_l) = conj(P_l) v with v = conj(z U^H bra), U^H = (a*, -b)
-    w0, w1 = _compose(a[:, -1].conj(), -b[:, -1], *bras)
-    c0, c1 = _compose(a.conj(), b.conj(),
-                      (z * w0).conj()[:, None], (z * w1).conj()[:, None])
-    del a, b
-    psi0 = np.concatenate([ket0[:, None], f0[:, :-1]], axis=1)
-    psi1 = np.concatenate([ket1[:, None], f1[:, :-1]], axis=1)
-    del f0, f1
-
-    # the four forms, from the products conj(z chi)_i psi_j
-    u00, u11 = c0 * psi0, c1 * psi1
-    r0 = u00.real + u11.real
-    rz = u00.imag - u11.imag
-    del u00, u11
-    u01, u10 = c0 * psi1, c1 * psi0
-    del c0, c1, psi0, psi1
-    rx = u01.imag + u10.imag
-    ry = u10.real - u01.real
-    del u01, u10
-
-    # a_x and a_y are shared by every member, so they multiply the member sum
     ax = TWO_PI * np.asarray(i_amps, dtype=float)
     ay = TWO_PI * np.asarray(q_amps, dtype=float)
-    az = TWO_PI * ens.deltas[:, None]
-    t = (q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0).sum(axis=0)
+    terms = np.empty((3, len(ens.deltas), len(ax)))   # summed once, as unblocked
+    while record:   # consumed: a block's tree is freed once it is swept
+        rows, levels, k = record.pop(0)
+        az = TWO_PI * ens.deltas[rows, None]
+        q = _su2_q(levels[0][0].real, k, ax * ax + ay * ay + az * az, dt)
+        a, b = _scan(levels)
+        del levels
+        (ket0, ket1), bras = ens.kets[rows].T, ens.bras[rows].T
+        # f_l = P_l ket, so psi_l = f_{l-1} and z = <bra|f_{m-1}>
+        f0, f1 = _compose(a, b, ket0[:, None], ket1[:, None])
+        z = ens._overlaps(f0[:, -1], f1[:, -1], rows)
+        # conj(z chi_l) = conj(P_l) v with v = conj(z U^H bra), U^H = (a*, -b)
+        w0, w1 = _compose(a[:, -1].conj(), -b[:, -1], *bras)
+        c0, c1 = _compose(a.conj(), b.conj(),
+                          (z * w0).conj()[:, None], (z * w1).conj()[:, None])
+        del a, b
+        psi0 = np.concatenate([ket0[:, None], f0[:, :-1]], axis=1)
+        psi1 = np.concatenate([ket1[:, None], f1[:, :-1]], axis=1)
+        del f0, f1
+
+        # the four forms, from the products conj(z chi)_i psi_j
+        u00, u11 = c0 * psi0, c1 * psi1
+        r0 = u00.real + u11.real
+        rz = u00.imag - u11.imag
+        del u00, u11
+        u01, u10 = c0 * psi1, c1 * psi0
+        del c0, c1, psi0, psi1
+        rx = u01.imag + u10.imag
+        ry = u10.real - u01.real
+        del u01, u10
+
+        # a_x and a_y are shared by every member, so they multiply the member sum
+        terms[0, rows] = q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0
+        terms[1, rows], terms[2, rows] = k * rx, k * ry
+    t, kx, ky = (term.sum(axis=0) for term in terms)
     # -2 per member, manifold-weighted; 2*pi chains a_x, a_y to I, Q
     coeff = -2.0 * TWO_PI * ens.weight
-    return (coeff * (ax * t + (k * rx).sum(axis=0)),
-            coeff * (ay * t + (k * ry).sum(axis=0)))
+    return coeff * (ax * t + kx), coeff * (ay * t + ky)
 
 
 def _initial_amplitudes(config: OptimizerConfig, restart: int):
@@ -328,7 +340,8 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
     lam = config.lam
     clip = config.max_amp
     i_amps, q_amps = _initial_amplitudes(config, restart)
-    bd = _objective(ens, i_amps, q_amps, dt, lam)
+    record = []           # the forward record of the accepted iterate
+    bd = _objective(ens, i_amps, q_amps, dt, lam, record)
     rows = [TraceRow(0, bd.f, bd.eps_i, bd.eps_j, bd.reg, 0.0)]
     alpha = None
     converged = bd.f - bd.reg <= config.tol
@@ -337,7 +350,7 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
     for it in range(1, config.max_iters + 1):
         if converged:
             break
-        g_i, g_q = _objective_gradient(ens, i_amps, q_amps, dt, lam)
+        g_i, g_q = _objective_gradient(ens, i_amps, q_amps, dt, lam, record)
         gnorm2 = float(np.dot(g_i, g_i) + np.dot(g_q, g_q))
         if gnorm2 == 0.0:
             break
@@ -355,9 +368,10 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
             if ARMIJO_C * move < _DECREASE_FLOOR * max(1.0, abs(bd.f)):
                 floor_hit = True
                 break
-            cand_bd = _objective(ens, cand_i, cand_q, dt, lam)
+            cand_record = []
+            cand_bd = _objective(ens, cand_i, cand_q, dt, lam, cand_record)
             if cand_bd.f <= bd.f - ARMIJO_C * move:
-                i_amps, q_amps, bd = cand_i, cand_q, cand_bd
+                i_amps, q_amps, bd, record = cand_i, cand_q, cand_bd, cand_record
                 rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, trial))
                 alpha = trial * STEP_GROWTH
                 accepted = True

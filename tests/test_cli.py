@@ -402,6 +402,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {flag}: must be")
         assert not list(tmp_path.glob("o*"))
 
+    @pytest.mark.parametrize("rabi", ["0", "-5"])
+    def test_crosstalk_map_rabi_must_be_positive_and_names_the_flag(
+            self, close_pair_config, tmp_path, capsys, rabi):
+        code = cli.main(["crosstalk-map", "--config", close_pair_config, "--idc-ma", "150",
+                         "--target-u-um", "1.5", f"--rabi-mhz={rabi}", "--u-min-um", "-4",
+                         "--u-max-um", "4", "--nu", "3",
+                         "--out-prefix", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --rabi-mhz: must be > 0")
+        assert not list(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("rabi", ["0", "-5"])
+    def test_simulate_rabi_takes_any_rabi_rate(self, close_pair_config, tmp_path, rabi):
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "rabi", "--config", close_pair_config,
+                         f"--rabi-mhz={rabi}", "--points", "5", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 6
+
     @pytest.mark.parametrize("argv", [
         ["ramsey", "--tau-max-us=-8"],
         ["odmr", "--linewidth-mhz=-1"],

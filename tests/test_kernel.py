@@ -1,17 +1,19 @@
 """The pair kernel (tree product and prefix scan) against a stepwise 2x2 loop,
-and the one-scan gradient against the two-scan, derivative-pair gradient;
-blocked forward evaluation against one block."""
+the scan as the tree's down-sweep against the recursive scan, and the
+one-scan gradient against the two-scan, derivative-pair gradient; blocked
+forward evaluation against one block."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinmux.synthesis as synthesis
 from spinmux import (ControlScenario, HyperfineManifold, PulseProgram, QubitState,
                      evolve, step_propagator)
 from spinmux.dynamics import (TWO_PI, _compose, _matrix, _pair, _product, _scan,
-                              _su2_pairs)
+                              _su2_pairs, _tree)
 from spinmux.synthesis import _cost_gradient_arrays, _Ensemble
 
 DT = 40e-9
@@ -48,7 +50,7 @@ def test_shared_pulse_per_member_detunings(m):
                       TWO_PI * deltas[:, None], DT)
     assert a.shape == b.shape == (len(deltas), m)
     final = as_matrices(*_product(a, b))
-    prefixes = as_matrices(*_scan(a, b))
+    prefixes = as_matrices(*_scan(_tree(a, b)))
     for n, delta in enumerate(deltas):
         ref = stepwise_prefixes(i_amps, q_amps, delta)
         assert np.max(np.abs(prefixes[n] - ref)) <= 1e-12
@@ -62,7 +64,7 @@ def test_one_pulse_without_member_axis(m):
     ref = stepwise_prefixes(i_amps, q_amps, 1.3e6)
     a, b = _su2_pairs(TWO_PI * i_amps, TWO_PI * q_amps, TWO_PI * 1.3e6, DT)
     assert np.max(np.abs(_matrix(*_product(a, b)) - ref[-1])) <= 1e-12
-    assert np.max(np.abs(as_matrices(*_scan(a, b)) - ref)) <= 1e-12
+    assert np.max(np.abs(as_matrices(*_scan(_tree(a, b))) - ref)) <= 1e-12
     u = evolve(PulseProgram.from_arrays(i_amps, q_amps, DT), 1.3e6).matrix
     assert np.max(np.abs(u - ref[-1])) <= 1e-12
 
@@ -75,7 +77,7 @@ def test_distinct_pulse_per_member(m):
     i_amps = np.array([p[0] for p in pulses])
     q_amps = np.array([p[1] for p in pulses])
     a, b = _su2_pairs(TWO_PI * i_amps, TWO_PI * q_amps, TWO_PI * deltas[:, None], DT)
-    final, prefixes = as_matrices(*_product(a, b)), as_matrices(*_scan(a, b))
+    final, prefixes = as_matrices(*_product(a, b)), as_matrices(*_scan(_tree(a, b)))
     for n, ((i_n, q_n), delta) in enumerate(zip(pulses, deltas)):
         ref = stepwise_prefixes(i_n, q_n, delta)
         assert np.max(np.abs(prefixes[n] - ref)) <= 1e-12
@@ -91,9 +93,60 @@ def test_compose_applies_a_pair_to_kets():
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
+def reference_scan(a, b):
+    """The recursive odd/even scan that `_scan` replaced: scan the products of
+    neighbouring pairs recursively, which gives every odd entry, then compose
+    each even entry's step onto the odd entry before it."""
+    n = a.shape[-1]
+    if n <= 1:
+        return a, b
+    pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
+    sa, sb = reference_scan(pa, pb)
+    out_a, out_b = np.empty_like(a), np.empty_like(b)
+    out_a[..., 1::2], out_b[..., 1::2] = sa, sb
+    out_a[..., 0], out_b[..., 0] = a[..., 0], b[..., 0]
+    k = (n - 1) // 2
+    out_a[..., 2::2], out_b[..., 2::2] = _compose(a[..., 2::2], b[..., 2::2],
+                                                  sa[..., :k], sb[..., :k])
+    return out_a, out_b
+
+
+def reference_product(a, b):
+    """The pairwise tree product as a loop that keeps no levels."""
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
+        pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
+        if n % 2:
+            pa = np.concatenate([pa, a[..., -1:]], axis=-1)
+            pb = np.concatenate([pb, b[..., -1:]], axis=-1)
+        a, b = pa, pb
+    return a[..., 0], b[..., 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 70), members=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_down_sweep_equals_the_recursive_scan(m, members, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
+                      TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
+                      TWO_PI * rng.uniform(-3e6, 3e6, (members, 1)), DT)
+    levels = _tree(a, b)
+    sa, sb = _scan(levels)
+    want_a, want_b = reference_scan(a, b)
+    assert np.array_equal(sa, want_a) and np.array_equal(sb, want_b)
+    pa, pb = _product(a, b)
+    top_a, top_b = levels[-1]
+    assert np.array_equal(pa, top_a[:, 0]) and np.array_equal(pb, top_b[:, 0])
+    ra, rb = reference_product(a, b)
+    assert np.array_equal(pa, ra) and np.array_equal(pb, rb)
+    # the scan carries the odd leftover's product at the bottom level, the
+    # tree at the top, so the last prefix and the product agree to rounding
+    assert np.max(np.abs(as_matrices(pa, pb) - as_matrices(sa[:, -1], sb[:, -1]))) <= 1e-12
+
+
 def test_scan_of_an_empty_axis_is_empty():
     a = np.ones((2, 0), dtype=complex)
-    sa, sb = _scan(a, np.zeros_like(a))
+    sa, sb = _scan(_tree(a, np.zeros_like(a)))
     assert sa.shape == sb.shape == (2, 0)
 
 
@@ -151,10 +204,10 @@ def reference_gradient(ens, i_amps, q_amps, dt):
     du_day = pair(-half_dt * k * ay, q * ay * ax, q * ay * ay + k, q * ay * az)
     kets, bras = ens.kets.T[..., None], ens.bras.T[..., None]
 
-    forward = _compose(*_scan(a, b), *kets)
+    forward = _compose(*reference_scan(a, b), *kets)
     psi = [np.concatenate([kt, f[:, :-1]], axis=1) for kt, f in zip(kets, forward)]
     z = ens._overlaps(forward[0][:, -1], forward[1][:, -1])
-    backward = _compose(*_scan(a[:, :0:-1].conj(), -b[:, :0:-1]), *bras)
+    backward = _compose(*reference_scan(a[:, :0:-1].conj(), -b[:, :0:-1]), *bras)
     chi = [np.concatenate([c[:, ::-1], br], axis=1).conj()
            for br, c in zip(bras, backward)]
 
@@ -166,6 +219,13 @@ def reference_gradient(ens, i_amps, q_amps, dt):
     g_i = coeff * np.real(z.conj()[:, None] * dz(du_dax)).sum(axis=0)
     g_q = coeff * np.real(z.conj()[:, None] * dz(du_day)).sum(axis=0)
     return g_i, g_q
+
+
+def forward_record(ens, i_amps, q_amps, dt):
+    """The forward record the gradient reads, as the descent builds it."""
+    record = []
+    ens.transfer_means(i_amps, q_amps, dt, record)
+    return record
 
 
 def superposition(rng):
@@ -194,36 +254,92 @@ def test_gradient_matches_two_scan_reference(m, triplet, spectators, superposed)
     i_amps, q_amps = random_pulse(rng, m)
     dt = 10e-6 / m
     want = np.concatenate(reference_gradient(ens, i_amps, q_amps, dt))
-    got = np.concatenate(_cost_gradient_arrays(ens, i_amps, q_amps, dt))
+    got = np.concatenate(_cost_gradient_arrays(ens, i_amps, q_amps, dt,
+                                               forward_record(ens, i_amps, q_amps, dt)))
     # float64 rounding over a log-depth scan, set before measuring
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def reference_one_pass_gradient(ens, i_amps, q_amps, dt):
+    """The one-scan gradient in one unblocked pass that builds its own steps,
+    k and q and runs the recursive scan: the arithmetic the record-fed
+    gradient must reproduce bit for bit."""
+    ax = TWO_PI * np.asarray(i_amps, dtype=float)
+    ay = TWO_PI * np.asarray(q_amps, dtype=float)
+    az = TWO_PI * ens.deltas[:, None]
+    half_dt = 0.5 * np.asarray(dt, dtype=float)
+    omega2 = ax[None, :] * ax[None, :] + ay[None, :] * ay[None, :] + az * az
+    omega = np.sqrt(omega2)
+    theta = half_dt * omega
+    cos_t = np.cos(theta)
+    moving = omega > 0.0
+    k = np.where(moving, np.sin(theta) / np.where(moving, omega, 1.0), half_dt)
+    a, b = _pair(cos_t, k * ax[None, :], k * ay[None, :], k * az)
+    q = np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
+                 (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
+    a, b = reference_scan(a, b)
+    (ket0, ket1), bras = ens.kets.T, ens.bras.T
+    f0, f1 = _compose(a, b, ket0[:, None], ket1[:, None])
+    z = ens._overlaps(f0[:, -1], f1[:, -1])
+    w0, w1 = _compose(a[:, -1].conj(), -b[:, -1], *bras)
+    c0, c1 = _compose(a.conj(), b.conj(),
+                      (z * w0).conj()[:, None], (z * w1).conj()[:, None])
+    psi0 = np.concatenate([ket0[:, None], f0[:, :-1]], axis=1)
+    psi1 = np.concatenate([ket1[:, None], f1[:, :-1]], axis=1)
+    u00, u11, u01, u10 = c0 * psi0, c1 * psi1, c0 * psi1, c1 * psi0
+    r0, rz = u00.real + u11.real, u00.imag - u11.imag
+    rx, ry = u01.imag + u10.imag, u10.real - u01.real
+    t = (q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0).sum(axis=0)
+    coeff = -2.0 * TWO_PI * ens.weight
+    return (coeff * (ax * t + (k * rx).sum(axis=0)),
+            coeff * (ay * t + (k * ry).sum(axis=0)))
+
+
+@pytest.mark.parametrize("m", (1, 2, 7, 200))
+@pytest.mark.parametrize("budget", (2 ** 14, 1000, 1))
+@pytest.mark.parametrize("triplet", (True, False))
+def test_record_fed_gradient_reproduces_one_pass_bit_for_bit(monkeypatch, m, budget,
+                                                             triplet):
+    rng = np.random.default_rng([m, budget, triplet])
+    manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.triplet(0.0)
+    spins = [(0.0, QubitState.excited(), QubitState.ground())]
+    spins += [(d, s, s) for d, s in zip(rng.uniform(-3e6, 3e6, 4),
+                                         [superposition(rng) for _ in range(4)])]
+    ens = _Ensemble(spins, manifold)
+    i_amps, q_amps = random_pulse(rng, m)
+    want = reference_one_pass_gradient(ens, i_amps, q_amps, DT)
+    monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
+    got = _cost_gradient_arrays(ens, i_amps, q_amps, DT,
+                                forward_record(ens, i_amps, q_amps, DT))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_gradient_runs_one_scan(monkeypatch):
     calls = []
 
-    def counting_scan(a, b):
-        calls.append(a.shape)
-        return _scan(a, b)
+    def counting_scan(levels):
+        calls.append(levels[0][0].shape)
+        return _scan(levels)
 
     monkeypatch.setattr(synthesis, "_scan", counting_scan)
     rng = np.random.default_rng(5)
     ens = _Ensemble.for_scenario(ControlScenario(idle_detunings=(1.1e6, -0.7e6)))
-    _cost_gradient_arrays(ens, *random_pulse(rng, 50), DT)
+    i_amps, q_amps = random_pulse(rng, 50)
+    _cost_gradient_arrays(ens, i_amps, q_amps, DT, forward_record(ens, i_amps, q_amps, DT))
     assert calls == [(len(ens.deltas), 50)]
 
 
 def blocked_transfer_means(monkeypatch, ens, i_amps, q_amps, budget):
     """transfer_means under a member-step budget, with the number of blocks
-    (tree products) it ran."""
+    (product trees) it ran."""
     calls = []
 
-    def counting_product(a, b):
+    def counting_tree(a, b):
         calls.append(a.shape)
-        return _product(a, b)
+        return _tree(a, b)
 
     monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
-    monkeypatch.setattr(synthesis, "_product", counting_product)
+    monkeypatch.setattr(synthesis, "_tree", counting_tree)
     got = ens.transfer_means(i_amps, q_amps, DT)
     monkeypatch.undo()
     return got, calls
@@ -270,7 +386,8 @@ def test_long_pulse_transfer_means_equal_one_block(monkeypatch):
 
 
 def test_transfer_means_memory_stays_flat():
-    # one (225 x 2000) step build takes 43.7 MB; blocks keep it near 1.6 MB
+    # one (225 x 2000) step build takes 43.7 MB; blocks keep it near 1.5 MB,
+    # and 2.6 MB when a block's product tree stays alive into the next block
     rng = np.random.default_rng(8)
     ens = _Ensemble.for_scenario(ControlScenario(
         idle_detunings=tuple(rng.uniform(0.5e6, 3e6, 74))))
@@ -283,4 +400,5 @@ def test_transfer_means_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 2e6
+

@@ -382,3 +382,87 @@ class TestBatchedSweep:
         with pytest.raises(ValueError) as got:
             sensitivity_sweep(pulse, scen, [0.0, -1.1e6], [1.0])
         assert str(got.value) == str(want.value)
+
+
+class TestGradientReuse:
+    """The descent hands each accepted iterate's forward record to its
+    gradient, which then rebuilds no step."""
+
+    @staticmethod
+    def descent_gradients(monkeypatch, scenario, config):
+        """(I, Q, gradient) at every gradient the descent takes."""
+        seen = []
+        objective_gradient = synthesis._objective_gradient
+
+        def capturing(ens, i_amps, q_amps, dt, lam, record):
+            g = objective_gradient(ens, i_amps, q_amps, dt, lam, record)
+            seen.append((np.array(i_amps), np.array(q_amps), g))
+            return g
+
+        monkeypatch.setattr(synthesis, "_objective_gradient", capturing)
+        optimize(scenario, config)
+        monkeypatch.undo()
+        return seen
+
+    def assert_equal_from_scratch(self, seen, scenario, config):
+        assert len(seen) >= 2      # the initial pulse and an accepted candidate
+        for i_amps, q_amps, (g_i, g_q) in seen:
+            pulse = PulseProgram.from_arrays(i_amps, q_amps, config.step_duration)
+            want_i, want_q = gradient(pulse, scenario, config.lam)
+            assert np.array_equal(g_i, want_i) and np.array_equal(g_q, want_q)
+
+    @pytest.mark.parametrize("m", (1, 2, 37, 200))
+    @pytest.mark.parametrize("manifold", (TRIPLET, NO_MANIFOLD), ids=("triplet", "hf0"))
+    @pytest.mark.parametrize("spectators", (0, 1, 2, 3))
+    def test_record_fed_gradient_equals_from_scratch(self, monkeypatch, m, manifold,
+                                                     spectators):
+        idle = (1.1e6, -0.7e6, 2.3e6)[:spectators]
+        scenario = ControlScenario(idle_detunings=idle, manifold=manifold)
+        config = OptimizerConfig(m=m, dt=1e-6 / m, lam=1e-9, max_iters=4, tol=0.0,
+                                 seed=m + spectators)
+        seen = self.descent_gradients(monkeypatch, scenario, config)
+        self.assert_equal_from_scratch(seen, scenario, config)
+
+    def test_record_fed_gradient_of_a_clipped_pulse(self, monkeypatch):
+        # the pi-area amplitude (5e5 Hz) lies above max_amp, so I is clipped
+        scenario = ControlScenario(idle_detunings=(1.1e6, -0.7e6), manifold=TRIPLET)
+        config = OptimizerConfig(m=37, dt=1e-6 / 37, lam=1e-9, max_iters=4, tol=0.0,
+                                 max_amp=4e5)
+        seen = self.descent_gradients(monkeypatch, scenario, config)
+        assert all(np.sum(np.abs(i_amps) == config.max_amp) > 0 for i_amps, _, _ in seen)
+        self.assert_equal_from_scratch(seen, scenario, config)
+
+    def test_su2_pairs_runs_once_per_objective_and_never_in_the_gradient(
+            self, monkeypatch):
+        counts = {"pairs": 0, "objective": 0, "gradient": 0, "in_gradient": 0}
+        inside = [False]
+        su2_pairs = synthesis._su2_pairs
+        objective, objective_gradient = synthesis._objective, synthesis._objective_gradient
+
+        def counting_pairs(*args, **kwargs):
+            counts["pairs"] += 1
+            counts["in_gradient"] += inside[0]
+            return su2_pairs(*args, **kwargs)
+
+        def counting_objective(*args):
+            counts["objective"] += 1
+            return objective(*args)
+
+        def flagging_gradient(*args):
+            counts["gradient"] += 1
+            inside[0] = True
+            try:
+                return objective_gradient(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(synthesis, "_su2_pairs", counting_pairs)
+        monkeypatch.setattr(synthesis, "_objective", counting_objective)
+        monkeypatch.setattr(synthesis, "_objective_gradient", flagging_gradient)
+        scenario = ControlScenario(idle_detunings=(1.1e6, -2.3e6), manifold=TRIPLET)
+        optimize(scenario, OptimizerConfig(m=200, dt=5e-8, lam=1e-9, max_iters=10,
+                                           tol=0.0, restarts=2))
+        assert counts["gradient"] == 20
+        assert counts["objective"] > counts["gradient"]
+        assert counts["pairs"] == counts["objective"]
+        assert counts["in_gradient"] == 0
