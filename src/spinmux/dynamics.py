@@ -61,8 +61,10 @@ class PulseProgram:
             raise ValueError("I and Q must be 1-d arrays of equal length")
         if len(i_amps) < 1:
             raise ValueError("a pulse needs at least one step")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(i_amps).all() and np.isfinite(q_amps).all()):
+            raise ValueError("i_amps and q_amps must be finite")
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         i_amps.setflags(write=False)
         q_amps.setflags(write=False)
         pulse = cls.__new__(cls)
@@ -281,8 +283,8 @@ def crosstalk_bound(rabi: float, delta: float) -> float:
 
 def rect_pi_pulse(rabi: float, m: int = 1) -> PulseProgram:
     """Resonant rectangular pi-pulse at `rabi` (Hz), split into m equal steps."""
-    if rabi <= 0:
-        raise ValueError("rabi must be positive")
+    if not 0 < rabi < math.inf:
+        raise ValueError("rabi must be positive and finite")
     if m < 1:
         raise ValueError("m must be >= 1")
     dt = 1.0 / (2.0 * rabi * m)

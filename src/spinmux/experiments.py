@@ -14,6 +14,7 @@ from .fields import (
     FieldEnvironment,
     WireDrive,
     _field_arrays,
+    _site_addresses,
     field_sample,
     rabi_frequency,
 )
@@ -56,8 +57,9 @@ def _flip_populations(rabi, delta, duration) -> np.ndarray:
 def simulate_rabi(rabi: float, delta: float, durations) -> np.ndarray:
     """Excited-state population vs. pulse length for a constant drive."""
     durations = np.asarray(list(durations), dtype=float)
-    if np.any(durations < 0.0):
-        raise ValueError("durations must be >= 0")
+    if not (np.isfinite([rabi, delta]).all() and np.isfinite(durations).all()
+            and (durations >= 0.0).all()):
+        raise ValueError("rabi, delta and durations must be finite, durations >= 0")
     return _flip_populations(rabi, delta, durations)
 
 
@@ -68,11 +70,11 @@ def simulate_ramsey(
 
     S(tau) = mean_m cos(2*pi*delta_m*tau) * exp(-tau/t2_star).
     """
-    if t2_star <= 0:
+    if not t2_star > 0:
         raise ValueError("t2_star must be positive")
     taus = np.asarray(list(taus), dtype=float)
-    if not np.all(taus >= 0.0):
-        raise ValueError("taus must be >= 0")
+    if not (np.isfinite(delta) and np.isfinite(taus).all() and np.all(taus >= 0.0)):
+        raise ValueError("delta and taus must be finite, taus >= 0")
     detunings = hyperfine_detunings(delta, manifold)
     phases = 2.0 * math.pi * np.outer(taus, detunings)
     return np.mean(np.cos(phases), axis=1) * np.exp(-taus / t2_star)
@@ -107,20 +109,20 @@ def simulate_odmr(
     scan = np.asarray(list(scan), dtype=float)
     if scan.size == 0:
         raise ValueError("scan must be non-empty")
-    if probe_rabi <= 0:
-        raise ValueError("probe_rabi must be positive")
+    sites = list(sites)
+    if not sites:
+        raise ValueError("sites must be non-empty")
+    if not 0 < probe_rabi < math.inf:
+        raise ValueError("probe_rabi must be positive and finite")
     if not linewidth_floor >= 0:
         raise ValueError("linewidth_floor must be >= 0")
     manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)
     duration = 1.0 / (2.0 * probe_rabi)
 
-    lines = []
-    for site in sites:
-        sample = field_sample(env, drive, site)
-        omega_minus = 2.0 * env.constants.d_zfs - sample.omega_plus
-        for omega in (sample.omega_plus, omega_minus):
-            lines.extend(hyperfine_detunings(omega, manifold))
-    lines = np.asarray(lines)
+    omega_plus = _site_addresses(env, drive.i_dc, sites)
+    # per site: upper then lower transition, each split by the manifold
+    omegas = np.stack([omega_plus, 2.0 * env.constants.d_zfs - omega_plus], axis=1)
+    lines = hyperfine_detunings(omegas[..., None], manifold).ravel()
 
     contrast = np.mean(
         _flip_populations(probe_rabi, lines[None, :] - scan[:, None], duration), axis=1)
@@ -144,8 +146,8 @@ def crosstalk_landscape(
     grid position then sees its own detuning and its own (position-scaled)
     drive amplitude.
     """
-    if rabi_target <= 0:
-        raise ValueError("rabi_target must be positive")
+    if not 0 < rabi_target < math.inf:
+        raise ValueError("rabi_target must be positive and finite")
     orientation = orientation or DipoleOrientation()
     positions = np.asarray(list(grid), dtype=float)
     if positions.size and (positions.ndim != 2 or positions.shape[1] != 3):
@@ -172,10 +174,9 @@ def crosstalk_landscape(
     deltas = omega_plus - omega_mw
     a, _ = _su2_pairs(TWO_PI * rabis, 0.0, TWO_PI * deltas, duration)
     eps = _clamp_unit(1.0 - np.abs(a) ** 2)
-    entries = [
-        CrosstalkEntry(site_id=f"g{k:04d}", detuning=delta, epsilon=e,
-                       bound=math.inf if delta == 0.0 else (rabi / delta) ** 2)
-        for k, (rabi, delta, e) in enumerate(zip(rabis.tolist(), deltas.tolist(),
-                                                 eps.tolist()))
-    ]
-    return CrosstalkReport(entries=tuple(entries))
+    rabis, deltas = rabis.tolist(), deltas.tolist()
+    # scalar (rabi/delta)**2: numpy's array power can round it one ulp apart
+    bounds = [math.inf if d == 0.0 else (r / d) ** 2 for r, d in zip(rabis, deltas)]
+    ids = [f"g{k:04d}" for k in range(len(deltas))]
+    return CrosstalkReport(entries=tuple(map(CrosstalkEntry, ids, deltas, eps.tolist(),
+                                             bounds)))

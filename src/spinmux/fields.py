@@ -65,8 +65,12 @@ class WireGeometry:
 
     def filament_anchors(self) -> np.ndarray:
         """Centerline points of the individual filaments, shape (n, 3)."""
+        return self._anchors_at(self.anchor)
+
+    def _anchors_at(self, anchors: np.ndarray) -> np.ndarray:
+        """`filament_anchors` (..., n, 3) of the centerline moved to `anchors`."""
         if self.num_filaments == 1:
-            return self.anchor[None, :]
+            return anchors[..., None, :]
         # spread across the width, perpendicular to the wire in the chip plane;
         # filaments sit at the centers of equal-width sub-strips
         perp = np.cross(W_HAT, self.direction)
@@ -76,7 +80,7 @@ class WireGeometry:
         perp = perp / norm
         n = self.num_filaments
         offsets = (np.arange(n) + 0.5) / n * self.width - self.width / 2.0
-        return self.anchor[None, :] + offsets[:, None] * perp[None, :]
+        return anchors[..., None, :] + offsets[:, None] * perp[None, :]
 
     def with_depth(self, depth: float) -> "WireGeometry":
         """Same wire with the centerline moved to w = -depth."""
@@ -150,24 +154,33 @@ def wire_field(wire: WireGeometry, current: float, point: np.ndarray) -> np.ndar
     `point` may stack positions as (..., 3); all points and filaments are
     evaluated in one array pass and the result has the shape of `point`.
     """
+    return _filament_field(wire.filament_anchors(), wire.direction,
+                           current / wire.num_filaments, point)
+
+
+def _filament_field(anchors, d_hat, i_fil, point) -> np.ndarray:
+    """Field (T) at `point` (..., 3) of filaments along `d_hat` through `anchors`
+    (..., filaments, 3), each carrying `i_fil` (A); stacks of wires broadcast."""
     points = np.asarray(point, dtype=float)
-    d_hat = wire.direction
-    r = points[..., None, :] - wire.filament_anchors()     # (..., filaments, 3)
+    r = points[..., None, :] - anchors                       # (..., filaments, 3)
     r_perp = r - _dot(r, d_hat)[..., None] * d_hat
     dist = np.sqrt(_dot(r_perp, r_perp))
     # the degeneracy check runs even at zero current, keeping the
     # precondition independent of the drive
     bad = dist <= MIN_FILAMENT_DISTANCE
     if bad.any():
-        offender = points[tuple(np.argwhere(bad)[0][:-1])]
+        offender = np.broadcast_to(points, bad.shape[:-1] + (3,))[
+            tuple(np.argwhere(bad)[0][:-1])]
         raise DegeneratePoint(
             f"point {offender.tolist()} lies within {MIN_FILAMENT_DISTANCE} m "
             "of a filament centerline"
         )
-    # azimuthal field, right-hand rule around the current direction
-    i_fil = current / wire.num_filaments
+    # azimuthal field, right-hand rule around the current direction: d x r_perp
+    # from its component formulas, which round as np.cross does
     scale = MU0 * i_fil / (2.0 * math.pi * dist * dist)
-    return np.sum(scale[..., None] * np.cross(d_hat, r_perp), axis=-2)
+    (dx, dy, dz), (rx, ry, rz) = d_hat.tolist(), r_perp.T
+    cross = np.array([dy * rz - dz * ry, dz * rx - dx * rz, dx * ry - dy * rx]).T
+    return np.sum(scale[..., None] * cross, axis=-2)
 
 
 def rabi_frequency(constants: PhysicalConstants, b_ac_xy):
@@ -197,16 +210,26 @@ def field_sample(env: FieldEnvironment, drive: WireDrive, site: SpinSite) -> Fie
     return FieldSample(*(float(v) for v in values))
 
 
+def _site_addresses(env: FieldEnvironment, i_dc: float, sites) -> np.ndarray:
+    """omega_plus (Hz) of the sites at DC current `i_dc`, in one wire evaluation
+    and projection, rounding as `field_sample`; the first degenerate site raises."""
+    axes = np.array([dipole_axis(site.orientation) for site in sites])
+    b = wire_field(env.wire, i_dc, np.array([site.position for site in sites]))
+    omega_plus, _ = transition_frequencies(env.constants,
+                                           _dot(env.b_ext, axes) + _dot(b, axes))
+    return omega_plus
+
+
 def address_map(env: FieldEnvironment, drive: WireDrive, sites) -> AddressMap:
     """Frequency address of every site at the given DC current."""
     if not sites:
         raise ValueError("sites must be non-empty")
-    entries = [
+    ordered = sorted(sites, key=lambda s: s.id)
+    omega_plus = _site_addresses(env, drive.i_dc, ordered).tolist()
+    return AddressMap(entries=tuple(
         AddressMapEntry(site_id=site.id, position_u=float(site.position[0]),
-                        omega_plus=field_sample(env, drive, site).omega_plus)
-        for site in sorted(sites, key=lambda s: s.id)
-    ]
-    return AddressMap(entries=tuple(entries))
+                        omega_plus=omega)
+        for site, omega in zip(ordered, omega_plus)))
 
 
 def zeeman_shift(
@@ -246,42 +269,37 @@ def calibrate_wire(
     """
     if target_shift <= 0:
         raise NoSolution("target shift must be positive and reachable")
-    orientation = orientation or DipoleOrientation()
-    point = np.array([at_u, 0.0, 0.0])
+    axis = dipole_axis(orientation or DipoleOrientation())
+    point, wire = np.array([at_u, 0.0, 0.0]), env.wire
 
-    def residual(depth: float) -> float:
-        trial = FieldEnvironment(env.b_ext, env.wire.with_depth(depth), env.constants)
-        return zeeman_shift(trial, i_dc, point, orientation) - target_shift
+    def residuals(*depths) -> np.ndarray:
+        """zeeman_shift - target_shift of the wire at each depth, in one call."""
+        anchors = np.repeat(wire.anchor[None, :], len(depths), axis=0)
+        anchors[:, 2] = np.negative(depths)     # as `with_depth` places them
+        b = _filament_field(wire._anchors_at(anchors), wire.direction,
+                            i_dc / wire.num_filaments, point)
+        return env.constants.gamma_nv * _dot(b, axis) - target_shift
 
     lo, hi = CALIBRATION_DEPTH_RANGE
     grid = np.geomspace(lo, hi, 64)
-    values = [residual(d) for d in grid]
-    bracket = None
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        if fa == 0.0:
-            bracket = (a, a)
-            break
-        if fa * fb < 0:
-            bracket = (a, b)
-            break
-    if bracket is None:
-        if values[-1] == 0.0:
-            bracket = (grid[-1], grid[-1])
-        else:
-            raise NoSolution(
-                f"shift {target_shift:.6g} Hz unreachable for depths in "
-                f"[{lo:g}, {hi:g}] m"
-            )
-    lo, hi = bracket
-    lo_negative = residual(lo) < 0.0
+    values = residuals(*grid)
+    # the first grid depth with a zero residual or a sign change to the next
+    zero = values == 0.0
+    hits = np.flatnonzero(zero | np.append(values[:-1] * values[1:] < 0, False))
+    if not hits.size:
+        raise NoSolution(f"shift {target_shift:.6g} Hz unreachable for depths in "
+                         f"[{lo:g}, {hi:g}] m")
+    k = hits[0]
+    lo, hi = grid[k], grid[k] if zero[k] else grid[k + 1]
+    lo_negative = residuals(lo)[0] < 0.0
     for _ in range(CALIBRATION_HALVINGS if lo != hi else 0):
         mid = 0.5 * (lo + hi)
-        if (residual(mid) < 0.0) == lo_negative:
+        if (residuals(mid)[0] < 0.0) == lo_negative:
             lo = mid
         else:
             hi = mid
     depth = 0.5 * (lo + hi)
-    if abs(residual(depth)) > 1e3:
+    if abs(residuals(depth)[0]) > 1e3:
         raise NoSolution("bisection converged but missed the 1 kHz tolerance")
     return env.wire.with_depth(depth)
 

@@ -8,6 +8,8 @@ write/read round trips lossless for float64.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .dynamics import PulseProgram
@@ -27,35 +29,38 @@ def write_pulse(path, pulse: PulseProgram) -> None:
     """Write a pulse as CSV; one row per step."""
     i_amps, q_amps = pulse.amplitudes()
     t_ns = np.arange(1, len(i_amps) + 1) * pulse.dt * 1e9
+    table = np.stack([t_ns, i_amps * 1e-6, q_amps * 1e-6], axis=1)
     with open(path, "w", newline="") as fh:
         fh.write(PULSE_HEADER + "\n")
         for block in range(0, len(t_ns), _BLOCK_ROWS):
-            rows = slice(block, block + _BLOCK_ROWS)
-            fh.write("".join(f"{t:.17g},{i:.17g},{q:.17g}\n" for t, i, q in zip(
-                t_ns[rows].tolist(), (i_amps[rows] * 1e-6).tolist(),
-                (q_amps[rows] * 1e-6).tolist())))
+            values = table[block:block + _BLOCK_ROWS]
+            fh.write("%.17g,%.17g,%.17g\n" * len(values) % tuple(values.ravel().tolist()))
+
+
+def _line_numbers(lines):
+    """Line numbers of the non-blank data lines, worked out for error messages."""
+    return [n for n, line in enumerate(lines, start=1) if n > 1 and line.strip()]
 
 
 def _parse_rows(lines):
-    """Line numbers and (times, i_mhz, q_mhz) arrays of the non-blank data
-    lines: float() on every value in bulk, or, when that fails, row by row
-    to name the first bad line."""
-    numbers = [n for n, line in enumerate(lines, start=1) if n > 1 and line.strip()]
-    if not numbers:
+    """(times, i_mhz, q_mhz) arrays of the non-blank data lines: float() on
+    every value in bulk, or, when that fails, row by row to name the first
+    bad line."""
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
         raise ParseError("no data rows", line=2)
-    rows = [lines[n - 1] for n in numbers]
-    if all(line.count(",") == 2 for line in rows):
+    if list(map(str.count, rows, repeat(","))).count(2) == len(rows):
         values = np.empty((len(rows), 3))
         try:
             for block in range(0, len(rows), _BLOCK_ROWS):
                 fields = ",".join(rows[block:block + _BLOCK_ROWS]).split(",")
                 values[block:block + _BLOCK_ROWS].flat = np.fromiter(
                     map(float, fields), float, len(fields))
-            return numbers, values.T
+            return values.T
         except ValueError:
             pass
     values = []
-    for number, line in zip(numbers, rows):
+    for number, line in zip(_line_numbers(lines), rows):
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError("expected three comma-separated values", line=number)
@@ -63,27 +68,27 @@ def _parse_rows(lines):
             values.append([float(p) for p in parts])
         except ValueError:
             raise ParseError("non-numeric value", line=number) from None
-    return numbers, np.array(values).T
+    return np.array(values).T
 
 
 def read_pulse(path) -> PulseProgram:
     """Parse a pulse CSV, checking the header, finite values and the time grid."""
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0].strip() != PULSE_HEADER:
+        lines = fh.read().split("\n")
+    if lines[0].strip() != PULSE_HEADER:
         raise ParseError(f'expected header "{PULSE_HEADER}"', line=1)
-    numbers, (times, i_mhz, q_mhz) = _parse_rows(lines)
+    times, i_mhz, q_mhz = _parse_rows(lines)
     bad = ~(np.isfinite(times) & np.isfinite(i_mhz) & np.isfinite(q_mhz))
     if bad.any():
-        raise ParseError("non-finite value", line=numbers[np.argmax(bad)])
+        raise ParseError("non-finite value", line=_line_numbers(lines)[np.argmax(bad)])
     bad = np.diff(times, prepend=-np.inf) <= 0
     if bad.any():
         raise ParseError("times must be strictly increasing",
-                         line=numbers[np.argmax(bad)])
+                         line=_line_numbers(lines)[np.argmax(bad)])
     dt_ns = times[-1] / len(times)
     deviation = np.abs(times - dt_ns * np.arange(1, len(times) + 1))
     if np.max(deviation) > _SPACING_TOL * times[-1]:
         raise ParseError("time grid is not uniformly spaced",
-                         line=numbers[np.argmax(deviation)])
+                         line=_line_numbers(lines)[np.argmax(deviation)])
 
     return PulseProgram.from_arrays(i_mhz * 1e6, q_mhz * 1e6, dt_ns * 1e-9)

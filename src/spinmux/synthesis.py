@@ -51,6 +51,8 @@ class ControlScenario:
 
     def __post_init__(self):
         idles = tuple(float(d) for d in self.idle_detunings)
+        if not np.isfinite((*idles, self.target_detuning)).all():
+            raise ValueError("idle_detunings and target_detuning must be finite")
         for d in idles:
             if d == self.target_detuning:
                 raise ValueError("idle detunings must differ from the target's")
@@ -76,10 +78,10 @@ class OptimizerConfig:
         # written as "not (valid)" so that NaN is rejected too
         if not 0 <= self.lam < 1e-6:
             raise ValueError("lam must satisfy 0 <= lam < 1e-6 per Hz")
-        if not self.max_amp > 0:
-            raise ValueError("max_amp must be positive")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.max_amp < np.inf:
+            raise ValueError("max_amp must be positive and finite")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.max_iters < 0 or self.restarts < 1:
             raise ValueError("max_iters must be >= 0 and restarts >= 1")
 

@@ -193,6 +193,11 @@ class TestRectPiPulse:
         with pytest.raises(ValueError):
             rect_pi_pulse(1e6, m=0)
 
+    @pytest.mark.parametrize("rabi", (math.nan, math.inf))
+    def test_non_finite_rabi_rejected(self, rabi):
+        with pytest.raises(ValueError, match="rabi"):
+            rect_pi_pulse(rabi)
+
 
 class TestPhaseCovariance:
     def test_common_phase_shift_leaves_error_invariant(self):
@@ -247,3 +252,13 @@ class TestTypeInvariants:
             PulseProgram.from_arrays([0.0], [0.0], 0.0)
         with pytest.raises(ValueError):
             PulseProgram.from_arrays([0.0, 1.0], [0.0], 1e-9)
+
+    @pytest.mark.parametrize("i_amps, q_amps, dt, name", [
+        ([0.0], [0.0], math.nan, "dt"),
+        ([0.0], [0.0], math.inf, "dt"),
+        ([1e6, math.nan], [0.0, 0.0], 1e-9, "i_amps"),
+        ([1e6, 1e6], [0.0, -math.inf], 1e-9, "q_amps"),
+    ], ids=["dt-nan", "dt-inf", "i-nan", "q-inf"])
+    def test_pulse_rejects_non_finite_input(self, i_amps, q_amps, dt, name):
+        with pytest.raises(ValueError, match=name):
+            PulseProgram.from_arrays(i_amps, q_amps, dt)

@@ -18,9 +18,13 @@ from spinmux import (
     state_error,
     step_propagator,
 )
-from spinmux.experiments import _lorentzian_smooth
+from spinmux.dynamics import TWO_PI, _clamp_unit, _su2_pairs
+from spinmux.experiments import CrosstalkEntry, _flip_populations, _lorentzian_smooth
+from spinmux.fields import _field_arrays
+from spinmux.spins import dipole_axis, hyperfine_detunings
 
-from test_fields import demo_environment
+from test_fields import (assert_same_bits, demo_environment, mixed_sites,
+                         reference_omega_plus, strip_environment)
 
 
 def flip_population(rabi, delta, duration):
@@ -269,3 +273,124 @@ class TestCrosstalkLandscape:
                 assert abs(entry.epsilon - state_error(u, QubitState.ground())) <= 1e-12
                 bound = math.inf if delta == 0.0 else (rabi / delta) ** 2
                 assert entry.bound == pytest.approx(bound, rel=1e-12)
+
+
+class TestNonFiniteInput:
+    """Bad numbers stop with a ValueError naming the parameter, never a NaN result."""
+
+    @pytest.mark.parametrize("args, name", [
+        ((7.5e6, 0.0, [0.0, math.nan]), "durations"),
+        ((7.5e6, 0.0, [math.inf]), "durations"),
+        ((math.nan, 0.0, [1e-9]), "rabi"),
+        ((7.5e6, math.inf, [1e-9]), "delta"),
+    ], ids=["duration-nan", "duration-inf", "rabi-nan", "delta-inf"])
+    def test_rabi(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            simulate_rabi(*args)
+
+    @pytest.mark.parametrize("delta, t2_star, taus, name", [
+        (1e6, math.nan, [0.0, 1e-6], "t2_star"),
+        (math.nan, 1.7e-6, [0.0, 1e-6], "delta"),
+        (1e6, 1.7e-6, [0.0, math.inf], "taus"),
+    ], ids=["t2-nan", "delta-nan", "tau-inf"])
+    def test_ramsey(self, delta, t2_star, taus, name):
+        with pytest.raises(ValueError, match=name):
+            simulate_ramsey(delta, HyperfineManifold.triplet(), t2_star, taus)
+
+    @pytest.mark.parametrize("drive_dc, target_u, rabi_target, name", [
+        (0.15, 1.5e-6, math.nan, "rabi_target"),
+        (0.15, 1.5e-6, math.inf, "rabi_target"),
+    ], ids=["rabi-nan", "rabi-inf"])
+    def test_crosstalk(self, drive_dc, target_u, rabi_target, name):
+        grid = [np.array([u, 0.0, 0.0]) for u in (-1e-6, 2e-6)]
+        with pytest.raises(ValueError, match=name):
+            crosstalk_landscape(demo_environment(), drive_dc, target_u, rabi_target, grid)
+
+    @pytest.mark.parametrize("sites, probe_rabi, name", [
+        ([], 2e5, "sites"),
+        (None, math.nan, "probe_rabi"),
+    ], ids=["no-sites", "probe-nan"])
+    def test_odmr(self, sites, probe_rabi, name):
+        # an empty register gave NaN and a "Mean of empty slice" warning
+        site = SpinSite(id="s", position=np.array([0.5e-6, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=name):
+            simulate_odmr(demo_environment(), WireDrive(i_dc=0.0, i_ac=1e-3),
+                          [site] if sites is None else sites, probe_rabi,
+                          np.linspace(2.99e9, 3.01e9, 5))
+
+
+def reference_odmr(env, drive, sites, probe_rabi, scan, linewidth_floor):
+    """simulate_odmr with its lines collected site by site."""
+    manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)
+    lines = []
+    for site in sites:
+        omega_plus = reference_omega_plus(env, drive.i_dc, site)
+        omega_minus = 2.0 * env.constants.d_zfs - omega_plus
+        for omega in (omega_plus, omega_minus):
+            lines.extend(hyperfine_detunings(omega, manifold))
+    lines = np.asarray(lines)
+    contrast = np.mean(_flip_populations(probe_rabi, lines[None, :] - scan[:, None],
+                                         1.0 / (2.0 * probe_rabi)), axis=1)
+    if linewidth_floor > 0:
+        contrast = _lorentzian_smooth(scan, contrast, linewidth_floor)
+    return contrast
+
+
+def reference_crosstalk_entries(env, drive_dc, target_u, rabi_target, grid):
+    """crosstalk_landscape's entries, built one by one in an enumerate/zip loop."""
+    positions = np.asarray(list(grid), dtype=float).reshape(-1, 3)
+    orientation = DipoleOrientation()
+    target = SpinSite(id="target", position=np.array([target_u, 0.0, 0.0]),
+                      orientation=orientation)
+    target_sample = field_sample(env, WireDrive(i_dc=drive_dc, i_ac=1.0), target)
+    i_ac = rabi_target / rabi_frequency(env.constants, target_sample.b_ac_xy)
+    duration = 1.0 / (2.0 * rabi_target)
+    *_, b_ac_xy, omega_plus = _field_arrays(env, WireDrive(i_dc=drive_dc, i_ac=i_ac),
+                                            positions, dipole_axis(orientation))
+    rabis = rabi_frequency(env.constants, b_ac_xy)
+    deltas = omega_plus - target_sample.omega_plus
+    a, _ = _su2_pairs(TWO_PI * rabis, 0.0, TWO_PI * deltas, duration)
+    eps = _clamp_unit(1.0 - np.abs(a) ** 2)
+    return [
+        CrosstalkEntry(site_id=f"g{k:04d}", detuning=delta, epsilon=e,
+                       bound=math.inf if delta == 0.0 else (rabi / delta) ** 2)
+        for k, (rabi, delta, e) in enumerate(zip(rabis.tolist(), deltas.tolist(),
+                                                 eps.tolist()))
+    ]
+
+
+def entry_columns(entries):
+    return ([e.site_id for e in entries],
+            np.array([[e.detuning, e.epsilon, e.bound] for e in entries]).reshape(-1, 3))
+
+
+class TestStackedPathsMatchReferences:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_odmr_matches_site_by_site_lines(self, seed):
+        rng = np.random.default_rng(seed)
+        sites = mixed_sites(rng, 5)
+        for make_env in (demo_environment, strip_environment):
+            env = make_env()
+            drive = WireDrive(i_dc=rng.uniform(-0.2, 0.2), i_ac=1e-3)
+            scan = np.linspace(2.7e9, 3.3e9, 61)
+            for floor in (0.0, 2e5):
+                assert_same_bits(simulate_odmr(env, drive, sites, 0.2e6, scan, floor),
+                                 reference_odmr(env, drive, sites, 0.2e6, scan, floor))
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_crosstalk_entries_match_entry_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        target_u = rng.uniform(0.5e-6, 1.5e-6)
+        grid = [np.array([u, v, 0.0]) for u in np.linspace(-4e-6, 4e-6, 40)
+                for v in np.linspace(-2e-6, 2e-6, 25)]
+        grid[7] = np.array([target_u, 0.0, 0.0])     # zero detuning, infinite bound
+        for make_env in (demo_environment, strip_environment):
+            env = make_env()
+            for drive_dc in (0.0, 0.15):
+                got = crosstalk_landscape(env, drive_dc, target_u, 1e7, grid).entries
+                want = reference_crosstalk_entries(env, drive_dc, target_u, 1e7, grid)
+                (got_ids, got_values), (want_ids, want_values) = map(entry_columns,
+                                                                      (got, want))
+                assert got_ids == want_ids
+                assert_same_bits(got_values, want_values)
+                assert got[7].bound == math.inf

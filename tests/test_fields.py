@@ -18,11 +18,15 @@ from spinmux import (
     field_sample,
     project_field,
     rabi_frequency,
+    simulate_odmr,
+    transition_frequencies,
     wire_field,
     zeeman_shift,
 )
 import spinmux.fields as fields
-from spinmux.fields import MU0
+from spinmux.fields import (CALIBRATION_DEPTH_RANGE, CALIBRATION_HALVINGS,
+                            MIN_FILAMENT_DISTANCE, MU0)
+from spinmux.spins import _dot
 
 U_HAT = np.array([1.0, 0.0, 0.0])
 V_HAT = np.array([0.0, 1.0, 0.0])
@@ -43,6 +47,110 @@ def demo_environment():
         direction=-np.array([math.cos(tu), math.sin(tu), 0.0]),
     )
     return FieldEnvironment(b_ext=b_ext, wire=wire, constants=constants)
+
+
+def strip_environment():
+    """The demo bias field over a 5-filament, 2 um strip wire in the chip plane."""
+    env = demo_environment()
+    wire = WireGeometry(anchor=np.array([0.3e-6, -0.0, -1.2e-6]),
+                        direction=np.array([0.6, -0.8, 0.0]), num_filaments=5,
+                        width=2e-6)
+    return FieldEnvironment(env.b_ext, wire, env.constants)
+
+
+# References: the per-call paths that the stacked evaluations replaced.  Each
+# stacked path must give the same bits, signed zeros and messages included.
+
+def reference_wire_field(wire, current, point):
+    """wire_field with np.cross, one wire per call."""
+    points = np.asarray(point, dtype=float)
+    d_hat = wire.direction
+    r = points[..., None, :] - wire.filament_anchors()
+    r_perp = r - _dot(r, d_hat)[..., None] * d_hat
+    dist = np.sqrt(_dot(r_perp, r_perp))
+    bad = dist <= MIN_FILAMENT_DISTANCE
+    if bad.any():
+        offender = points[tuple(np.argwhere(bad)[0][:-1])]
+        raise DegeneratePoint(
+            f"point {offender.tolist()} lies within {MIN_FILAMENT_DISTANCE} m "
+            "of a filament centerline"
+        )
+    i_fil = current / wire.num_filaments
+    scale = MU0 * i_fil / (2.0 * math.pi * dist * dist)
+    return np.sum(scale[..., None] * np.cross(d_hat, r_perp), axis=-2)
+
+
+def reference_omega_plus(env, i_dc, site):
+    """A site's address as the per-site field_sample rounds it."""
+    axis = dipole_axis(site.orientation)
+    b_dc_z, _ = project_field(reference_wire_field(env.wire, i_dc, site.position), axis)
+    b_ext_z, _ = project_field(env.b_ext, axis)
+    return transition_frequencies(env.constants, b_ext_z + b_dc_z)[0]
+
+
+def reference_address_map(env, drive, sites):
+    """(site id, u, omega_plus) per site in id order, one site per evaluation."""
+    return [(site.id, float(site.position[0]), reference_omega_plus(env, drive.i_dc, site))
+            for site in sorted(sites, key=lambda s: s.id)]
+
+
+def reference_calibrate_wire(env, target_shift, at_u, i_dc):
+    """calibrate_wire with one FieldEnvironment and one field evaluation per depth."""
+    axis = dipole_axis(DipoleOrientation())
+    point = np.array([at_u, 0.0, 0.0])
+
+    def residual(depth):
+        trial = FieldEnvironment(env.b_ext, env.wire.with_depth(depth), env.constants)
+        b_z, _ = project_field(reference_wire_field(trial.wire, i_dc, point), axis)
+        return trial.constants.gamma_nv * b_z - target_shift
+
+    lo, hi = CALIBRATION_DEPTH_RANGE
+    grid = np.geomspace(lo, hi, 64)
+    values = [residual(d) for d in grid]
+    bracket = None
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+        if fa == 0.0:
+            bracket = (a, a)
+            break
+        if fa * fb < 0:
+            bracket = (a, b)
+            break
+    if bracket is None:
+        if values[-1] == 0.0:
+            bracket = (grid[-1], grid[-1])
+        else:
+            raise NoSolution("unreachable")
+    lo, hi = bracket
+    lo_negative = residual(lo) < 0.0
+    for _ in range(CALIBRATION_HALVINGS if lo != hi else 0):
+        mid = 0.5 * (lo + hi)
+        if (residual(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    depth = 0.5 * (lo + hi)
+    if abs(residual(depth)) > 1e3:
+        raise NoSolution("missed the 1 kHz tolerance")
+    return env.wire.with_depth(depth)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def mixed_sites(rng, n):
+    """Sites at seeded chip positions (w = +-0) with seeded dipole orientations."""
+    sites = []
+    for k in range(n):
+        position = np.array([rng.uniform(-3e-6, 3e-6), rng.uniform(-2e-6, 2e-6),
+                             rng.choice([0.0, -0.0])])
+        orientation = DipoleOrientation(rng.uniform(0.0, 180.0), rng.uniform(-180.0, 180.0))
+        sites.append(SpinSite(id=f"s{rng.integers(1000):03d}-{k}", position=position,
+                              orientation=orientation))
+    return sites
 
 
 class TestWireField:
@@ -250,3 +358,104 @@ class TestZeemanShift:
         env = demo_environment()
         assert abs(zeeman_shift(env, 0.15, np.zeros(3))) < 1e-3
 
+
+
+class TestStackedPathsMatchReferences:
+    @pytest.mark.parametrize("make_env", (demo_environment, strip_environment),
+                             ids=["thin", "strip"])
+    def test_wire_field_matches_np_cross(self, make_env):
+        wire = make_env().wire
+        rng = np.random.default_rng(31)
+        points = rng.uniform(-5e-6, 5e-6, (5, 4, 3))
+        points[0, :, 1] = -0.0            # signed zeros in every coordinate
+        points[1, :, 2] = 0.0
+        points[2, :, 0] = -0.0
+        points[3, :, 2] = -0.0
+        for current in (0.15, -0.07, 0.0, -0.0):
+            assert_same_bits(wire_field(wire, current, points),
+                             reference_wire_field(wire, current, points))
+            assert_same_bits(wire_field(wire, current, points[1, 2]),
+                             reference_wire_field(wire, current, points[1, 2]))
+
+    def test_wire_field_signed_zeros_on_an_axis_aligned_wire(self):
+        # d_hat and r_perp with zero components make most cross terms +-0
+        wire = WireGeometry(anchor=np.array([0.0, -0.0, -1e-6]), direction=U_HAT)
+        points = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1e-6, -0.0, 2e-6],
+                           [-1e-6, 3e-6, -0.0]])
+        for current in (0.1, -0.1, 0.0, -0.0):
+            assert_same_bits(wire_field(wire, current, points),
+                             reference_wire_field(wire, current, points))
+
+    @pytest.mark.parametrize("make_env", (demo_environment, strip_environment),
+                             ids=["thin", "strip"])
+    def test_calibrated_depth_matches_per_depth_reference(self, make_env):
+        env = make_env()
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            # reachable on both wires: their shift at 2-3 um and 0.12-0.2 A
+            # spans at least 0-170 MHz over the depth range
+            target = rng.uniform(30e6, 150e6)
+            at_u, i_dc = rng.uniform(2e-6, 3e-6), rng.uniform(0.12, 0.2)
+            want = reference_calibrate_wire(env, target, at_u, i_dc)
+            got = calibrate_wire(env, target, at_u, i_dc)
+            assert_same_bits(got.anchor, want.anchor)
+            assert got.num_filaments == want.num_filaments and got.width == want.width
+
+    @pytest.mark.parametrize("k", (0, 1, 10, 62, 63))
+    def test_zero_residual_on_the_scan_grid(self, k):
+        # a target equal to the shift at scan depth k gives an exact zero there,
+        # so the bracket collapses onto that depth with no halvings
+        env = demo_environment()
+        depth = np.geomspace(*CALIBRATION_DEPTH_RANGE, 64)[k]
+        point = np.array([2e-6, 0.0, 0.0])
+        axis = dipole_axis(DipoleOrientation())
+        b_z, _ = project_field(reference_wire_field(env.wire.with_depth(depth), 0.15,
+                                                    point), axis)
+        target = env.constants.gamma_nv * b_z
+        want = reference_calibrate_wire(env, target, 2e-6, 0.15)
+        assert want.anchor[2] == -depth
+        assert_same_bits(calibrate_wire(env, target, 2e-6, 0.15).anchor, want.anchor)
+
+    def test_unreachable_shift_agrees_with_reference(self):
+        env = strip_environment()
+        with pytest.raises(NoSolution):
+            reference_calibrate_wire(env, 1e12, 2e-6, 0.15)
+        with pytest.raises(NoSolution):
+            calibrate_wire(env, 1e12, 2e-6, 0.15)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_address_map_matches_per_site_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        sites = mixed_sites(rng, 7)
+        for make_env in (demo_environment, strip_environment):
+            env = make_env()
+            for i_dc in (0.15, -0.04, 0.0, -0.0):
+                drive = WireDrive(i_dc=i_dc, i_ac=1e-3)
+                got = [(e.site_id, e.position_u, e.omega_plus)
+                       for e in address_map(env, drive, sites).entries]
+                want = reference_address_map(env, drive, sites)
+                assert [g[0] for g in got] == [w[0] for w in want]
+                assert_same_bits([g[1:] for g in got], [w[1:] for w in want])
+
+    def test_degenerate_site_is_named_in_evaluation_order(self):
+        # two sites sit on the wire: the address map names the first in id
+        # order, the ODMR scan the first in the order given, as per-site
+        # evaluation did
+        env = demo_environment()
+        on_wire = [env.wire.anchor + t * env.wire.direction for t in (1e-6, -2e-6)]
+        sites = [SpinSite(id="nv-b", position=on_wire[0]),
+                 SpinSite(id="nv-c", position=np.array([1e-6, 0.0, 0.0])),
+                 SpinSite(id="nv-a", position=on_wire[1])]
+        drive = WireDrive(i_dc=0.1, i_ac=1e-3)
+        with pytest.raises(DegeneratePoint) as want:
+            reference_address_map(env, drive, sites)
+        with pytest.raises(DegeneratePoint) as got:
+            address_map(env, drive, sites)
+        assert str(got.value) == str(want.value)
+        assert str(on_wire[1].tolist()) in str(got.value)
+        with pytest.raises(DegeneratePoint) as want:
+            [reference_omega_plus(env, drive.i_dc, site) for site in sites]
+        with pytest.raises(DegeneratePoint) as got:
+            simulate_odmr(env, drive, sites, 2e5, [3.0e9])
+        assert str(got.value) == str(want.value)
+        assert str(on_wire[0].tolist()) in str(got.value)

@@ -26,17 +26,19 @@ class TestRoundTrip:
         for got, want in zip(back.amplitudes(), pulse.amplitudes()):
             assert np.max(np.abs(got - want)) <= 1e-3  # 1e-9 MHz in Hz
 
-    @pytest.mark.parametrize("m", (511, 512, 513, 1100))
+    @pytest.mark.parametrize("m", (1, 511, 512, 513, 1100, 3000))
     def test_long_pulse_matches_row_by_row_text(self, tmp_path, m):
         # the per-row writer and parser, as references for the blocked ones
         rng = np.random.default_rng(m)
-        pulse = PulseProgram.from_arrays(rng.uniform(-1e7, 1e7, m),
-                                         rng.uniform(-1e7, 1e7, m), 3.3e-9)
+        i_amps, q_amps = rng.uniform(-1e7, 1e7, m), rng.uniform(-1e7, 1e7, m)
+        i_amps[::7], q_amps[::5] = 0.0, -0.0     # signed zeros print as 0 and -0
+        pulse = PulseProgram.from_arrays(i_amps, q_amps, 3.3e-9)
         rows = [f"{k * pulse.dt * 1e9:.17g},{i * 1e-6:.17g},{q * 1e-6:.17g}"
                 for k, (i, q) in enumerate(zip(pulse.i_amps, pulse.q_amps), start=1)]
         path = tmp_path / "p.csv"
         write_pulse(path, pulse)
-        assert path.read_text() == "t_ns,i_mhz,q_mhz\n" + "".join(r + "\n" for r in rows)
+        assert path.read_bytes() == ("t_ns,i_mhz,q_mhz\n"
+                                     + "".join(r + "\n" for r in rows)).encode()
         want = np.array([[float(v) for v in r.split(",")] for r in rows])
         back = read_pulse(path)
         assert np.array_equal(back.i_amps, want[:, 1] * 1e6)
@@ -128,7 +130,14 @@ class TestParseErrors:
         ("10,1,0\n\n\n20,1,0,0\n30,1\n", 5, "three comma-separated"),
         ("10,1,0\n\n20,1,0\n30,1,x\n40,1\n", 5, "non-numeric"),
         ("10,1,0\n20, ,0\n", 3, "non-numeric"),
-    ], ids=["compensating-counts", "after-blanks", "bad-value-first", "blank-value"])
+        ("\n  \n\t\n", 2, "no data rows"),
+        ("10,1,0\n\n \n20,nan,0\n", 5, "non-finite"),
+        ("\n10,1,0\n\n20,1,0\n\t\n20,1,0\n", 7, "increasing"),
+        ("10,1,0\n\n20,1,0\n \n35,1,0\n", 4, "uniformly spaced"),
+        ("\n\n10,1,0\n20,1\n", 5, "three comma-separated"),
+    ], ids=["compensating-counts", "after-blanks", "bad-value-first", "blank-value",
+            "only-blanks", "non-finite-after-blanks", "increasing-after-blanks",
+            "spacing-after-blanks", "count-after-leading-blanks"])
     def test_first_bad_row_is_named(self, tmp_path, body, line, message):
         path = tmp_path / "p.csv"
         path.write_text("t_ns,i_mhz,q_mhz\n" + body)

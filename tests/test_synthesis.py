@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -466,3 +467,25 @@ class TestGradientReuse:
         assert counts["objective"] > counts["gradient"]
         assert counts["pairs"] == counts["objective"]
         assert counts["in_gradient"] == 0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(idle_detunings=(1e6, math.nan)), "idle_detunings"),
+        (dict(idle_detunings=(math.inf,)), "idle_detunings"),
+        (dict(idle_detunings=(1e6,), target_detuning=math.nan), "target_detuning"),
+    ], ids=["idle-nan", "idle-inf", "target-nan"])
+    def test_scenario_rejects_non_finite_detunings(self, kwargs, name):
+        # NaN detunings used to give cost(...).f == nan
+        with pytest.raises(ValueError, match=name):
+            ControlScenario(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(max_amp=math.inf), "max_amp"),
+        (dict(dt=math.inf), "dt"),
+    ], ids=["max-amp-inf", "dt-inf"])
+    def test_optimizer_rejects_infinite_settings(self, kwargs, name):
+        # an infinite max_amp made optimize divide by zero in _initial_amplitudes
+        with pytest.raises(ValueError, match=name):
+            optimize(ControlScenario(idle_detunings=(1e6,)),
+                     OptimizerConfig(m=4, max_iters=1, **kwargs))

@@ -7,10 +7,14 @@
 `run` executes address-map, simulate rabi/ramsey/odmr, crosstalk-map,
 optimize, simulate pulse and sweep exactly as the README quick start does,
 each as a fresh `python -m spinmux` process importing the package from SRC
-(a `src/` directory) and reading the demo configs bundled there.  With
-`--rev`, SRC is that git revision's `src/`, exported with `git archive`
-into a temporary directory that is removed afterwards.  Outputs and the
-exit codes (`exit_codes.json`) land in OUTDIR.  With `--pulse`,
+(a `src/` directory) and reading the demo configs bundled there.  It then
+runs `demo_configs()` of the `tools/regen_demo_configs.py` beside SRC and
+writes each config's calibrated wire anchor, DC current and carrier to
+`calibration.jsonl`, so a change in `calibrate_wire`, which no README
+command runs, shows too.  With `--rev`, SRC is that git revision's `src/`
+(and its `tools/regen_demo_configs.py`), exported with `git archive` into a
+temporary directory that is removed afterwards.  Outputs and the exit codes
+(`exit_codes.json`) land in OUTDIR.  With `--pulse`,
 `simulate pulse` and `sweep` read that pulse file instead of the one
 `optimize` wrote, so two trees can be compared on identical inputs.  A
 revision against the working tree is then three commands:
@@ -71,6 +75,21 @@ def readme_commands(data: Path, out: Path, pulse: Path):
     ]
 
 
+# Writes the calibrated quantities of the demo configs as JSON lines; argv is
+# the tools directory and the output file, and spinmux comes from PYTHONPATH.
+CALIBRATION = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from regen_demo_configs import demo_configs
+with open(sys.argv[2], "w") as fh:
+    for name, doc in demo_configs().items():
+        fh.write(json.dumps({"config": name,
+                             "anchor_um": doc["environment"]["wire"]["anchor_um"],
+                             "i_dc_ma": doc["drive"]["i_dc_ma"],
+                             "carrier_ghz": doc["drive"]["carrier_ghz"]}) + "\\n")
+"""
+
+
 def run(src: Path, out: Path, pulse: Path | None) -> int:
     src = src.resolve()
     if not (src / "spinmux" / "__init__.py").is_file():
@@ -92,6 +111,17 @@ def run(src: Path, out: Path, pulse: Path | None) -> int:
         print(f"{name}: exit {proc.returncode}")
         if proc.stderr.strip():
             print("  " + proc.stderr.strip().replace("\n", "\n  "))
+    tools = src.parent / "tools"
+    if (tools / "regen_demo_configs.py").is_file():
+        proc = subprocess.run([sys.executable, "-c", CALIBRATION, str(tools),
+                               str(out / "calibration.jsonl")], env=env,
+                              capture_output=True, text=True)
+        codes["calibration"] = proc.returncode
+        print(f"calibration: exit {proc.returncode}")
+        if proc.stderr.strip():
+            print("  " + proc.stderr.strip().replace("\n", "\n  "))
+    else:
+        print(f"calibration: skipped, no {tools / 'regen_demo_configs.py'}")
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
     return 0
 
@@ -102,7 +132,8 @@ def run_rev(rev: str, out: Path, pulse: Path | None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "src.tar"
         proc = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar",
-                               "-o", str(archive), rev, "src"],
+                               "-o", str(archive), rev, "src",
+                               "tools/regen_demo_configs.py"],
                               capture_output=True, text=True)
         if proc.returncode:
             print(f"error: git archive {rev}: {proc.stderr.strip()}", file=sys.stderr)
