@@ -199,8 +199,8 @@ def cmd_optimize(args) -> int:
     if not trace.converged:
         eps_i, eps_j = trace.rows[-1].eps_i, sum(trace.rows[-1].eps_j)
         print(f"warning: tolerance missed: eps_i={eps_i:.6g}, sum(eps_j)={eps_j:.6g}, "
-              f"(1 - eps_i) + sum(eps_j) = {1.0 - eps_i + eps_j:.6g} > tol={opt.tol:g}",
-              file=sys.stderr)
+              f"(1 - eps_i) + sum(eps_j) = {1.0 - eps_i + eps_j:.6g} > tol={opt.tol:g}, "
+              f"stopped: {trace.stop_reason}", file=sys.stderr)
         return 4
     return 0
 

@@ -146,6 +146,9 @@ def crosstalk_landscape(
     grid position then sees its own detuning and its own (position-scaled)
     drive amplitude.
     """
+    for name, value in (("drive_dc", drive_dc), ("target_u", target_u)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if not 0 < rabi_target < math.inf:
         raise ValueError("rabi_target must be positive and finite")
     orientation = orientation or DipoleOrientation()

@@ -84,8 +84,8 @@ class SpinSite:
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,):
-            raise ValueError("position must be a 3-vector")
+        if pos.shape != (3,) or not np.isfinite(pos).all():
+            raise ValueError("position must be a finite 3-vector")
         if not self.t2_star > 0:
             raise ValueError("t2_star must be positive")
         object.__setattr__(self, "position", pos)

@@ -9,11 +9,17 @@ goes from |0> to |1>, eps_j the averaged departure of each spectator from |0>,
 and R a total-variation penalty that keeps the waveform
 generator-friendly.  The epsilon terms carry exact analytic gradients through
 the closed-form step exponentials; R contributes a sign subgradient.
+
+The forward kernel and the gradient take (P, m) amplitude stacks, one pulse
+per row, and give per-pulse results (a 1-d pulse is a stack of one), so that
+`optimize` runs a group of restarts with one forward call per line-search
+round and one gradient call per iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -122,14 +128,20 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Accepted-iteration history of the descent that produced a pulse."""
+    """Accepted-iteration history of the descent that produced a pulse, and why
+    it stopped: converged, stationary, max_iters or diverged (by default, as
+    `converged` says)."""
 
     rows: tuple
     converged: bool
     restart: int
+    stop_reason: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+        if not self.stop_reason:
+            object.__setattr__(self, "stop_reason",
+                               "converged" if self.converged else "max_iters")
 
 
 class _Ensemble:
@@ -168,25 +180,26 @@ class _Ensemble:
         return cls(spins, scenario.manifold)
 
     def forward(self, i_amps, q_amps, dt, rows):
-        """<bra|U|ket> of the members in `rows`, and the record the gradient
-        reads: (rows, the levels of the steps' `_tree`, `_su2_pairs`'s k)."""
-        steps, k = _su2_pairs(TWO_PI * np.asarray(i_amps)[None, :],
-                              TWO_PI * np.asarray(q_amps)[None, :],
+        """<bra|U|ket> of the members in `rows` per pulse of the (..., m)
+        amplitudes, and the record the gradient reads: (rows, the levels of
+        the steps' `_tree`, `_su2_pairs`'s k), each with the pulse axes first."""
+        steps, k = _su2_pairs(TWO_PI * np.asarray(i_amps)[..., None, :],
+                              TWO_PI * np.asarray(q_amps)[..., None, :],
                               TWO_PI * self.deltas[rows, None], dt, coefficient=True)
         levels = _tree(*steps)
-        final = _compose(levels[-1][0][:, 0], levels[-1][1][:, 0], *self.kets[rows].T)
+        final = _compose(levels[-1][0][..., 0], levels[-1][1][..., 0], *self.kets[rows].T)
         return self._overlaps(*final, rows), (rows, levels, k)
 
     def transfer_means(self, i_amps, q_amps, dt, record=None) -> np.ndarray:
-        """Mean |<bra|U|ket>|^2 per spin, in spin order, evaluated in row
-        blocks of at most _BLOCK_MEMBER_STEPS member-steps (one member per
-        block when the pulse alone is longer).  Each block's `forward` record
-        is appended to the list `record` when one is given."""
-        n, rows = len(self.deltas), max(1, _BLOCK_MEMBER_STEPS // len(i_amps))
-        members = np.empty(n)
+        """Mean |<bra|U|ket>|^2 per pulse and spin, in spin order, evaluated in
+        row blocks of at most _BLOCK_MEMBER_STEPS member-steps over all pulses
+        (one member per block when the pulses alone are longer).  Each block's
+        `forward` record is appended to the list `record` when one is given."""
+        n, rows = len(self.deltas), max(1, _BLOCK_MEMBER_STEPS // np.size(i_amps))
+        members = np.empty(np.shape(i_amps)[:-1] + (n,))
         for start in range(0, n, rows):
             z, block_record = self.forward(i_amps, q_amps, dt, slice(start, start + rows))
-            members[block_record[0]] = np.abs(z) ** 2
+            members[..., block_record[0]] = np.abs(z) ** 2
             if record is not None:
                 record.append(block_record)
             del z, block_record     # not alive while the next block is built
@@ -198,7 +211,8 @@ class _Ensemble:
 
     def _per_spin(self, member_values: np.ndarray) -> np.ndarray:
         """Mean over each spin's members, which are laid out spin-major."""
-        return member_values.reshape(self.num_spins, -1).sum(axis=1) * self.weight
+        shape = member_values.shape[:-1] + (self.num_spins, -1)
+        return member_values.reshape(shape).sum(axis=-1) * self.weight
 
 
 def regularization(pulse: PulseProgram, lam: float) -> float:
@@ -222,8 +236,8 @@ def _regularization_gradient(i_amps, q_amps, lam: float):
     def sub(a):
         s = np.sign(np.diff(a))
         g = np.zeros_like(a)
-        g[:-1] += s        # d|a_l - a_{l+1}|/da_l = sign(a_l - a_{l+1}) = -s
-        g[1:] -= s
+        g[..., :-1] += s   # d|a_l - a_{l+1}|/da_l = sign(a_l - a_{l+1}) = -s
+        g[..., 1:] -= s
         return -lam * g
 
     return sub(np.asarray(i_amps, dtype=float)), sub(np.asarray(q_amps, dtype=float))
@@ -235,12 +249,15 @@ def _errors(target_transfer, spectator_transfers):
 
 
 def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record=None):
-    """f and its parts for amplitude arrays; the one place f is assembled."""
+    """f and its parts for amplitude arrays, one CostBreakdown per pulse of a
+    (P, m) stack (one for a 1-d pulse); the one place f is assembled."""
     transfer = ens.transfer_means(i_amps, q_amps, dt, record)
-    reg = _regularization(i_amps, q_amps, lam)
-    eps_i, eps_j = _errors(transfer[0], transfer[1:])
-    f = (1.0 - eps_i) + sum(eps_j) + reg
-    return CostBreakdown(eps_i=eps_i, eps_j=eps_j, reg=reg, f=f)
+    out = []
+    for t, i_row, q_row in zip(*map(np.atleast_2d, (transfer, i_amps, q_amps))):
+        reg = _regularization(i_row, q_row, lam)
+        eps_i, eps_j = _errors(t[0], t[1:])
+        out.append(CostBreakdown(eps_i, eps_j, reg, (1.0 - eps_i) + sum(eps_j) + reg))
+    return out if transfer.ndim > 1 else out[0]
 
 
 def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record):
@@ -264,7 +281,8 @@ def gradient(pulse: PulseProgram, scenario: ControlScenario, lam: float):
 
 
 def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
-    """Gradient of the epsilon part of f with respect to I and Q.
+    """Gradient of the epsilon part of f with respect to I and Q, per pulse of
+    (..., m) amplitudes whose forward `record` holds the same pulse axes.
 
     GRAPE-style, from one prefix scan P_l = U_l ... U_0 with U = P_{m-1}, the
     down-sweep of each member block's tree in the forward `record`.  The state
@@ -282,11 +300,11 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
     where R_0 = Re(conj(z) <chi|psi>) and R_n = Im(conj(z) <chi|sigma_n|psi>)
     per member and step.  z is folded into the costate,
     z chi_l = P_l (z U^H bra), so the four forms take four complex products
-    and dU is never formed.
+    and dU is never formed.  Members and steps are the last two axes.
     """
-    ax = TWO_PI * np.asarray(i_amps, dtype=float)
-    ay = TWO_PI * np.asarray(q_amps, dtype=float)
-    terms = np.empty((3, len(ens.deltas), len(ax)))   # summed once, as unblocked
+    ax = TWO_PI * np.asarray(i_amps, dtype=float)[..., None, :]
+    ay = TWO_PI * np.asarray(q_amps, dtype=float)[..., None, :]
+    terms = np.empty((3, *ax.shape[:-2], len(ens.deltas), ax.shape[-1]))  # summed once
     while record:   # consumed: a block's tree is freed once it is swept
         rows, levels, k = record.pop(0)
         az = TWO_PI * ens.deltas[rows, None]
@@ -296,14 +314,15 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
         (ket0, ket1), bras = ens.kets[rows].T, ens.bras[rows].T
         # f_l = P_l ket, so psi_l = f_{l-1} and z = <bra|f_{m-1}>
         f0, f1 = _compose(a, b, ket0[:, None], ket1[:, None])
-        z = ens._overlaps(f0[:, -1], f1[:, -1], rows)
+        z = ens._overlaps(f0[..., -1], f1[..., -1], rows)
         # conj(z chi_l) = conj(P_l) v with v = conj(z U^H bra), U^H = (a*, -b)
-        w0, w1 = _compose(a[:, -1].conj(), -b[:, -1], *bras)
+        w0, w1 = _compose(a[..., -1].conj(), -b[..., -1], *bras)
         c0, c1 = _compose(a.conj(), b.conj(),
-                          (z * w0).conj()[:, None], (z * w1).conj()[:, None])
+                          (z * w0).conj()[..., None], (z * w1).conj()[..., None])
         del a, b
-        psi0 = np.concatenate([ket0[:, None], f0[:, :-1]], axis=1)
-        psi1 = np.concatenate([ket1[:, None], f1[:, :-1]], axis=1)
+        psi0, psi1 = np.empty_like(f0), np.empty_like(f1)
+        psi0[..., 0], psi1[..., 0] = ket0, ket1
+        psi0[..., 1:], psi1[..., 1:] = f0[..., :-1], f1[..., :-1]
         del f0, f1
 
         # the four forms, from the products conj(z chi)_i psi_j
@@ -318,12 +337,12 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
         del u01, u10
 
         # a_x and a_y are shared by every member, so they multiply the member sum
-        terms[0, rows] = q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0
-        terms[1, rows], terms[2, rows] = k * rx, k * ry
-    t, kx, ky = (term.sum(axis=0) for term in terms)
+        terms[0, ..., rows, :] = q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0
+        terms[1, ..., rows, :], terms[2, ..., rows, :] = k * rx, k * ry
+    t, kx, ky = (term.sum(axis=-2) for term in terms)
     # -2 per member, manifold-weighted; 2*pi chains a_x, a_y to I, Q
     coeff = -2.0 * TWO_PI * ens.weight
-    return coeff * (ax * t + kx), coeff * (ay * t + ky)
+    return coeff * (ax[..., 0, :] * t + kx), coeff * (ay[..., 0, :] * t + ky)
 
 
 def _initial_amplitudes(config: OptimizerConfig, restart: int):
@@ -336,83 +355,105 @@ def _initial_amplitudes(config: OptimizerConfig, restart: int):
     return np.clip(i_amps, -clip, clip), np.clip(q_amps, -clip, clip)
 
 
-def _descend(ens: _Ensemble, config: OptimizerConfig, restart: int):
-    """One restart of projected-gradient descent with Armijo backtracking."""
-    dt = config.step_duration
-    lam = config.lam
-    clip = config.max_amp
-    i_amps, q_amps = _initial_amplitudes(config, restart)
-    record = []           # the forward record of the accepted iterate
-    bd = _objective(ens, i_amps, q_amps, dt, lam, record)
-    rows = [TraceRow(0, bd.f, bd.eps_i, bd.eps_j, bd.reg, 0.0)]
-    alpha = None
-    converged = bd.f - bd.reg <= config.tol
-    diverged = False
+def _group_record(parts):
+    """The forward record of the stacked pulses `parts`, [(record, p)] in stack
+    order: one call's record as it is when it holds exactly these pulses,
+    else their blocks stacked level by level (every call of a lockstep group
+    runs in one block, see `optimize`)."""
+    record = parts[0][0]
+    if len(record[0][2]) == len(parts) and all(
+            rec is record and p == n for n, (rec, p) in enumerate(parts)):
+        return record
+    return [(rows, [tuple(np.stack([rec[j][1][n][s][p] for rec, p in parts]) for s in (0, 1))
+                    for n in range(len(levels))],
+             np.stack([rec[j][2][p] for rec, p in parts]))
+            for j, (rows, levels, _) in enumerate(record)]
 
+
+def _descend(ens: _Ensemble, config: OptimizerConfig, restarts):
+    """Projected-gradient descent with Armijo backtracking for restarts in
+    lockstep, each taking exactly the steps it would take alone: one stacked
+    objective call per line-search round, one stacked gradient per iteration.
+    Returns the kept restarts in order, with their `stop` reason (None at
+    max_iters); a converged restart drops the later ones, never run alone."""
+    dt, lam, clip = config.step_duration, config.lam, config.max_amp
+    runs = [SimpleNamespace(restart=r, rows=[], alpha=None, trial=None, stop=None)
+            for r in restarts]
+
+    def evaluate(candidates, it):
+        """One stacked objective call; accept the Armijo candidates (all at 0)."""
+        record = []
+        bds = _objective(ens, np.array([c[1] for c in candidates]),
+                         np.array([c[2] for c in candidates]), dt, lam, record)
+        for p, ((run, i_amps, q_amps, move), bd) in enumerate(zip(candidates, bds)):
+            if it and not bd.f <= run.bd.f - ARMIJO_C * move:
+                run.trial *= BACKTRACK_FACTOR
+                continue
+            run.i_amps, run.q_amps, run.bd, run.record = i_amps, q_amps, bd, (record, p)
+            run.rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, run.trial or 0.0))
+            if it:
+                run.alpha, run.trial = run.trial * STEP_GROWTH, None
+            if bd.f - bd.reg <= config.tol:
+                run.stop = "converged"
+                del runs[run.restart - runs[0].restart + 1:]
+
+    evaluate([(run, *_initial_amplitudes(config, run.restart), 0.0) for run in runs], 0)
     for it in range(1, config.max_iters + 1):
-        if converged:
+        active = [run for run in runs if run.stop is None]
+        if not active:
             break
-        g_i, g_q = _objective_gradient(ens, i_amps, q_amps, dt, lam, record)
-        gnorm2 = float(np.dot(g_i, g_i) + np.dot(g_q, g_q))
-        if gnorm2 == 0.0:
-            break
-        if alpha is None:
-            gmax = max(np.max(np.abs(g_i)), np.max(np.abs(g_q)))
-            alpha = 0.1 * config.max_amp / gmax
-        trial = alpha
-        accepted = False
-        floor_hit = False
+        grads = _objective_gradient(ens, np.array([run.i_amps for run in active]),
+                                    np.array([run.q_amps for run in active]), dt, lam,
+                                    _group_record([run.record for run in active]))
+        for run, g_i, g_q in zip(active, *grads):
+            if float(np.dot(g_i, g_i) + np.dot(g_q, g_q)) == 0.0:
+                run.stop = "stationary"
+                continue
+            if run.alpha is None:
+                run.alpha = 0.1 * clip / max(np.max(np.abs(g_i)), np.max(np.abs(g_q)))
+            run.g_i, run.g_q, run.trial = g_i, g_q, run.alpha
         for _ in range(MAX_BACKTRACKS):
-            cand_i = np.clip(i_amps - trial * g_i, -clip, clip)
-            cand_q = np.clip(q_amps - trial * g_q, -clip, clip)
-            # projected Armijo: decrease measured against the realized move
-            move = float(np.dot(g_i, i_amps - cand_i) + np.dot(g_q, q_amps - cand_q))
-            if ARMIJO_C * move < _DECREASE_FLOOR * max(1.0, abs(bd.f)):
-                floor_hit = True
+            candidates = []
+            for run in (run for run in runs if run.trial is not None):
+                cand_i = np.clip(run.i_amps - run.trial * run.g_i, -clip, clip)
+                cand_q = np.clip(run.q_amps - run.trial * run.g_q, -clip, clip)
+                # projected Armijo: decrease measured against the realized move
+                move = float(np.dot(run.g_i, run.i_amps - cand_i)
+                             + np.dot(run.g_q, run.q_amps - cand_q))
+                if ARMIJO_C * move < _DECREASE_FLOOR * max(1.0, abs(run.bd.f)):
+                    run.stop, run.trial = "stationary", None   # float resolution
+                else:
+                    candidates.append((run, cand_i, cand_q, move))
+            if not candidates:
                 break
-            cand_record = []
-            cand_bd = _objective(ens, cand_i, cand_q, dt, lam, cand_record)
-            if cand_bd.f <= bd.f - ARMIJO_C * move:
-                i_amps, q_amps, bd, record = cand_i, cand_q, cand_bd, cand_record
-                rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, trial))
-                alpha = trial * STEP_GROWTH
-                accepted = True
-                break
-            trial *= BACKTRACK_FACTOR
-        if not accepted:
-            if floor_hit:
-                break  # decrease below float resolution: stationary
-            diverged = True
-            break
-        converged = bd.f - bd.reg <= config.tol
-
-    pulse = PulseProgram.from_arrays(i_amps, q_amps, dt)
-    trace = OptimizationTrace(rows=tuple(rows), converged=converged, restart=restart)
-    return pulse, trace, bd, diverged
+            evaluate(candidates, it)
+        for run in (run for run in runs if run.trial is not None):
+            run.stop, run.trial = "diverged", None
+    return runs
 
 
 def optimize(scenario: ControlScenario, config: OptimizerConfig):
     """Synthesize a pulse for the scenario; returns (pulse, trace).
 
     Runs up to `config.restarts` independently seeded descents, stopping early
-    once one reaches the tolerance; the best final objective wins.  Raises
-    Diverged (carrying the best artifacts so far) only if every restart stalls
-    in its line search.
+    once one reaches the tolerance; the best final objective wins.  Restarts
+    run in lockstep groups of as many as fit one forward block, with the
+    result of running them one after another.  Raises Diverged (carrying the
+    best artifacts so far) only if every restart stalls in its line search.
     """
     ens = _Ensemble.for_scenario(scenario)
-    best = None
-    any_ok = False
-    for restart in range(config.restarts):
-        pulse, trace, bd, diverged = _descend(ens, config, restart)
-        if best is None or bd.f < best[2].f:
-            best = (pulse, trace, bd)
-        any_ok = any_ok or not diverged
-        if trace.converged:
+    group = max(1, _BLOCK_MEMBER_STEPS // (len(ens.deltas) * config.m))
+    runs = []
+    for start in range(0, config.restarts, group):
+        runs += _descend(ens, config, range(config.restarts)[start:start + group])
+        if runs[-1].stop == "converged":
             break
-    if not any_ok:
-        raise Diverged("no descent step accepted in any restart",
-                       pulse=best[0], trace=best[1])
-    return best[0], best[1]
+    best = min(runs, key=lambda run: run.bd.f)
+    pulse = PulseProgram.from_arrays(best.i_amps, best.q_amps, config.step_duration)
+    trace = OptimizationTrace(best.rows, best.stop == "converged", best.restart, best.stop)
+    if all(run.stop == "diverged" for run in runs):
+        raise Diverged("no descent step accepted in any restart", pulse=pulse, trace=trace)
+    return pulse, trace
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,7 @@ class TestOptimizeCommand:
         assert f"eps_i={last['eps_i']:.6g}" in stderr[0]
         assert f"sum(eps_j)={sum(last['eps_j']):.6g}" in stderr[0]
         assert "tol=0.001" in stderr[0]
+        assert stderr[0].endswith("stopped: stationary")
 
     def test_divergence_exit_code_still_writes_artifacts(self, close_pair_config,
                                                          tmp_path, monkeypatch):

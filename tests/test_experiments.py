@@ -300,7 +300,11 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("drive_dc, target_u, rabi_target, name", [
         (0.15, 1.5e-6, math.nan, "rabi_target"),
         (0.15, 1.5e-6, math.inf, "rabi_target"),
-    ], ids=["rabi-nan", "rabi-inf"])
+        # these two used to fail as "epsilon out of [0, 1] at g0000"
+        (math.nan, 1.5e-6, 1e7, "drive_dc"),
+        (0.15, math.nan, 1e7, "target_u"),
+        (math.inf, 1.5e-6, 1e7, "drive_dc"),
+    ], ids=["rabi-nan", "rabi-inf", "dc-nan", "target-u-nan", "dc-inf"])
     def test_crosstalk(self, drive_dc, target_u, rabi_target, name):
         grid = [np.array([u, 0.0, 0.0]) for u in (-1e-6, 2e-6)]
         with pytest.raises(ValueError, match=name):

@@ -1,7 +1,7 @@
 """The pair kernel (tree product and prefix scan) against a stepwise 2x2 loop,
 the scan as the tree's down-sweep against the recursive scan, and the
 one-scan gradient against the two-scan, derivative-pair gradient; blocked
-forward evaluation against one block."""
+forward evaluation against one block; pulse stacks against one pulse at a time."""
 
 import tracemalloc
 
@@ -402,3 +402,25 @@ def test_transfer_means_memory_stays_flat():
         tracemalloc.stop()
     assert peak < 2e6
 
+
+
+@pytest.mark.parametrize("m", (1, 2, 7, 200))
+@pytest.mark.parametrize("budget", (2 ** 14, 1000, 1))
+@pytest.mark.parametrize("spectators", (1, 2, 3))
+def test_stacked_pulses_equal_one_pulse_at_a_time(monkeypatch, m, budget, spectators):
+    # a (P, m) stack gives each pulse's transfers and gradient bit for bit,
+    # whatever blocks the stack and the single pulse are cut into
+    rng = np.random.default_rng([m, budget, spectators])
+    ens = mixed_ensemble(rng, spectators)
+    i_amps, q_amps = rng.uniform(-5e6, 5e6, (2, 3, m))
+    monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
+    record = []
+    transfers = ens.transfer_means(i_amps, q_amps, DT, record)
+    grads = _cost_gradient_arrays(ens, i_amps, q_amps, DT, record)
+    assert transfers.shape == (3, 1 + spectators) and grads[0].shape == (3, m)
+    for p in range(3):
+        record = []
+        assert np.array_equal(transfers[p], ens.transfer_means(i_amps[p], q_amps[p],
+                                                               DT, record))
+        want = _cost_gradient_arrays(ens, i_amps[p], q_amps[p], DT, record)
+        assert np.array_equal(grads[0][p], want[0]) and np.array_equal(grads[1][p], want[1])

@@ -149,3 +149,9 @@ class TestParameterValidation:
             with pytest.raises(ValueError):
                 SpinSite(id="q", position=np.zeros(3), t2_star=t2_star)
         assert SpinSite(id="q", position=np.zeros(3)).t2_star == 1.7e-6
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_site_position_must_be_finite(self, bad):
+        # a NaN position made address_map and zeeman_shift return NaN
+        with pytest.raises(ValueError, match="position"):
+            SpinSite(id="q", position=np.array([1e-6, bad, 0.0]))

@@ -19,7 +19,9 @@ from spinmux import (
     sensitivity_sweep,
     SweepPoint,
 )
-from spinmux.synthesis import _Ensemble, _initial_amplitudes, _objective
+from spinmux.errors import Diverged
+from spinmux.synthesis import (OptimizationTrace, TraceRow, _Ensemble, _initial_amplitudes,
+                               _objective)
 
 TRIPLET = HyperfineManifold.triplet()
 NO_MANIFOLD = HyperfineManifold.triplet(0.0)
@@ -387,17 +389,18 @@ class TestBatchedSweep:
 
 class TestGradientReuse:
     """The descent hands each accepted iterate's forward record to its
-    gradient, which then rebuilds no step."""
+    gradient, which then rebuilds no step; with restarts in lockstep, records
+    accepted in different line-search rounds are stacked into one gradient."""
 
     @staticmethod
     def descent_gradients(monkeypatch, scenario, config):
-        """(I, Q, gradient) at every gradient the descent takes."""
+        """(I, Q, gradient) of every pulse at every gradient the descent takes."""
         seen = []
         objective_gradient = synthesis._objective_gradient
 
         def capturing(ens, i_amps, q_amps, dt, lam, record):
             g = objective_gradient(ens, i_amps, q_amps, dt, lam, record)
-            seen.append((np.array(i_amps), np.array(q_amps), g))
+            seen.extend(zip(np.array(i_amps), np.array(q_amps), zip(*g)))
             return g
 
         monkeypatch.setattr(synthesis, "_objective_gradient", capturing)
@@ -420,7 +423,7 @@ class TestGradientReuse:
         idle = (1.1e6, -0.7e6, 2.3e6)[:spectators]
         scenario = ControlScenario(idle_detunings=idle, manifold=manifold)
         config = OptimizerConfig(m=m, dt=1e-6 / m, lam=1e-9, max_iters=4, tol=0.0,
-                                 seed=m + spectators)
+                                 seed=m + spectators, restarts=3)
         seen = self.descent_gradients(monkeypatch, scenario, config)
         self.assert_equal_from_scratch(seen, scenario, config)
 
@@ -428,45 +431,260 @@ class TestGradientReuse:
         # the pi-area amplitude (5e5 Hz) lies above max_amp, so I is clipped
         scenario = ControlScenario(idle_detunings=(1.1e6, -0.7e6), manifold=TRIPLET)
         config = OptimizerConfig(m=37, dt=1e-6 / 37, lam=1e-9, max_iters=4, tol=0.0,
-                                 max_amp=4e5)
+                                 max_amp=4e5, restarts=3)
         seen = self.descent_gradients(monkeypatch, scenario, config)
         assert all(np.sum(np.abs(i_amps) == config.max_amp) > 0 for i_amps, _, _ in seen)
         self.assert_equal_from_scratch(seen, scenario, config)
 
     def test_su2_pairs_runs_once_per_objective_and_never_in_the_gradient(
             self, monkeypatch):
-        counts = {"pairs": 0, "objective": 0, "gradient": 0, "in_gradient": 0}
-        inside = [False]
-        su2_pairs = synthesis._su2_pairs
-        objective, objective_gradient = synthesis._objective, synthesis._objective_gradient
-
-        def counting_pairs(*args, **kwargs):
-            counts["pairs"] += 1
-            counts["in_gradient"] += inside[0]
-            return su2_pairs(*args, **kwargs)
-
-        def counting_objective(*args):
-            counts["objective"] += 1
-            return objective(*args)
-
-        def flagging_gradient(*args):
-            counts["gradient"] += 1
-            inside[0] = True
-            try:
-                return objective_gradient(*args)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(synthesis, "_su2_pairs", counting_pairs)
-        monkeypatch.setattr(synthesis, "_objective", counting_objective)
-        monkeypatch.setattr(synthesis, "_objective_gradient", flagging_gradient)
-        scenario = ControlScenario(idle_detunings=(1.1e6, -2.3e6), manifold=TRIPLET)
-        optimize(scenario, OptimizerConfig(m=200, dt=5e-8, lam=1e-9, max_iters=10,
-                                           tol=0.0, restarts=2))
-        assert counts["gradient"] == 20
+        counts = count_kernel_calls(monkeypatch, optimize, ControlScenario(
+            idle_detunings=(1.1e6, -2.3e6), manifold=TRIPLET), OptimizerConfig(
+            m=200, dt=5e-8, lam=1e-9, max_iters=10, tol=0.0, restarts=2))
+        # both restarts in one lockstep group: one stacked gradient per iteration
+        assert counts["gradient"] == 10
         assert counts["objective"] > counts["gradient"]
         assert counts["pairs"] == counts["objective"]
         assert counts["in_gradient"] == 0
+
+
+def count_kernel_calls(monkeypatch, run_optimize, scenario, config):
+    """Calls of `_su2_pairs` (in all, and inside the gradient), `_objective` and
+    `_objective_gradient` made by one `run_optimize(scenario, config)`."""
+    counts = {"pairs": 0, "objective": 0, "gradient": 0, "in_gradient": 0}
+    inside = [False]
+    su2_pairs = synthesis._su2_pairs
+    objective, objective_gradient = synthesis._objective, synthesis._objective_gradient
+
+    def counting_pairs(*args, **kwargs):
+        counts["pairs"] += 1
+        counts["in_gradient"] += inside[0]
+        return su2_pairs(*args, **kwargs)
+
+    def counting_objective(*args):
+        counts["objective"] += 1
+        return objective(*args)
+
+    def flagging_gradient(*args):
+        counts["gradient"] += 1
+        inside[0] = True
+        try:
+            return objective_gradient(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(synthesis, "_su2_pairs", counting_pairs)
+    monkeypatch.setattr(synthesis, "_objective", counting_objective)
+    monkeypatch.setattr(synthesis, "_objective_gradient", flagging_gradient)
+    try:
+        run_optimize(scenario, config)
+    finally:
+        monkeypatch.undo()
+    return counts
+
+
+def reference_descend(ens, config, restart):
+    """One restart of projected-gradient descent with Armijo backtracking, on
+    its own: the loop the lockstep descent must reproduce step for step."""
+    dt = config.step_duration
+    lam = config.lam
+    clip = config.max_amp
+    i_amps, q_amps = _initial_amplitudes(config, restart)
+    record = []           # the forward record of the accepted iterate
+    bd = synthesis._objective(ens, i_amps, q_amps, dt, lam, record)
+    rows = [TraceRow(0, bd.f, bd.eps_i, bd.eps_j, bd.reg, 0.0)]
+    alpha = None
+    converged = bd.f - bd.reg <= config.tol
+    diverged = False
+
+    for it in range(1, config.max_iters + 1):
+        if converged:
+            break
+        g_i, g_q = synthesis._objective_gradient(ens, i_amps, q_amps, dt, lam, record)
+        gnorm2 = float(np.dot(g_i, g_i) + np.dot(g_q, g_q))
+        if gnorm2 == 0.0:
+            break
+        if alpha is None:
+            gmax = max(np.max(np.abs(g_i)), np.max(np.abs(g_q)))
+            alpha = 0.1 * config.max_amp / gmax
+        trial = alpha
+        accepted = False
+        floor_hit = False
+        for _ in range(synthesis.MAX_BACKTRACKS):
+            cand_i = np.clip(i_amps - trial * g_i, -clip, clip)
+            cand_q = np.clip(q_amps - trial * g_q, -clip, clip)
+            # projected Armijo: decrease measured against the realized move
+            move = float(np.dot(g_i, i_amps - cand_i) + np.dot(g_q, q_amps - cand_q))
+            if synthesis.ARMIJO_C * move < synthesis._DECREASE_FLOOR * max(1.0, abs(bd.f)):
+                floor_hit = True
+                break
+            cand_record = []
+            cand_bd = synthesis._objective(ens, cand_i, cand_q, dt, lam, cand_record)
+            if cand_bd.f <= bd.f - synthesis.ARMIJO_C * move:
+                i_amps, q_amps, bd, record = cand_i, cand_q, cand_bd, cand_record
+                rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, trial))
+                alpha = trial * synthesis.STEP_GROWTH
+                accepted = True
+                break
+            trial *= synthesis.BACKTRACK_FACTOR
+        if not accepted:
+            if floor_hit:
+                break  # decrease below float resolution: stationary
+            diverged = True
+            break
+        converged = bd.f - bd.reg <= config.tol
+
+    pulse = PulseProgram.from_arrays(i_amps, q_amps, dt)
+    trace = OptimizationTrace(rows=tuple(rows), converged=converged, restart=restart)
+    return pulse, trace, bd, diverged
+
+
+def reference_optimize(scenario, config):
+    """Restarts one after another, stopping after the first that converges;
+    the lowest final objective wins."""
+    ens = _Ensemble.for_scenario(scenario)
+    best = None
+    any_ok = False
+    for restart in range(config.restarts):
+        pulse, trace, bd, diverged = reference_descend(ens, config, restart)
+        if best is None or bd.f < best[2].f:
+            best = (pulse, trace, bd)
+        any_ok = any_ok or not diverged
+        if trace.converged:
+            break
+    if not any_ok:
+        raise Diverged("no descent step accepted in any restart",
+                       pulse=best[0], trace=best[1])
+    return best[0], best[1]
+
+
+def outcome(run_optimize, scenario, config):
+    """(Diverged message or None, pulse, trace) of one optimize call."""
+    try:
+        return (None, *run_optimize(scenario, config))
+    except Diverged as exc:
+        return str(exc), exc.pulse, exc.trace
+
+
+class TestLockstepRestarts:
+    """Restarts descending in lockstep give what one after another give, bit
+    for bit: the pulse, every trace row, the converged flag and the winning
+    restart, or the same Diverged payload."""
+
+    @staticmethod
+    def assert_same_as_sequential(scenario, config):
+        want = outcome(reference_optimize, scenario, config)
+        got = outcome(optimize, scenario, config)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1].i_amps, want[1].i_amps)
+        assert np.array_equal(got[1].q_amps, want[1].q_amps)
+        assert got[2].rows == want[2].rows
+        assert (got[2].converged, got[2].restart) == (want[2].converged, want[2].restart)
+        return got
+
+    # 4 us pulses against one spectator at 1.1 MHz; 37 steps keep them quick
+    SCENARIO = ControlScenario(idle_detunings=(1.1e6,), manifold=TRIPLET)
+
+    @staticmethod
+    def config(**kwargs):
+        return OptimizerConfig(**{"m": 37, "dt": 4e-6 / 37, "lam": 1e-9, **kwargs})
+
+    @pytest.mark.parametrize("restarts", (1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("tol", (0.0, 1e-3, 2.0))
+    def test_restarts_and_tolerances(self, restarts, tol):
+        config = self.config(tol=tol, restarts=restarts, seed=9, max_iters=25)
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        if tol == 2.0:      # every initial pulse meets it: restart 0 wins at once
+            assert (trace.converged, trace.restart, len(trace.rows)) == (True, 0, 1)
+        if tol == 0.0:
+            assert not trace.converged
+
+    def test_a_later_restart_converges_first(self):
+        # alone, restart 0 converges after 38 iterations and restart 1 after 7
+        config = self.config(tol=3e-3, restarts=4, seed=9, max_iters=60)
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert (trace.converged, trace.restart, len(trace.rows)) == (True, 0, 39)
+        # within 20 iterations only restart 1 converges, and it wins
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO,
+                                                     replace(config, max_iters=20))
+        assert (trace.converged, trace.restart, len(trace.rows)) == (True, 1, 8)
+
+    def test_restart_0_converges_while_the_others_search(self):
+        # alone, the restarts converge after 8, 12, 10 and 9 iterations
+        config = self.config(tol=3e-3, restarts=4, seed=0, max_iters=60)
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert (trace.converged, trace.restart, len(trace.rows)) == (True, 0, 9)
+
+    def test_a_tie_goes_to_the_lower_restart(self):
+        # at a 1 mHz max_amp the transfers round away: every restart stops at
+        # once on f = 1.0, each with its own pulse
+        config = self.config(m=1, dt=4e-6, tol=0.0, restarts=3, max_amp=1e-3, seed=9)
+        ens = _Ensemble.for_scenario(self.SCENARIO)
+        assert len({reference_descend(ens, config, r)[2].f for r in range(3)}) == 1
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert trace.restart == 0
+
+    @pytest.mark.parametrize("m", (1, 2, 37, 200))
+    @pytest.mark.parametrize("manifold", (TRIPLET, NO_MANIFOLD), ids=("triplet", "hf0"))
+    @pytest.mark.parametrize("spectators", (0, 1, 2, 3))
+    def test_spectators_manifolds_and_lengths(self, m, manifold, spectators):
+        scenario = ControlScenario(idle_detunings=(1.1e6, -0.7e6, 2.3e6)[:spectators],
+                                   manifold=manifold)
+        config = OptimizerConfig(m=m, dt=2e-6 / m, lam=1e-9, tol=1e-3, restarts=3,
+                                 seed=m + spectators, max_iters=6)
+        self.assert_same_as_sequential(scenario, config)
+
+    def test_clipped_pulse(self):
+        # the pi-area amplitude (5e5 Hz) lies above max_amp, so I is clipped
+        scenario = ControlScenario(idle_detunings=(1.1e6, -0.7e6), manifold=TRIPLET)
+        config = OptimizerConfig(m=37, dt=1e-6 / 37, lam=1e-9, tol=1e-3, max_amp=4e5,
+                                 restarts=3, max_iters=30)
+        _, pulse, _ = self.assert_same_as_sequential(scenario, config)
+        assert np.max(np.abs(pulse.i_amps)) == config.max_amp
+
+    @pytest.mark.parametrize("group", (1, 2))
+    def test_small_groups(self, monkeypatch, group):
+        # a budget of `group` pulses' member-steps runs the restarts in groups
+        # of that size, each call in one block
+        config = self.config(tol=3e-3, restarts=5, seed=9, max_iters=60)
+        monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", group * 3 * 2 * 37)
+        self.assert_same_as_sequential(self.SCENARIO, config)
+        self.assert_same_as_sequential(self.SCENARIO, replace(config, max_iters=20))
+
+    def test_stalled_line_searches_give_the_same_divergence(self, monkeypatch):
+        # with steps growing 16x and 6 backtracks, seed 5 stalls every restart
+        # after 2, 2, 3 and 5 accepted steps; seed 7 stalls restarts 0-2 and
+        # restart 3 converges
+        monkeypatch.setattr(synthesis, "MAX_BACKTRACKS", 6)
+        monkeypatch.setattr(synthesis, "STEP_GROWTH", 16.0)
+        config = self.config(tol=1e-3, restarts=4, seed=5, max_iters=60)
+        message, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert message == "no descent step accepted in any restart"
+        assert trace.stop_reason == "diverged" and len(trace.rows) > 1
+        message, _, trace = self.assert_same_as_sequential(self.SCENARIO,
+                                                           replace(config, seed=7))
+        assert message is None
+        assert (trace.stop_reason, trace.restart) == ("converged", 3)
+
+    @pytest.mark.parametrize("kwargs, reason", [
+        (dict(tol=2.0), "converged"),
+        (dict(tol=0.0, max_iters=3), "max_iters"),
+        # 20 steps over 0.3 us cannot separate the pair: the steps shrink
+        # below float resolution
+        (dict(m=20, dt=0.3e-6 / 20, tol=1e-3, max_iters=2000), "stationary"),
+    ], ids=["converged", "max-iters", "stationary"])
+    def test_stop_reason(self, kwargs, reason):
+        config = self.config(**{"restarts": 2, "seed": 9, "max_iters": 30, **kwargs})
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert trace.stop_reason == reason
+
+    def test_one_restart_per_group_makes_the_sequential_calls(self, monkeypatch):
+        # 12 members x 2000 steps leave room for one pulse per forward block
+        scenario = ControlScenario(idle_detunings=(1.1e6, -0.7e6, 2.3e6), manifold=TRIPLET)
+        config = OptimizerConfig(m=2000, dt=5e-9, lam=1e-9, tol=0.0, restarts=2,
+                                 max_iters=3)
+        want = count_kernel_calls(monkeypatch, reference_optimize, scenario, config)
+        assert count_kernel_calls(monkeypatch, optimize, scenario, config) == want
 
 
 class TestNonFiniteInput:

@@ -7,7 +7,11 @@
 `run` executes address-map, simulate rabi/ramsey/odmr, crosstalk-map,
 optimize, simulate pulse and sweep exactly as the README quick start does,
 each as a fresh `python -m spinmux` process importing the package from SRC
-(a `src/` directory) and reading the demo configs bundled there.  It then
+(a `src/` directory) and reading the demo configs bundled there.  It also
+runs one optimize that misses its tolerance (the close pair with 20 steps
+over 0.3 us and 3 restarts, about 1 s, exit 4), so that every restart runs
+and the choice of the best one is compared too (`pulse_missed.csv`,
+`trace_missed.jsonl`, exit code under "optimize missed").  It then
 runs `demo_configs()` of the `tools/regen_demo_configs.py` beside SRC and
 writes each config's calibrated wire anchor, DC current and carrier to
 `calibration.jsonl`, so a change in `calibrate_wire`, which no README
@@ -50,6 +54,7 @@ import numpy as np
 
 
 def readme_commands(data: Path, out: Path, pulse: Path):
+    """The README commands, with the missed-tolerance optimize after the README one."""
     cfg, pair = str(data / "demo_register.json"), str(data / "demo_close_pair.json")
     return [
         ["address-map", "--config", cfg, "--idc-ma", "150",
@@ -67,6 +72,10 @@ def readme_commands(data: Path, out: Path, pulse: Path):
          "--lambda", "1e-9", "--steps", "200", "--duration", "10e-6", "--seed", "0",
          "--restarts", "5", "--out-pulse", str(out / "pulse.csv"),
          "--out-trace", str(out / "trace.jsonl")],
+        ["optimize", "--config", pair, "--target-site", "nv-b", "--idle-site", "nv-c",
+         "--steps", "20", "--duration", "0.3e-6", "--restarts", "3",
+         "--out-pulse", str(out / "pulse_missed.csv"),
+         "--out-trace", str(out / "trace_missed.jsonl")],
         ["simulate", "pulse", "--config", pair, "--pulse", str(pulse),
          "--out", str(out / "eps.csv")],
         ["sweep", "--config", pair, "--pulse", str(pulse), "--target-site", "nv-b",
@@ -105,6 +114,8 @@ def run(src: Path, out: Path, pulse: Path | None) -> int:
     codes = {}
     for argv in readme_commands(src / "spinmux" / "data", out, pulse or out / "pulse.csv"):
         name = " ".join(argv[:2]) if argv[0] == "simulate" else argv[0]
+        if name in codes:
+            name += " missed"
         proc = subprocess.run([sys.executable, "-m", "spinmux", *argv], env=env,
                               capture_output=True, text=True)
         codes[name] = proc.returncode
