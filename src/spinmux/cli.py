@@ -1,6 +1,8 @@
 """Command-line workbench.
 
-Subcommands turn a register config plus flags into plot-ready CSV/JSON files:
+Subcommands turn a register config plus flags into plot-ready CSV/JSON files;
+every CSV table goes through `pulse_io.write_csv`, so all numbers are written
+alike ("%.17g"):
 
     spinmux address-map    per-site frequency addresses at a DC current
     spinmux simulate       rabi | ramsey | odmr | pulse curves
@@ -31,19 +33,7 @@ from .experiments import crosstalk_landscape, simulate_odmr, simulate_rabi, \
 from .fields import WireDrive, address_map, field_sample
 from .synthesis import ControlScenario, OptimizerConfig, _Ensemble, optimize, \
     sensitivity_sweep
-from .pulse_io import read_pulse, write_pulse
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v
-                              for v in row) + "\n")
+from .pulse_io import read_pulse, write_csv, write_pulse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,20 +104,21 @@ def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
 def cmd_address_map(args) -> int:
     cfg = load_config(args.config)
     drive = WireDrive(i_dc=args.idc_ma * 1e-3, i_ac=0.0)
-    result = address_map(cfg.environment, drive, cfg.sites)
-    _write_csv(args.out, "site,u_um,f_ghz",
-               [(e.site_id, e.position_u * 1e6, e.omega_plus * 1e-9)
-                for e in result.entries])
+    entries = address_map(cfg.environment, drive, cfg.sites).entries
+    write_csv(args.out, "site,u_um,f_ghz", ([e.site_id for e in entries],
+                                            [e.position_u * 1e6 for e in entries],
+                                            [e.omega_plus * 1e-9 for e in entries]))
     return 0
 
 
 def _site_epsilons(cfg: RegisterConfig, pulse: PulseProgram):
-    """Manifold-averaged departure from |0> per site, at the config carrier."""
+    """(site ids, manifold-averaged departure from |0> per site), at the
+    config carrier."""
     ground = QubitState.ground()
     entries = address_map(cfg.environment, cfg.drive, cfg.sites).entries
     spins = [(e.omega_plus - cfg.carrier, ground, ground) for e in entries]
     stay = _Ensemble(spins, cfg.manifold).transfer_means(*pulse.amplitudes(), pulse.dt)
-    return [(e.site_id, 1.0 - p) for e, p in zip(entries, stay)]
+    return [e.site_id for e in entries], 1.0 - stay
 
 
 def cmd_simulate(args) -> int:
@@ -135,13 +126,13 @@ def cmd_simulate(args) -> int:
     if args.kind == "rabi":
         times = np.linspace(0.0, args.t_max_ns * 1e-9, args.points)
         pops = simulate_rabi(args.rabi_mhz * 1e6, args.delta_mhz * 1e6, times)
-        _write_csv(args.out, "t_ns,p1", zip(times * 1e9, pops))
+        write_csv(args.out, "t_ns,p1", (times * 1e9, pops))
     elif args.kind == "ramsey":
         site = cfg.site(args.site) if args.site else cfg.sites[0]
         taus = np.linspace(0.0, args.tau_max_us * 1e-6, args.points)
         signal = simulate_ramsey(args.delta_mhz * 1e6, cfg.manifold,
                                  site.t2_star, taus)
-        _write_csv(args.out, "tau_us,signal", zip(taus * 1e6, signal))
+        write_csv(args.out, "tau_us,signal", (taus * 1e6, signal))
     elif args.kind == "odmr":
         if args.f_min_ghz is None or args.f_max_ghz is None:
             sample = field_sample(cfg.environment, cfg.drive, cfg.sites[0])
@@ -153,12 +144,12 @@ def cmd_simulate(args) -> int:
         contrast = simulate_odmr(cfg.environment, cfg.drive, cfg.sites,
                                  args.probe_rabi_mhz * 1e6, scan,
                                  args.linewidth_mhz * 1e6)
-        _write_csv(args.out, "f_ghz,contrast", zip(scan * 1e-9, contrast))
+        write_csv(args.out, "f_ghz,contrast", (scan * 1e-9, contrast))
     else:  # "pulse"; argparse admits no other kind
         if not args.pulse:
             raise UsageError("simulate pulse requires --pulse")
         pulse = read_pulse(args.pulse)
-        _write_csv(args.out, "site,eps", _site_epsilons(cfg, pulse))
+        write_csv(args.out, "site,eps", _site_epsilons(cfg, pulse))
     return 0
 
 
@@ -211,16 +202,13 @@ def cmd_crosstalk_map(args) -> int:
     vs = np.linspace(args.v_min_um, args.v_max_um, args.nv) * 1e-6
     grid = [np.array([u, v, 0.0]) for u in us for v in vs]
     for idc_ma in args.idc_ma:
-        report = crosstalk_landscape(
+        entries = crosstalk_landscape(
             cfg.environment, idc_ma * 1e-3, args.target_u_um * 1e-6,
             args.rabi_mhz * 1e6, grid,
-        )
-        rows = [
-            (pos[0] * 1e6, pos[1] * 1e6, entry.epsilon, entry.bound)
-            for pos, entry in zip(grid, report.entries)
-        ]
-        _write_csv(f"{args.out_prefix}_idc{idc_ma:g}ma.csv",
-                   "u_um,v_um,epsilon,bound", rows)
+        ).entries
+        write_csv(f"{args.out_prefix}_idc{idc_ma:g}ma.csv", "u_um,v_um,epsilon,bound",
+                  ([pos[0] * 1e6 for pos in grid], [pos[1] * 1e6 for pos in grid],
+                   [e.epsilon for e in entries], [e.bound for e in entries]))
     return 0
 
 
@@ -231,9 +219,9 @@ def cmd_sweep(args) -> int:
     offsets = [x * 1e6 for x in _grid(*args.delta_range)]
     scales = _grid(*args.amp_range)
     points = sensitivity_sweep(pulse, scenario, offsets, scales)
-    rows = [(p.delta_offset * 1e-6, p.amp_scale, p.eps_i, sum(p.eps_j))
-            for p in points]
-    _write_csv(args.out, "offset_mhz,scale,eps_i,eps_j", rows)
+    write_csv(args.out, "offset_mhz,scale,eps_i,eps_j",
+              ([p.delta_offset * 1e-6 for p in points], [p.amp_scale for p in points],
+               [p.eps_i for p in points], [sum(p.eps_j) for p in points]))
     return 0
 
 

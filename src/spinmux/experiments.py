@@ -10,21 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TWO_PI, _clamp_unit, _su2_pairs
-from .fields import (
-    FieldEnvironment,
-    WireDrive,
-    _field_arrays,
-    _site_addresses,
-    field_sample,
-    rabi_frequency,
-)
-from .spins import (
-    DipoleOrientation,
-    HyperfineManifold,
-    SpinSite,
-    dipole_axis,
-    hyperfine_detunings,
-)
+from .fields import FieldEnvironment, WireDrive, _field_arrays, _site_arrays, rabi_frequency
+from .spins import DipoleOrientation, HyperfineManifold, dipole_axis, hyperfine_detunings
 
 
 @dataclass(frozen=True)
@@ -119,7 +106,7 @@ def simulate_odmr(
     manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)
     duration = 1.0 / (2.0 * probe_rabi)
 
-    omega_plus = _site_addresses(env, drive.i_dc, sites)
+    *_, omega_plus = _field_arrays(env, WireDrive(drive.i_dc, 0.0), *_site_arrays(sites))
     # per site: upper then lower transition, each split by the manifold
     omegas = np.stack([omega_plus, 2.0 * env.constants.d_zfs - omega_plus], axis=1)
     lines = hyperfine_detunings(omegas[..., None], manifold).ravel()
@@ -151,28 +138,26 @@ def crosstalk_landscape(
             raise ValueError(f"{name} must be finite")
     if not 0 < rabi_target < math.inf:
         raise ValueError("rabi_target must be positive and finite")
-    orientation = orientation or DipoleOrientation()
+    axis = dipole_axis(orientation or DipoleOrientation())
     positions = np.asarray(list(grid), dtype=float)
     if positions.size and (positions.ndim != 2 or positions.shape[1] != 3):
         raise ValueError("grid positions must be 3-vectors")
     positions = positions.reshape(-1, 3)
 
-    target = SpinSite(id="target", position=np.array([target_u, 0.0, 0.0]),
-                      orientation=orientation)
-    probe = WireDrive(i_dc=drive_dc, i_ac=1.0)
-    target_sample = field_sample(env, probe, target)
-    rabi_per_amp = rabi_frequency(env.constants, target_sample.b_ac_xy)
+    # the AC current that drives the target at rabi_target, from its field
+    # at unit current
+    *_, b_ac_unit, omega_mw = _field_arrays(env, WireDrive(i_dc=drive_dc, i_ac=1.0),
+                                            np.array([target_u, 0.0, 0.0]), axis)
+    rabi_per_amp = rabi_frequency(env.constants, b_ac_unit)
     if rabi_per_amp <= 0:
         raise ValueError("target spin sees no transverse drive field")
     i_ac = rabi_target / rabi_per_amp
-    omega_mw = target_sample.omega_plus
     duration = 1.0 / (2.0 * rabi_target)
 
-    drive = WireDrive(i_dc=drive_dc, i_ac=i_ac)
-    # one array pass over the grid; it rounds exactly as field_sample does
-    # per point, so a grid point on the target gets zero detuning
-    *_, b_ac_xy, omega_plus = _field_arrays(env, drive, positions,
-                                            dipole_axis(orientation))
+    # the grid's pass rounds as the target's, so a grid point on the target
+    # gets zero detuning
+    *_, b_ac_xy, omega_plus = _field_arrays(env, WireDrive(i_dc=drive_dc, i_ac=i_ac),
+                                            positions, axis)
     rabis = rabi_frequency(env.constants, b_ac_xy)
     deltas = omega_plus - omega_mw
     a, _ = _su2_pairs(TWO_PI * rabis, 0.0, TWO_PI * deltas, duration)

@@ -5,6 +5,10 @@ contributes the textbook azimuthal field mu0*I/(2*pi*d).  A strip of finite
 width spreads the current over parallel filaments in the chip plane.  This
 analytic model replaces a mesh-based solver; one depth parameter is
 calibrated against a measured Zeeman shift instead.
+
+Every site address and drive field (`field_sample`, `address_map`, and the
+ODMR and crosstalk simulators) comes from one field pass, `_field_arrays`,
+over stacked positions, each with its own dipole axis.
 """
 
 from __future__ import annotations
@@ -193,15 +197,23 @@ def rabi_frequency(constants: PhysicalConstants, b_ac_xy):
     return constants.gamma_nv * b_ac_xy / math.sqrt(2.0)
 
 
-def _field_arrays(env: FieldEnvironment, drive: WireDrive, positions, axis):
-    """(b_dc_z, b_ext_z, b_ac_xy, omega_plus) at stacked positions (..., 3).
-    The DC call checks the positions, so zero AC current skips its field."""
-    b_dc_z, _ = project_field(wire_field(env.wire, drive.i_dc, positions), axis)
-    b_ac_xy = (project_field(wire_field(env.wire, drive.i_ac, positions), axis)[1]
+def _field_arrays(env: FieldEnvironment, drive: WireDrive, positions, axes):
+    """(b_dc_z, b_ext_z, b_ac_xy, omega_plus) at stacked positions (..., 3),
+    each resolved along its own dipole axis (..., 3); one axis broadcasts.
+    The one field pass behind every site address and drive: the DC call
+    checks the positions, so zero AC current skips its field."""
+    b_dc_z = _dot(wire_field(env.wire, drive.i_dc, positions), axes)
+    b_ext_z = _dot(env.b_ext, axes)
+    b_ac_xy = (project_field(wire_field(env.wire, drive.i_ac, positions), axes)[1]
                if drive.i_ac != 0.0 else np.zeros_like(b_dc_z))
-    b_ext_z, _ = project_field(env.b_ext, axis)
     omega_plus, _ = transition_frequencies(env.constants, b_ext_z + b_dc_z)
     return b_dc_z, b_ext_z, b_ac_xy, omega_plus
+
+
+def _site_arrays(sites):
+    """(positions, dipole axes) of the sites, stacked in the order given."""
+    return (np.array([site.position for site in sites]),
+            np.array([dipole_axis(site.orientation) for site in sites]))
 
 
 def field_sample(env: FieldEnvironment, drive: WireDrive, site: SpinSite) -> FieldSample:
@@ -210,26 +222,16 @@ def field_sample(env: FieldEnvironment, drive: WireDrive, site: SpinSite) -> Fie
     return FieldSample(*(float(v) for v in values))
 
 
-def _site_addresses(env: FieldEnvironment, i_dc: float, sites) -> np.ndarray:
-    """omega_plus (Hz) of the sites at DC current `i_dc`, in one wire evaluation
-    and projection, rounding as `field_sample`; the first degenerate site raises."""
-    axes = np.array([dipole_axis(site.orientation) for site in sites])
-    b = wire_field(env.wire, i_dc, np.array([site.position for site in sites]))
-    omega_plus, _ = transition_frequencies(env.constants,
-                                           _dot(env.b_ext, axes) + _dot(b, axes))
-    return omega_plus
-
-
 def address_map(env: FieldEnvironment, drive: WireDrive, sites) -> AddressMap:
     """Frequency address of every site at the given DC current."""
     if not sites:
         raise ValueError("sites must be non-empty")
     ordered = sorted(sites, key=lambda s: s.id)
-    omega_plus = _site_addresses(env, drive.i_dc, ordered).tolist()
+    *_, omega_plus = _field_arrays(env, WireDrive(drive.i_dc, 0.0), *_site_arrays(ordered))
     return AddressMap(entries=tuple(
         AddressMapEntry(site_id=site.id, position_u=float(site.position[0]),
                         omega_plus=omega)
-        for site, omega in zip(ordered, omega_plus)))
+        for site, omega in zip(ordered, omega_plus.tolist())))
 
 
 def zeeman_shift(

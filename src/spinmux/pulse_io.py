@@ -1,9 +1,10 @@
-"""Pulse waveform files: CSV with header "t_ns,i_mhz,q_mhz".
+"""Pulse waveform files, CSV with header "t_ns,i_mhz,q_mhz", and the one CSV
+writer behind them and every CLI table.
 
 The time column holds the elapsed time at the end of each step, so the last
 row equals the pulse duration and the first row equals the step length.
-Amplitudes are stored in MHz with 17 significant digits, which makes
-write/read round trips lossless for float64.
+Numbers are written with 17 significant digits, which makes write/read round
+trips lossless for float64.
 """
 
 from __future__ import annotations
@@ -25,16 +26,28 @@ _SPACING_TOL = 1e-6
 _BLOCK_ROWS = 512
 
 
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns as CSV under `header`: a column of str as
+    it is, numbers with 17 significant digits ("%.17g"), formatted in blocks
+    of _BLOCK_ROWS rows.  Every table spinmux writes goes through here."""
+    text = [len(column) > 0 and isinstance(column[0], str) for column in columns]
+    line = ",".join("%s" if is_text else "%.17g" for is_text in text) + "\n"
+    width = len(columns)
+    cells = [None] * (width * len(columns[0]))     # row-major
+    for j, (column, is_text) in enumerate(zip(columns, text)):
+        cells[j::width] = column if is_text else np.asarray(column, dtype=float).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(cells), _BLOCK_ROWS * width):
+            block = cells[start:start + _BLOCK_ROWS * width]
+            fh.write(line * (len(block) // width) % tuple(block))
+
+
 def write_pulse(path, pulse: PulseProgram) -> None:
     """Write a pulse as CSV; one row per step."""
     i_amps, q_amps = pulse.amplitudes()
     t_ns = np.arange(1, len(i_amps) + 1) * pulse.dt * 1e9
-    table = np.stack([t_ns, i_amps * 1e-6, q_amps * 1e-6], axis=1)
-    with open(path, "w", newline="") as fh:
-        fh.write(PULSE_HEADER + "\n")
-        for block in range(0, len(t_ns), _BLOCK_ROWS):
-            values = table[block:block + _BLOCK_ROWS]
-            fh.write("%.17g,%.17g,%.17g\n" * len(values) % tuple(values.ravel().tolist()))
+    write_csv(path, PULSE_HEADER, (t_ns, i_amps * 1e-6, q_amps * 1e-6))
 
 
 def _line_numbers(lines):

@@ -113,17 +113,18 @@ def project_field(b: np.ndarray, axis: np.ndarray):
     """Split a field into (signed parallel, non-negative perpendicular) parts.
 
     `axis` must be unit-norm; the decomposition satisfies
-    b_z**2 + b_xy**2 == |b|**2.  A stack of fields (..., 3) gives arrays of
-    the leading shape; a single 3-vector gives floats.
+    b_z**2 + b_xy**2 == |b|**2.  Stacks of fields and of axes (..., 3)
+    broadcast together and give arrays of the leading shape; a single field
+    along a single axis gives floats.
     """
     b = np.asarray(b, dtype=float)
     axis = np.asarray(axis, dtype=float)
-    if abs(np.dot(axis, axis) - 1.0) > 1e-9:
+    if np.any(np.abs(_dot(axis, axis) - 1.0) > 1e-9):
         raise ValueError("axis must be unit-norm")
     b_z = _dot(b, axis)
     perp = b - b_z[..., None] * axis
     b_xy = np.sqrt(_dot(perp, perp))
-    if b.ndim == 1:
+    if b.ndim == axis.ndim == 1:
         return float(b_z), float(b_xy)
     return b_z, b_xy
 

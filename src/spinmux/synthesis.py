@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import (TWO_PI, PulseProgram, QubitState, _clamp_unit, _compose,
                        _scan, _su2_pairs, _su2_q, _tree)
 from .errors import Diverged
-from .spins import HyperfineManifold
+from .spins import HyperfineManifold, hyperfine_detunings
 
 # Line-search constants: Armijo sufficient decrease with halving backtracks.
 ARMIJO_C = 1e-4
@@ -147,28 +147,23 @@ class OptimizationTrace:
 class _Ensemble:
     """Flattened per-member detunings and state vectors for a set of spins.
 
-    Each spin is (detuning, bra state, ket state) and expands into one member
-    per hyperfine offset; `transfer_means` averages |<bra|U|ket>|^2 back per
-    spin.  This is the only place pulses are averaged over the manifold.
-    When the manifold splitting is zero the three coincident members collapse
-    to one, which keeps results identical to the single-member computation.
+    Each spin is (detuning, bra state, ket state) and expands, spin-major,
+    into its `hyperfine_detunings` members; `transfer_means` averages
+    |<bra|U|ket>|^2 back per spin.  This is the only place pulses are
+    averaged over the manifold.  When the manifold splitting is zero a spin
+    keeps only its first member, of weight 1, which keeps results identical
+    to the single-member computation.
     """
 
     def __init__(self, spins, manifold: HyperfineManifold):
-        offsets = np.asarray(manifold.detuning_offsets)
-        if offsets[2] == 0.0:
-            offsets = offsets[:1]
-        deltas, bras, kets = [], [], []
-        for delta, bra_state, ket_state in spins:
-            for off in offsets:
-                deltas.append(delta + off)
-                bras.append(bra_state.amplitudes)
-                kets.append(ket_state.amplitudes)
-        self.deltas = np.array(deltas)
-        self.bras = np.array(bras)
-        self.kets = np.array(kets)
+        detunings, bras, kets = zip(*spins)
+        deltas = hyperfine_detunings(np.array(detunings)[:, None], manifold)
+        per_spin = 1 if manifold.splitting == 0.0 else deltas.shape[1]
+        self.deltas = deltas[:, :per_spin].ravel()
+        self.bras = np.repeat([state.amplitudes for state in bras], per_spin, axis=0)
+        self.kets = np.repeat([state.amplitudes for state in kets], per_spin, axis=0)
         self.num_spins = len(spins)
-        self.weight = 1.0 / len(offsets)
+        self.weight = 1.0 / per_spin
 
     @classmethod
     def for_scenario(cls, scenario: ControlScenario) -> "_Ensemble":
@@ -223,10 +218,6 @@ def regularization(pulse: PulseProgram, lam: float) -> float:
 def _regularization(i_amps, q_amps, lam: float) -> float:
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    if lam == 0:
-        # sweeps and unpenalized costs skip the differences; float(lam) is
-        # what lam * TV gives, down to the sign of a -0.0 weight
-        return float(lam)
     return lam * float(np.sum(np.abs(np.diff(i_amps))) + np.sum(np.abs(np.diff(q_amps))))
 
 
@@ -359,7 +350,7 @@ def _group_record(parts):
     """The forward record of the stacked pulses `parts`, [(record, p)] in stack
     order: one call's record as it is when it holds exactly these pulses,
     else their blocks stacked level by level (every call of a lockstep group
-    runs in one block, see `optimize`)."""
+    runs in one block, see `_descend`)."""
     record = parts[0][0]
     if len(record[0][2]) == len(parts) and all(
             rec is record and p == n for n, (rec, p) in enumerate(parts)):
@@ -371,11 +362,25 @@ def _group_record(parts):
 
 
 def _descend(ens: _Ensemble, config: OptimizerConfig, restarts):
-    """Projected-gradient descent with Armijo backtracking for restarts in
-    lockstep, each taking exactly the steps it would take alone: one stacked
-    objective call per line-search round, one stacked gradient per iteration.
+    """Projected-gradient descent with Armijo backtracking for a range of
+    restarts, each taking exactly the steps it would take alone.  They run in
+    lockstep groups of as many as fit one forward block, so every call of a
+    group holds one block; a group after a converged restart is not run.
     Returns the kept restarts in order, with their `stop` reason (None at
-    max_iters); a converged restart drops the later ones, never run alone."""
+    max_iters)."""
+    group = max(1, _BLOCK_MEMBER_STEPS // (len(ens.deltas) * config.m))
+    runs = []
+    for start in range(0, len(restarts), group):
+        runs += _lockstep(ens, config, restarts[start:start + group])
+        if runs[-1].stop == "converged":
+            break
+    return runs
+
+
+def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts):
+    """One `_descend` group in lockstep: one stacked objective call per
+    line-search round, one stacked gradient per iteration.  A converged
+    restart drops the later ones, never run alone."""
     dt, lam, clip = config.step_duration, config.lam, config.max_amp
     runs = [SimpleNamespace(restart=r, rows=[], alpha=None, trial=None, stop=None)
             for r in restarts]
@@ -441,13 +446,7 @@ def optimize(scenario: ControlScenario, config: OptimizerConfig):
     result of running them one after another.  Raises Diverged (carrying the
     best artifacts so far) only if every restart stalls in its line search.
     """
-    ens = _Ensemble.for_scenario(scenario)
-    group = max(1, _BLOCK_MEMBER_STEPS // (len(ens.deltas) * config.m))
-    runs = []
-    for start in range(0, config.restarts, group):
-        runs += _descend(ens, config, range(config.restarts)[start:start + group])
-        if runs[-1].stop == "converged":
-            break
+    runs = _descend(_Ensemble.for_scenario(scenario), config, range(config.restarts))
     best = min(runs, key=lambda run: run.bd.f)
     pulse = PulseProgram.from_arrays(best.i_amps, best.q_amps, config.step_duration)
     trace = OptimizationTrace(best.rows, best.stop == "converged", best.restart, best.stop)

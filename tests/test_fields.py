@@ -88,6 +88,16 @@ def reference_omega_plus(env, i_dc, site):
     return transition_frequencies(env.constants, b_ext_z + b_dc_z)[0]
 
 
+def reference_field_sample(env, drive, site):
+    """field_sample's four values at one site, each part by its own projection."""
+    axis = dipole_axis(site.orientation)
+    b_dc_z, _ = project_field(reference_wire_field(env.wire, drive.i_dc, site.position), axis)
+    _, b_ac_xy = project_field(reference_wire_field(env.wire, drive.i_ac, site.position), axis)
+    b_ext_z, _ = project_field(env.b_ext, axis)
+    omega_plus, _ = transition_frequencies(env.constants, b_ext_z + b_dc_z)
+    return b_dc_z, b_ext_z, b_ac_xy, omega_plus
+
+
 def reference_address_map(env, drive, sites):
     """(site id, u, omega_plus) per site in id order, one site per evaluation."""
     return [(site.id, float(site.position[0]), reference_omega_plus(env, drive.i_dc, site))
@@ -425,8 +435,12 @@ class TestStackedPathsMatchReferences:
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_address_map_matches_per_site_reference(self, seed):
+        # and the field pass under it, one axis per point, against per-site
+        # field_sample for all four values
         rng = np.random.default_rng(seed)
         sites = mixed_sites(rng, 7)
+        positions = np.array([site.position for site in sites])
+        axes = np.array([dipole_axis(site.orientation) for site in sites])
         for make_env in (demo_environment, strip_environment):
             env = make_env()
             for i_dc in (0.15, -0.04, 0.0, -0.0):
@@ -436,6 +450,16 @@ class TestStackedPathsMatchReferences:
                 want = reference_address_map(env, drive, sites)
                 assert [g[0] for g in got] == [w[0] for w in want]
                 assert_same_bits([g[1:] for g in got], [w[1:] for w in want])
+                got = fields._field_arrays(env, drive, positions, axes)
+                samples = [field_sample(env, drive, site) for site in sites]
+                want = [reference_field_sample(env, drive, site) for site in sites]
+                for k, name in enumerate(("b_dc_z", "b_ext_z", "b_ac_xy", "omega_plus")):
+                    assert_same_bits(got[k], [getattr(sample, name) for sample in samples])
+                    assert_same_bits(got[k], [values[k] for values in want])
+        # the AC part is the projection that checks the axes
+        axes[int(rng.integers(len(sites)))] *= 1.001
+        with pytest.raises(ValueError, match="unit-norm"):
+            fields._field_arrays(env, WireDrive(i_dc=0.15, i_ac=1e-3), positions, axes)
 
     def test_degenerate_site_is_named_in_evaluation_order(self):
         # two sites sit on the wire: the address map names the first in id

@@ -1,7 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 
 from spinmux import ParseError, PulseProgram, read_pulse, rect_pi_pulse, write_pulse
+from spinmux.pulse_io import _BLOCK_ROWS, write_csv
+
+
+def reference_write_csv(path, header, rows):
+    """The per-row formatter the CLI tables were written with before they
+    went through `write_csv`."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", (0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1))
+    @pytest.mark.parametrize("text", (False, True), ids=("numbers", "text-column"))
+    def test_matches_the_row_formatter(self, tmp_path, n, text):
+        rng = np.random.default_rng(n)
+        values = rng.uniform(-1.0, 1.0, (3, n)) * 10.0 ** rng.integers(-30, 30, (3, n))
+        # crosstalk writes inf at its target; signed zeros, tiny and subnormal values
+        special = [math.inf, -0.0, 1e-300, 0.0, -math.inf, -1e-300, 5e-324]
+        for k, value in enumerate(special[:n]):
+            values[k % 3, k] = value
+        columns = [values[0], values[1].tolist(), values[2]]
+        if text:
+            columns.insert(1, [f"nv-{k}" for k in range(n)])
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        write_csv(tmp_path / "got.csv", header, columns)
+        reference_write_csv(tmp_path / "want.csv", header, zip(*columns))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestRoundTrip:

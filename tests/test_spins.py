@@ -71,6 +71,27 @@ class TestProjectField:
         with pytest.raises(ValueError):
             project_field(np.zeros(3), np.array([0.0, 0.0, 2.0]))
 
+    def test_stacked_axes_match_one_axis_at_a_time(self):
+        rng = np.random.default_rng(5)
+        fields = rng.normal(0.0, 1e-3, (6, 3))
+        axes = np.array([dipole_axis(DipoleOrientation(rng.uniform(0, 180),
+                                                       rng.uniform(-180, 180)))
+                         for _ in range(6)])
+        b_z, b_xy = project_field(fields, axes)
+        want = np.array([project_field(b, axis) for b, axis in zip(fields, axes)])
+        assert np.array_equal(np.stack([b_z, b_xy], axis=1), want)
+        # one field against every axis
+        b_z, b_xy = project_field(fields[0], axes)
+        want = np.array([project_field(fields[0], axis) for axis in axes])
+        assert np.array_equal(np.stack([b_z, b_xy], axis=1), want)
+
+    def test_rejects_a_stack_with_one_non_unit_axis(self):
+        axes = np.array([dipole_axis(DipoleOrientation(t, 0.0)) for t in (0.0, 45.0, 90.0)])
+        axes[1] *= 1.001
+        for b in (np.zeros(3), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="unit-norm"):
+                project_field(b, axes)
+
 
 class TestTransitionFrequencies:
     def test_zero_field_degeneracy(self):

@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,17 @@ from spinmux import (
     HyperfineManifold,
     OptimizerConfig,
     PulseProgram,
+    QubitState,
     cost,
+    demo_config_path,
     gradient,
     optimize,
     rect_pi_pulse,
     regularization,
     sensitivity_sweep,
     SweepPoint,
+    hyperfine_detunings,
+    load_config,
 )
 from spinmux.errors import Diverged
 from spinmux.synthesis import (OptimizationTrace, TraceRow, _Ensemble, _initial_amplitudes,
@@ -48,6 +54,41 @@ class TestRegularization:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             regularization(PulseProgram.from_arrays([0.0], [0.0], 1e-9), -1e-9)
+
+
+class TestEnsembleMembers:
+    """Every spin expands into its `hyperfine_detunings`, spin-major."""
+
+    @staticmethod
+    def assert_members(ens, spins, manifold, per_spin):
+        want = np.concatenate([hyperfine_detunings(d, manifold)[:per_spin]
+                               for d, _, _ in spins])
+        assert ens.deltas.shape == want.shape
+        assert np.array_equal(ens.deltas, want)
+        assert np.array_equal(np.signbit(ens.deltas), np.signbit(want))
+        for states, k in ((ens.bras, 1), (ens.kets, 2)):
+            assert np.array_equal(states, [spin[k].amplitudes for spin in spins
+                                           for _ in range(per_spin)])
+        assert (ens.num_spins, ens.weight) == (len(spins), 1.0 / per_spin)
+
+    @pytest.mark.parametrize("splitting", (2.2e6, 0.37e6))
+    def test_members_are_hyperfine_detunings(self, splitting):
+        rng = np.random.default_rng(int(splitting))
+        ground, excited = QubitState.ground(), QubitState.excited()
+        spins = [(0.0, excited, ground), (-0.0, ground, ground)]
+        spins += [(float(d), ground, excited) for d in rng.uniform(-3e6, 3e6, 4)]
+        manifold = HyperfineManifold.triplet(splitting)
+        self.assert_members(_Ensemble(spins, manifold), spins, manifold, 3)
+
+    def test_zero_hyperfine_keeps_one_member_of_weight_1(self, tmp_path):
+        doc = json.loads(Path(demo_config_path("demo_close_pair")).read_text())
+        doc["constants"]["hyperfine_mhz"] = 0
+        path = tmp_path / "no_hyperfine.json"
+        path.write_text(json.dumps(doc))
+        manifold = load_config(str(path)).manifold
+        ground = QubitState.ground()
+        spins = [(d, ground, ground) for d in (0.0, -0.0, 1.1e6, -2.3e6)]
+        self.assert_members(_Ensemble(spins, manifold), spins, manifold, 1)
 
 
 class TestCost:
@@ -677,6 +718,29 @@ class TestLockstepRestarts:
         config = self.config(**{"restarts": 2, "seed": 9, "max_iters": 30, **kwargs})
         _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
         assert trace.stop_reason == reason
+
+    def test_descend_splits_its_restarts_into_one_block_groups(self):
+        # 30 members x 200 steps leave room for two pulses per forward block;
+        # a direct call over three restarts runs groups of two and one (it
+        # used to fail inside np.stack on a group that spanned two blocks)
+        scenario = ControlScenario(idle_detunings=tuple(0.45e6 * k for k in range(1, 10)),
+                                   manifold=TRIPLET)
+        config = OptimizerConfig(m=200, dt=10e-6 / 200, lam=1e-9, tol=0.0, restarts=3,
+                                 seed=4, max_iters=4)
+        ens = _Ensemble.for_scenario(scenario)
+        assert synthesis._BLOCK_MEMBER_STEPS // (len(ens.deltas) * config.m) == 2
+        runs = synthesis._descend(ens, config, range(3))
+        assert [run.restart for run in runs] == [0, 1, 2]
+        for run in runs:
+            pulse, trace, bd, _ = reference_descend(ens, config, run.restart)
+            assert np.array_equal(run.i_amps, pulse.i_amps)
+            assert np.array_equal(run.q_amps, pulse.q_amps)
+            assert (tuple(run.rows), run.bd) == (trace.rows, bd)
+        pulse, trace = reference_optimize(scenario, config)
+        best = min(runs, key=lambda run: run.bd.f)
+        assert np.array_equal(best.i_amps, pulse.i_amps)
+        assert np.array_equal(best.q_amps, pulse.q_amps)
+        assert (tuple(best.rows), best.restart) == (trace.rows, trace.restart)
 
     def test_one_restart_per_group_makes_the_sequential_calls(self, monkeypatch):
         # 12 members x 2000 steps leave room for one pulse per forward block
