@@ -133,21 +133,22 @@ class Propagator:
         return QubitState(self.matrix @ state.amplitudes)
 
 
-def _pair(c, x, y, z):
-    """The SU(2)-form pair (c - i*z, y - i*x) of c*1 - i*(x*sx + y*sy + z*sz)
-    for real c, x, y, z.
+def _pair(c, x, y, z, k=1.0):
+    """The SU(2)-form pair (c - i*k*z, k*y - i*k*x) of
+    c*1 - i*k*(x*sx + y*sy + z*sz) for real c, x, y, z and k.
 
-    The real and imaginary parts are written into complex arrays directly, so
-    no mixed real/complex ufunc (with its buffered cast) runs.  The imaginary
-    parts are 0.0 - z and 0.0 - x, element-wise what c - 1j*z and y - 1j*x
-    give.
-    """
-    a = np.empty(np.broadcast(c, z).shape, dtype=complex)
+    The parts are written into the complex arrays directly: no mixed
+    real/complex ufunc (with its buffered cast) runs and no k*x temporary is
+    made.  The imaginary parts are 0.0 - k*z and 0.0 - k*x, signed zeros
+    included."""
+    a = np.empty(np.broadcast(c, k, z).shape, dtype=complex)
     a.real = c
-    np.subtract(0.0, z, out=a.imag)
-    b = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    b.real = y
-    np.subtract(0.0, x, out=b.imag)
+    np.multiply(k, z, out=a.imag)
+    np.subtract(0.0, a.imag, out=a.imag)
+    b = np.empty(np.broadcast(k, x, y).shape, dtype=complex)
+    np.multiply(k, y, out=b.real)
+    np.multiply(k, x, out=b.imag)
+    np.subtract(0.0, b.imag, out=b.imag)
     return a, b
 
 
@@ -171,10 +172,13 @@ def _su2_pairs(ax, ay, az, dt, coefficient: bool = False):
     half_dt = 0.5 * np.asarray(dt, dtype=float)
     omega = np.sqrt(ax * ax + ay * ay + az * az)
     theta = half_dt * omega
-    # k = sin(theta)/omega, finite (dt/2) at omega -> 0
-    moving = omega > 0.0
-    k = np.where(moving, np.sin(theta) / np.where(moving, omega, 1.0), half_dt)
-    u = _pair(np.cos(theta), k * ax, k * ay, k * az)
+    k = np.sin(theta)
+    if omega.min(initial=1.0) > 0.0:    # no step at rest (a NaN takes the guards)
+        k /= omega
+    else:   # k = sin(theta)/omega, finite (dt/2) at omega -> 0
+        moving = omega > 0.0
+        k = np.where(moving, k / np.where(moving, omega, 1.0), half_dt)
+    u = _pair(np.cos(theta), ax, ay, az, k)
     return (u, k) if coefficient else u
 
 
@@ -182,6 +186,8 @@ def _su2_q(cos_t, k, omega2, dt):
     """q of `_su2_pairs` from its cos(theta) = Re(a) and k, and omega2 = |a|^2."""
     half_dt = 0.5 * np.asarray(dt, dtype=float)
     theta = half_dt * np.sqrt(omega2)
+    if theta.min(initial=1.0) >= 1e-3:     # no step takes the series
+        return (half_dt * cos_t - k) / omega2
     # series as |a| -> 0: -(dt/2)^3 * (1/3 - theta^2/30)
     return np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
                     (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))

@@ -12,12 +12,13 @@ the closed-form step exponentials; R contributes a sign subgradient.
 
 The forward kernel and the gradient take (P, m) amplitude stacks, one pulse
 per row, and give per-pulse results (a 1-d pulse is a stack of one), so that
-`optimize` runs a group of restarts with one forward call per line-search
-round and one gradient call per iteration.
+`optimize` runs a group of restarts with one gradient call per iteration and
+one forward call per line-search round, which tries two trials per restart.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -79,8 +80,14 @@ class OptimizerConfig:
     max_amp: float = 1e7     # Hz, hardware amplitude clamp
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        for name, least in (("m", 1), ("max_iters", 0), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:    # numpy integers too, but not 2.5 or 2.0
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         # written as "not (valid)" so that NaN is rejected too
         if not 0 <= self.lam < 1e-6:
             raise ValueError("lam must satisfy 0 <= lam < 1e-6 per Hz")
@@ -88,8 +95,8 @@ class OptimizerConfig:
             raise ValueError("max_amp must be positive and finite")
         if self.dt is not None and not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if self.max_iters < 0 or self.restarts < 1:
-            raise ValueError("max_iters must be >= 0 and restarts >= 1")
+        if np.isnan(self.tol):
+            raise ValueError("tol must not be NaN")
 
     @property
     def step_duration(self) -> float:
@@ -212,13 +219,15 @@ class _Ensemble:
 
 def regularization(pulse: PulseProgram, lam: float) -> float:
     """Total-variation penalty lam * sum(|dI| + |dQ|) over adjacent steps."""
-    return _regularization(*pulse.amplitudes(), lam)
+    return float(_regularization(*pulse.amplitudes(), lam))
 
 
-def _regularization(i_amps, q_amps, lam: float) -> float:
+def _regularization(i_amps, q_amps, lam: float):
+    """The penalty per pulse of (..., m) amplitudes, from one diff and sum."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    return lam * float(np.sum(np.abs(np.diff(i_amps))) + np.sum(np.abs(np.diff(q_amps))))
+    tv = np.abs(np.diff(np.stack((i_amps, q_amps)))).sum(axis=-1)
+    return lam * (tv[0] + tv[1])
 
 
 def _regularization_gradient(i_amps, q_amps, lam: float):
@@ -243,9 +252,9 @@ def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record=None):
     """f and its parts for amplitude arrays, one CostBreakdown per pulse of a
     (P, m) stack (one for a 1-d pulse); the one place f is assembled."""
     transfer = ens.transfer_means(i_amps, q_amps, dt, record)
+    regs = np.atleast_1d(_regularization(i_amps, q_amps, lam)).tolist()
     out = []
-    for t, i_row, q_row in zip(*map(np.atleast_2d, (transfer, i_amps, q_amps))):
-        reg = _regularization(i_row, q_row, lam)
+    for t, reg in zip(np.atleast_2d(transfer), regs):
         eps_i, eps_j = _errors(t[0], t[1:])
         out.append(CostBreakdown(eps_i, eps_j, reg, (1.0 - eps_i) + sum(eps_j) + reg))
     return out if transfer.ndim > 1 else out[0]
@@ -348,9 +357,9 @@ def _initial_amplitudes(config: OptimizerConfig, restart: int):
 
 def _group_record(parts):
     """The forward record of the stacked pulses `parts`, [(record, p)] in stack
-    order: one call's record as it is when it holds exactly these pulses,
-    else their blocks stacked level by level (every call of a lockstep group
-    runs in one block, see `_descend`)."""
+    order: a record as it is when it holds exactly these pulses, else their
+    blocks stacked level by level (every call of a lockstep group runs in one
+    block, see `_descend`)."""
     record = parts[0][0]
     if len(record[0][2]) == len(parts) and all(
             rec is record and p == n for n, (rec, p) in enumerate(parts)):
@@ -364,52 +373,70 @@ def _group_record(parts):
 def _descend(ens: _Ensemble, config: OptimizerConfig, restarts):
     """Projected-gradient descent with Armijo backtracking for a range of
     restarts, each taking exactly the steps it would take alone.  They run in
-    lockstep groups of as many as fit one forward block, so every call of a
-    group holds one block; a group after a converged restart is not run.
-    Returns the kept restarts in order, with their `stop` reason (None at
-    max_iters)."""
-    group = max(1, _BLOCK_MEMBER_STEPS // (len(ens.deltas) * config.m))
+    lockstep groups of as many as keep every call in one forward block.  When
+    the block holds two pulses of every restart, a line-search round tries two
+    trials per restart, else one.  A group after a converged restart is not
+    run.  Returns the kept restarts in order, with their `stop` reason (None
+    at max_iters)."""
+    room = _BLOCK_MEMBER_STEPS // (len(ens.deltas) * config.m)     # pulses per block
+    # only in one group: a split into more groups adds a gradient call per group
+    width = 2 if room >= 2 * len(restarts) else 1
+    group = max(1, room // width)
     runs = []
     for start in range(0, len(restarts), group):
-        runs += _lockstep(ens, config, restarts[start:start + group])
+        runs += _lockstep(ens, config, restarts[start:start + group], width)
         if runs[-1].stop == "converged":
             break
     return runs
 
 
-def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts):
-    """One `_descend` group in lockstep: one stacked objective call per
-    line-search round, one stacked gradient per iteration.  A converged
-    restart drops the later ones, never run alone."""
+def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts, width):
+    """One `_descend` group in lockstep: one stacked gradient per iteration,
+    and per line-search round one stacked objective call of the next `width`
+    trials (alpha, alpha/2) of every searching restart.  Each takes its first
+    Armijo trial, the step of the one-trial loop (MAX_BACKTRACKS counts
+    trials; the float floor is checked per trial, in order), and only taken
+    pulses keep their record.  A converged restart drops the later ones."""
     dt, lam, clip = config.step_duration, config.lam, config.max_amp
     runs = [SimpleNamespace(restart=r, rows=[], alpha=None, trial=None, stop=None)
             for r in restarts]
 
     def evaluate(candidates, it):
-        """One stacked objective call; accept the Armijo candidates (all at 0)."""
-        record = []
+        """One stacked objective call over (run, I, Q, move) candidates, each
+        run's in trial order (at iteration 0 one each, taken unconditionally)."""
+        record, taken = [], []
         bds = _objective(ens, np.array([c[1] for c in candidates]),
                          np.array([c[2] for c in candidates]), dt, lam, record)
         for p, ((run, i_amps, q_amps, move), bd) in enumerate(zip(candidates, bds)):
+            if it and run.trial is None:
+                continue    # took an earlier trial of this call
             if it and not bd.f <= run.bd.f - ARMIJO_C * move:
                 run.trial *= BACKTRACK_FACTOR
                 continue
-            run.i_amps, run.q_amps, run.bd, run.record = i_amps, q_amps, bd, (record, p)
+            run.i_amps, run.q_amps, run.bd = i_amps, q_amps, bd
+            taken.append((run, p))
             run.rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, run.trial or 0.0))
             if it:
                 run.alpha, run.trial = run.trial * STEP_GROWTH, None
             if bd.f - bd.reg <= config.tol:
                 run.stop = "converged"
                 del runs[run.restart - runs[0].restart + 1:]
+        if 0 < len(taken) < len(bds):   # one gather: the taken pulses alone stay alive
+            index = [p for _, p in taken]
+            record = [(rows, [(a[index], b[index]) for a, b in levels], k[index])
+                      for rows, levels, k in record]
+        for j, (run, _) in enumerate(taken):
+            run.record = (record, j)
 
     evaluate([(run, *_initial_amplitudes(config, run.restart), 0.0) for run in runs], 0)
     for it in range(1, config.max_iters + 1):
         active = [run for run in runs if run.stop is None]
         if not active:
             break
+        # records handed over, so that a stacked copy is not alive beside them
         grads = _objective_gradient(ens, np.array([run.i_amps for run in active]),
                                     np.array([run.q_amps for run in active]), dt, lam,
-                                    _group_record([run.record for run in active]))
+                                    _group_record([vars(run).pop("record") for run in active]))
         for run, g_i, g_q in zip(active, *grads):
             if float(np.dot(g_i, g_i) + np.dot(g_q, g_q)) == 0.0:
                 run.stop = "stationary"
@@ -417,21 +444,27 @@ def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts):
             if run.alpha is None:
                 run.alpha = 0.1 * clip / max(np.max(np.abs(g_i)), np.max(np.abs(g_q)))
             run.g_i, run.g_q, run.trial = g_i, g_q, run.alpha
-        for _ in range(MAX_BACKTRACKS):
-            candidates = []
+        for first in range(0, MAX_BACKTRACKS, width):
+            candidates, floored = [], []
             for run in (run for run in runs if run.trial is not None):
-                cand_i = np.clip(run.i_amps - run.trial * run.g_i, -clip, clip)
-                cand_q = np.clip(run.q_amps - run.trial * run.g_q, -clip, clip)
-                # projected Armijo: decrease measured against the realized move
-                move = float(np.dot(run.g_i, run.i_amps - cand_i)
-                             + np.dot(run.g_q, run.q_amps - cand_q))
-                if ARMIJO_C * move < _DECREASE_FLOOR * max(1.0, abs(run.bd.f)):
-                    run.stop, run.trial = "stationary", None   # float resolution
-                else:
+                trial = run.trial
+                for _ in range(min(width, MAX_BACKTRACKS - first)):
+                    cand_i = np.clip(run.i_amps - trial * run.g_i, -clip, clip)
+                    cand_q = np.clip(run.q_amps - trial * run.g_q, -clip, clip)
+                    # projected Armijo: decrease measured against the realized move
+                    move = float(np.dot(run.g_i, run.i_amps - cand_i)
+                                 + np.dot(run.g_q, run.q_amps - cand_q))
+                    if ARMIJO_C * move < _DECREASE_FLOOR * max(1.0, abs(run.bd.f)):
+                        floored.append(run)     # float resolution, if this trial is reached
+                        break
                     candidates.append((run, cand_i, cand_q, move))
+                    trial *= BACKTRACK_FACTOR
+            if candidates:
+                evaluate(candidates, it)
+            for run in (run for run in floored if run.trial is not None):
+                run.stop, run.trial = "stationary", None
             if not candidates:
                 break
-            evaluate(candidates, it)
         for run in (run for run in runs if run.trial is not None):
             run.stop, run.trial = "diverged", None
     return runs
@@ -442,9 +475,10 @@ def optimize(scenario: ControlScenario, config: OptimizerConfig):
 
     Runs up to `config.restarts` independently seeded descents, stopping early
     once one reaches the tolerance; the best final objective wins.  Restarts
-    run in lockstep groups of as many as fit one forward block, with the
-    result of running them one after another.  Raises Diverged (carrying the
-    best artifacts so far) only if every restart stalls in its line search.
+    run in lockstep groups, two line-search trials each per forward call, with
+    the result of running them one after another, one trial at a time.  Raises
+    Diverged (carrying the best artifacts so far) only if every restart stalls
+    in its line search.
     """
     runs = _descend(_Ensemble.for_scenario(scenario), config, range(config.restarts))
     best = min(runs, key=lambda run: run.bd.f)

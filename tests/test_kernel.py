@@ -1,7 +1,8 @@
 """The pair kernel (tree product and prefix scan) against a stepwise 2x2 loop,
-the scan as the tree's down-sweep against the recursive scan, and the
-one-scan gradient against the two-scan, derivative-pair gradient; blocked
-forward evaluation against one block; pulse stacks against one pulse at a time."""
+the scan as the tree's down-sweep against the recursive scan, the step pairs
+and q against their always-guarded build, and the one-scan gradient against
+the two-scan, derivative-pair gradient; blocked forward evaluation against one
+block; pulse stacks against one pulse at a time."""
 
 import tracemalloc
 
@@ -13,7 +14,7 @@ import spinmux.synthesis as synthesis
 from spinmux import (ControlScenario, HyperfineManifold, PulseProgram, QubitState,
                      evolve, step_propagator)
 from spinmux.dynamics import (TWO_PI, _compose, _matrix, _pair, _product, _scan,
-                              _su2_pairs, _tree)
+                              _su2_pairs, _su2_q, _tree)
 from spinmux.synthesis import _cost_gradient_arrays, _Ensemble
 
 DT = 40e-9
@@ -177,6 +178,99 @@ def test_pair_matches_the_complex_formula():
         want_a, want_b = args[0] - 1j * args[3], args[2] - 1j * args[1]
         assert np.shape(a) == np.shape(want_a) and np.shape(b) == np.shape(want_b)
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+
+def reference_su2_pairs(ax, ay, az, dt, coefficient=False):
+    """The step pairs as they were built before `_pair` took k: both guards
+    always, and the k*x products made before they are copied in."""
+    ax = np.asarray(ax, dtype=float)
+    ay = np.asarray(ay, dtype=float)
+    az = np.asarray(az, dtype=float)
+    half_dt = 0.5 * np.asarray(dt, dtype=float)
+    omega = np.sqrt(ax * ax + ay * ay + az * az)
+    theta = half_dt * omega
+    moving = omega > 0.0
+    k = np.where(moving, np.sin(theta) / np.where(moving, omega, 1.0), half_dt)
+    x, y, z = k * ax, k * ay, k * az
+    a = np.empty(np.broadcast(np.cos(theta), z).shape, dtype=complex)
+    a.real = np.cos(theta)
+    np.subtract(0.0, z, out=a.imag)
+    b = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    b.real = y
+    np.subtract(0.0, x, out=b.imag)
+    return ((a, b), k) if coefficient else (a, b)
+
+
+def reference_su2_q(cos_t, k, omega2, dt):
+    """q with the series and the exact branch both evaluated everywhere."""
+    half_dt = 0.5 * np.asarray(dt, dtype=float)
+    theta = half_dt * np.sqrt(omega2)
+    return np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
+                    (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
+
+
+def same_bits(got, want):
+    """Equal shapes, dtypes and bytes: signed zeros and NaN payloads count."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def su2_inputs():
+    """(name, ax, ay, az, dt) cases for the pair builders."""
+    rng = np.random.default_rng(12)
+    amps = rng.uniform(-3e7, 3e7, (3, 2, 1, 9))
+    amps[:, :, :, ::3] = 0.0                      # some steps without drive
+    amps[1, 0, :, 1] = -0.0
+    deltas = np.array([[0.0], [-0.0], [1.3e7], [-2.1e6]])   # (members, 1)
+    zeros = np.zeros((2, 3, 5))
+    return [
+        ("rows-at-rest-mixed", amps[0], amps[1], deltas, DT),
+        ("stack", amps[0], amps[1], deltas, np.array(DT)),
+        ("no-row-at-rest", amps[0] + 1e3, amps[2] - 1e3, deltas + 5e5, DT),
+        ("all-zero-at-zero-detuning", zeros, zeros, 0.0, DT),
+        ("negative-zero-controls", -zeros, zeros, -0.0, DT),
+        ("0-d", 2.5e6, -1.5e6, 0.0, DT),
+        ("0-d-at-rest", 0.0, -0.0, 0.0, DT),
+        ("nan-control", np.array([1e6, np.nan, 0.0]), 0.0, 0.0, DT),
+        ("1-d", amps[2, 0, 0], amps[0, 1, 0], 3.3e5, DT),
+        ("1-d-long-steps", amps[2, 0, 0], amps[0, 1, 0], 0.0, 2e-6),
+        ("pulse-member-step", amps[:, :, None, 0, :], amps[:, None, :, 0, :],
+         deltas[None, :2], DT),
+    ]
+
+
+@pytest.mark.parametrize("case", su2_inputs(), ids=lambda case: case[0])
+@pytest.mark.parametrize("coefficient", (False, True))
+def test_su2_pairs_equal_the_guarded_build_bit_for_bit(case, coefficient):
+    _, ax, ay, az, dt = case
+    got = _su2_pairs(ax, ay, az, dt, coefficient=coefficient)
+    want = reference_su2_pairs(ax, ay, az, dt, coefficient=coefficient)
+    if coefficient:
+        (got, got_k), (want, want_k) = got, want
+        assert same_bits(got_k, want_k)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("case", su2_inputs(), ids=lambda case: case[0])
+def test_su2_q_equals_both_branches_bit_for_bit(case):
+    _, ax, ay, az, dt = case
+    (a, _), k = _su2_pairs(ax, ay, az, dt, coefficient=True)
+    omega2 = np.asarray(ax) ** 2 + np.asarray(ay) ** 2 + np.asarray(az) ** 2
+    assert same_bits(_su2_q(a.real, k, omega2, dt), reference_su2_q(a.real, k, omega2, dt))
+
+
+@pytest.mark.parametrize("dt, series, exact", [
+    (1e-12, True, False), (1e-9, True, True), (1e-5, False, True)],
+    ids=("series-only", "both", "exact-only"))
+def test_su2_q_on_both_sides_of_the_series_threshold(dt, series, exact):
+    # rates from 1e3 to 1e7 rad/s put theta = rate * dt / 2 on either side of 1e-3
+    rates = np.geomspace(1e3, 1e7, 41)
+    theta = 0.5 * dt * rates
+    assert ((theta < 1e-3).any(), (theta >= 1e-3).any()) == (series, exact)
+    (a, _), k = _su2_pairs(rates, 0.0, 0.0, dt, coefficient=True)
+    assert same_bits(_su2_q(a.real, k, rates ** 2, dt),
+                     reference_su2_q(a.real, k, rates ** 2, dt))
 
 
 def reference_gradient(ens, i_amps, q_amps, dt):

@@ -524,6 +524,45 @@ def count_kernel_calls(monkeypatch, run_optimize, scenario, config):
     return counts
 
 
+def count_stacked_calls(monkeypatch, run_optimize, scenario, config):
+    """The pulses of each `_objective` call, in order, and the number of
+    `_objective_gradient` calls made by one `run_optimize(scenario, config)`."""
+    pulses, gradients = [], []
+    objective, objective_gradient = synthesis._objective, synthesis._objective_gradient
+
+    def counting_objective(ens, i_amps, *args):
+        pulses.append(len(i_amps) if np.ndim(i_amps) == 2 else 1)
+        return objective(ens, i_amps, *args)
+
+    def counting_gradient(*args):
+        gradients.append(1)
+        return objective_gradient(*args)
+
+    monkeypatch.setattr(synthesis, "_objective", counting_objective)
+    monkeypatch.setattr(synthesis, "_objective_gradient", counting_gradient)
+    try:
+        outcome(run_optimize, scenario, config)
+    finally:
+        monkeypatch.undo()
+    return pulses, len(gradients)
+
+
+def reference_trials(monkeypatch, ens, config, restart):
+    """The trials (objective calls) of each iteration of one restart run alone,
+    and its trace."""
+    events = []
+    objective, objective_gradient = synthesis._objective, synthesis._objective_gradient
+    monkeypatch.setattr(synthesis, "_objective",
+                        lambda *args: events.append("o") or objective(*args))
+    monkeypatch.setattr(synthesis, "_objective_gradient",
+                        lambda *args: events.append("g") or objective_gradient(*args))
+    try:
+        _, trace, _, _ = reference_descend(ens, config, restart)
+    finally:
+        monkeypatch.undo()
+    return [len(trials) for trials in "".join(events[1:]).split("g")[1:]], trace
+
+
 def reference_descend(ens, config, restart):
     """One restart of projected-gradient descent with Armijo backtracking, on
     its own: the loop the lockstep descent must reproduce step for step."""
@@ -751,6 +790,117 @@ class TestLockstepRestarts:
         assert count_kernel_calls(monkeypatch, optimize, scenario, config) == want
 
 
+    def test_a_first_trial_taken_wastes_the_second(self, monkeypatch):
+        # one restart, so each round's call holds its two trials: an
+        # iteration of t trials makes ceil(t / 2) calls of two pulses
+        config = self.config(tol=0.0, restarts=1, seed=9, max_iters=12)
+        ens = _Ensemble.for_scenario(self.SCENARIO)
+        trials, _ = reference_trials(monkeypatch, ens, config, 0)
+        assert 1 in trials and 3 in trials
+        pulses, gradients = count_stacked_calls(monkeypatch, optimize, self.SCENARIO, config)
+        assert pulses == [1] + [2] * sum(-(-t // 2) for t in trials)
+        assert gradients == len(trials) == 12
+        self.assert_same_as_sequential(self.SCENARIO, config)
+
+    def test_the_float_floor_on_a_speculative_second_trial(self, monkeypatch):
+        # alone, the last iteration evaluates its first trial, which fails,
+        # and the second trial's decrease lies below float resolution
+        config = self.config(m=20, dt=0.3e-6 / 20, tol=1e-3, restarts=1, seed=1,
+                             max_iters=2000)
+        ens = _Ensemble.for_scenario(self.SCENARIO)
+        trials, trace = reference_trials(monkeypatch, ens, config, 0)
+        assert (trials[-1], len(trace.rows)) == (1, 177)
+        pulses, _ = count_stacked_calls(monkeypatch, optimize, self.SCENARIO, config)
+        assert pulses[-1] == 1
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert trace.stop_reason == "stationary"
+
+    def test_an_odd_max_backtracks_runs_out_in_the_middle_of_a_pair(self, monkeypatch):
+        # with steps growing 16x and 5 trials, every restart stalls at its
+        # first iteration: rounds of 2, 2 and 1 trials per restart
+        monkeypatch.setattr(synthesis, "MAX_BACKTRACKS", 5)
+        monkeypatch.setattr(synthesis, "STEP_GROWTH", 16.0)
+        config = self.config(tol=1e-3, restarts=3, seed=0, max_iters=60)
+        message, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert (message, trace.stop_reason) == ("no descent step accepted in any restart",
+                                                "diverged")
+        monkeypatch.setattr(synthesis, "MAX_BACKTRACKS", 5)
+        monkeypatch.setattr(synthesis, "STEP_GROWTH", 16.0)
+        pulses, _ = count_stacked_calls(monkeypatch, optimize, self.SCENARIO, config)
+        assert pulses == [3, 6, 6, 3]
+
+    def test_a_later_restart_converges_on_its_second_trial_while_an_earlier_searches(
+            self, monkeypatch):
+        # at iteration 5 restart 1 converges on its second trial, while
+        # restart 0 needs a third; alone, restart 0 converges there and wins
+        config = self.config(tol=1e-2, restarts=3, seed=35, max_iters=60)
+        ens = _Ensemble.for_scenario(self.SCENARIO)
+        trials_0, trace_0 = reference_trials(monkeypatch, ens, config, 0)
+        trials_1, trace_1 = reference_trials(monkeypatch, ens, config, 1)
+        assert (trials_0[4], trials_1[4]) == (3, 2)
+        assert trace_0.converged and trace_1.converged and len(trace_1.rows) == 6
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert (trace.converged, trace.restart, len(trace.rows)) == (True, 0, 6)
+
+    @pytest.mark.parametrize("restarts", (1, 2))
+    @pytest.mark.parametrize("spare", (0, -1), ids=("two-pulses-each-fit", "one-short"))
+    def test_the_group_size_boundary(self, monkeypatch, restarts, spare):
+        # 6 members x 37 steps: a budget of exactly two pulses per restart
+        # runs two trials per round; one member-step less runs the one-trial
+        # calls of the restarts in one group
+        budget = 2 * restarts * 6 * 37 + spare
+        config = self.config(tol=0.0, restarts=restarts, seed=9, max_iters=8)
+        reference = count_kernel_calls(monkeypatch, reference_optimize, self.SCENARIO, config)
+        monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
+        got = count_kernel_calls(monkeypatch, optimize, self.SCENARIO, config)
+        monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
+        pulses, _ = count_stacked_calls(monkeypatch, optimize, self.SCENARIO, config)
+        want = {(1, 0): (12, 23, 8), (1, -1): (21, 21, 8),
+                (2, 0): (12, 46, 8), (2, -1): (22, 42, 8)}[restarts, spare]
+        assert (got["objective"], sum(pulses), got["gradient"]) == want
+        if restarts == 1 and spare < 0:
+            assert got == reference
+        monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
+        self.assert_same_as_sequential(self.SCENARIO, config)
+
+    def test_synth_task_call_counts(self, monkeypatch):
+        # task 0 of the benchmark's synth workload at seed 1; one trial per
+        # round made 52 calls of 96 pulses
+        scenario = ControlScenario(idle_detunings=(-1430995.8269889606,))
+        config = OptimizerConfig(m=200, dt=10e-6 / 200, lam=1e-9, max_iters=20, tol=0.0,
+                                 seed=1314036597, restarts=2)
+        pulses, gradients = count_stacked_calls(monkeypatch, optimize, scenario, config)
+        assert (len(pulses), sum(pulses), gradients) == (32, 118, 20)
+
+    def test_runs_keep_the_records_of_their_taken_pulses_only(self, monkeypatch):
+        # every record a run holds is made of pulses that runs took, and the
+        # gradient gets each pulse's own record
+        group_record, objective_gradient = synthesis._group_record, synthesis._objective_gradient
+        shapes = []
+
+        def checking_group_record(parts):
+            records = {id(record): record for record, _ in parts}
+            for key, record in records.items():
+                held = [p for rec, p in parts if id(rec) == key]
+                assert sorted(held) == list(range(len(record[0][2])))
+            shapes.append(len(records))
+            return group_record(parts)
+
+        def checking_gradient(ens, i_amps, q_amps, dt, lam, record):
+            for rows, levels, k in record:
+                want = ens.forward(i_amps, q_amps, dt, rows)[1]
+                assert np.array_equal(k, want[2])
+                assert all(np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+                           for got, ref in zip(levels, want[1]))
+            return objective_gradient(ens, i_amps, q_amps, dt, lam, record)
+
+        monkeypatch.setattr(synthesis, "_group_record", checking_group_record)
+        monkeypatch.setattr(synthesis, "_objective_gradient", checking_gradient)
+        config = self.config(tol=0.0, restarts=3, seed=9, max_iters=15)
+        self.assert_same_as_sequential(self.SCENARIO, config)
+        assert 1 in shapes and max(shapes) > 1    # shared and separate rounds both seen
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("kwargs, name", [
         (dict(idle_detunings=(1e6, math.nan)), "idle_detunings"),
@@ -771,3 +921,30 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=name):
             optimize(ControlScenario(idle_detunings=(1e6,)),
                      OptimizerConfig(m=4, max_iters=1, **kwargs))
+
+
+class TestOptimizerConfigFields:
+    """Counts must be integers and seed non-negative, and tol a number: each
+    bad value raises a ValueError that names its field."""
+
+    @pytest.mark.parametrize("kwargs, name", [
+        # optimize used to die with a bare TypeError from range()
+        (dict(m=2.5), "m"),
+        (dict(max_iters=3.0), "max_iters"),
+        (dict(restarts=1.5), "restarts"),
+        # used to fail inside numpy's SeedSequence
+        (dict(seed=-1), "seed"),
+        # used to run silently to max_iters
+        (dict(tol=math.nan), "tol"),
+    ], ids=["m-float", "max-iters-float", "restarts-float", "seed-negative", "tol-nan"])
+    def test_bad_value_names_its_field(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            OptimizerConfig(**kwargs)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        config = OptimizerConfig(m=np.int64(4), max_iters=np.int32(1), restarts=np.uint8(2),
+                                 seed=np.int64(3))
+        assert [type(v) for v in (config.m, config.max_iters, config.restarts,
+                                  config.seed)] == [int] * 4
+        pulse, trace = optimize(ControlScenario(idle_detunings=(1e6,)), config)
+        assert len(pulse.i_amps) == 4 and len(trace.rows) == 2
