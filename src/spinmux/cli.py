@@ -12,7 +12,8 @@ alike ("%.17g"):
 
 Exit codes: 0 success, 1 usage error, 2 validation or physics error,
 3 optimizer divergence, 4 optimizer tolerance missed (in both cases the
-best artifacts are still written).
+best artifacts are still written).  Each numeric flag's argparse type states
+its rules, so a bad value exits 2 even when a required flag is missing.
 """
 
 from __future__ import annotations
@@ -41,16 +42,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _range(spec: str):
-    """Parse "lo:hi:n" into (lo, hi, n); an argparse type."""
-    try:
-        lo, hi, n = spec.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError("must look like lo:hi:n") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("needs n >= 1")
-    return lo, hi, n
+def _number(flag, kind=float, least=None, above=None):
+    """An argparse type for `flag`: `kind` of the text, finite, at least
+    `least` and above `above`.  A value that breaks a rule raises a
+    ValidationError naming the flag (exit 2); text that does not parse stays
+    argparse's usage error (exit 1)."""
+    def parse(text):
+        value = kind(text)
+        if not math.isfinite(value):
+            raise ValidationError("must be a finite number", field=flag)
+        if least is not None and value < least:
+            raise ValidationError(f"must be >= {least}", field=flag)
+        if above is not None and value <= above:
+            raise ValidationError(f"must be > {above}", field=flag)
+        return value
+
+    parse.__name__ = kind.__name__    # argparse's "invalid float value" message
+    return parse
+
+
+def _range(flag):
+    """An argparse type for `flag`: "lo:hi:n" as (lo, hi, n), n >= 1, each
+    bound checked as a float flag is."""
+    bound = _number(flag)
+
+    def parse(spec):
+        try:
+            lo, hi, n = spec.split(":")
+            lo, hi, n = float(lo), float(hi), int(n)
+        except ValueError:
+            raise argparse.ArgumentTypeError("must look like lo:hi:n") from None
+        if n < 1:
+            raise argparse.ArgumentTypeError("needs n >= 1")
+        return bound(lo), bound(hi), n
+
+    return parse
 
 
 def _grid(lo, hi, n):
@@ -58,31 +84,11 @@ def _grid(lo, hi, n):
     return [lo] if n == 1 else list(np.linspace(lo, hi, n))
 
 
-def _check_finite(args) -> None:
-    """Reject NaN and infinite values of every float flag, range bounds too."""
-    for name, value in vars(args).items():
-        values = value if isinstance(value, (list, tuple)) else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ValidationError("must be a finite number",
-                                  field="--" + name.replace("_", "-"))
-
-
-# (least value, whether it is allowed) per numeric flag; checked here so the
-# error names the flag, not the library parameter that would reject it.  A
-# subcommand adds its own entries as the `least` default of its parser.
-_LEAST = {"steps": (1, True), "restarts": (1, True), "points": (1, True),
-          "nu": (1, True), "nv": (1, True), "seed": (0, True),
-          "duration": (0, False), "probe_rabi_mhz": (0, False),
-          "t_max_ns": (0, True), "tau_max_us": (0, True), "linewidth_mhz": (0, True)}
-
-
-def _check_least(args) -> None:
-    """Reject numeric flags below their least meaningful value."""
-    for name, (least, allowed) in {**_LEAST, **getattr(args, "least", {})}.items():
-        value = getattr(args, name, None)   # None: not a flag of this command
-        if value is not None and (value < least or (value == least and not allowed)):
-            raise ValidationError(f"must be {'>=' if allowed else '>'} {least}",
-                                  field="--" + name.replace("_", "-"))
+def _site(table, site_id, flag):
+    """`table[site_id]`, or a ValidationError naming the flag that gave the id."""
+    if site_id not in table:
+        raise ValidationError(f"unknown site id {site_id!r}", field=flag)
+    return table[site_id]
 
 
 def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
@@ -91,13 +97,13 @@ def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
         raise UsageError("need at least one --idle-site")
     addr = {e.site_id: e.omega_plus
             for e in address_map(cfg.environment, cfg.drive, cfg.sites).entries}
-    if target_id not in addr:
-        raise ValidationError(f"unknown site id {target_id!r}", field="--target-site")
+    target = _site(addr, target_id, "--target-site")
     idle = []
     for site_id in idle_ids:
-        if site_id not in addr:
-            raise ValidationError(f"unknown site id {site_id!r}", field="--idle-site")
-        idle.append(addr[site_id] - addr[target_id])
+        idle.append(_site(addr, site_id, "--idle-site") - target)
+        if idle[-1] == 0.0:
+            raise ValidationError(f"site {site_id!r} has the target's address",
+                                  field="--idle-site")
     return ControlScenario(idle_detunings=tuple(idle), manifold=cfg.manifold)
 
 
@@ -128,16 +134,20 @@ def cmd_simulate(args) -> int:
         pops = simulate_rabi(args.rabi_mhz * 1e6, args.delta_mhz * 1e6, times)
         write_csv(args.out, "t_ns,p1", (times * 1e9, pops))
     elif args.kind == "ramsey":
-        site = cfg.site(args.site) if args.site else cfg.sites[0]
+        site = (_site({s.id: s for s in cfg.sites}, args.site, "--site")
+                if args.site else cfg.sites[0])
         taus = np.linspace(0.0, args.tau_max_us * 1e-6, args.points)
         signal = simulate_ramsey(args.delta_mhz * 1e6, cfg.manifold,
                                  site.t2_star, taus)
         write_csv(args.out, "tau_us,signal", (taus * 1e6, signal))
     elif args.kind == "odmr":
-        if args.f_min_ghz is None or args.f_max_ghz is None:
+        if args.f_min_ghz is None and args.f_max_ghz is None:
             sample = field_sample(cfg.environment, cfg.drive, cfg.sites[0])
             center = sample.omega_plus
             lo, hi = center - 10e6, center + 10e6
+        elif args.f_max_ghz is None or args.f_min_ghz is None:
+            raise UsageError("--f-min-ghz and --f-max-ghz go together; missing "
+                             + ("--f-max-ghz" if args.f_max_ghz is None else "--f-min-ghz"))
         else:
             lo, hi = args.f_min_ghz * 1e9, args.f_max_ghz * 1e9
         scan = np.linspace(lo, hi, args.points)
@@ -154,16 +164,9 @@ def cmd_simulate(args) -> int:
 
 
 def _write_trace(path, trace) -> None:
+    """One JSON object per accepted iteration, keyed by the TraceRow fields."""
     with open(path, "w", newline="") as fh:
-        for row in trace.rows:
-            fh.write(json.dumps({
-                "iteration": row.iteration,
-                "f": row.f,
-                "eps_i": row.eps_i,
-                "eps_j": list(row.eps_j),
-                "reg": row.reg,
-                "step_size": row.step_size,
-            }) + "\n")
+        fh.writelines(json.dumps(vars(row)) + "\n" for row in trace.rows)
 
 
 def cmd_optimize(args) -> int:
@@ -176,17 +179,16 @@ def cmd_optimize(args) -> int:
         seed=args.seed,
         restarts=args.restarts,
     )
+    diverged = None
     try:
         pulse, trace = optimize(scenario, opt)
-    except Diverged as exc:
-        if exc.pulse is not None:
-            write_pulse(args.out_pulse, exc.pulse)
-        if exc.trace is not None:
-            _write_trace(args.out_trace, exc.trace)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except Diverged as exc:     # carries the best pulse and trace of the restarts
+        pulse, trace, diverged = exc.pulse, exc.trace, exc
     write_pulse(args.out_pulse, pulse)
     _write_trace(args.out_trace, trace)
+    if diverged is not None:
+        print(f"error: {diverged}", file=sys.stderr)
+        return 3
     if not trace.converged:
         eps_i, eps_j = trace.rows[-1].eps_i, sum(trace.rows[-1].eps_j)
         print(f"warning: tolerance missed: eps_i={eps_i:.6g}, sum(eps_j)={eps_j:.6g}, "
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("address-map", parents=[], help="per-site addresses")
     p.add_argument("--config", required=True)
-    p.add_argument("--idc-ma", type=float, required=True,
+    p.add_argument("--idc-ma", type=_number("--idc-ma"), required=True,
                    help="DC current in milliamperes")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_address_map)
@@ -242,16 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["rabi", "ramsey", "odmr", "pulse"])
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rabi-mhz", type=float, default=7.5)
-    p.add_argument("--delta-mhz", type=float, default=0.0)
-    p.add_argument("--t-max-ns", type=float, default=300.0)
-    p.add_argument("--tau-max-us", type=float, default=8.0)
-    p.add_argument("--points", type=int, default=601)
+    p.add_argument("--rabi-mhz", type=_number("--rabi-mhz"), default=7.5)
+    p.add_argument("--delta-mhz", type=_number("--delta-mhz"), default=0.0)
+    p.add_argument("--t-max-ns", type=_number("--t-max-ns", least=0), default=300.0)
+    p.add_argument("--tau-max-us", type=_number("--tau-max-us", least=0), default=8.0)
+    p.add_argument("--points", type=_number("--points", int, least=1), default=601)
     p.add_argument("--site", default=None, help="site id (ramsey), default first")
-    p.add_argument("--f-min-ghz", type=float, default=None)
-    p.add_argument("--f-max-ghz", type=float, default=None)
-    p.add_argument("--probe-rabi-mhz", type=float, default=0.2)
-    p.add_argument("--linewidth-mhz", type=float, default=0.2)
+    p.add_argument("--f-min-ghz", type=_number("--f-min-ghz"), default=None)
+    p.add_argument("--f-max-ghz", type=_number("--f-max-ghz"), default=None)
+    p.add_argument("--probe-rabi-mhz", type=_number("--probe-rabi-mhz", above=0),
+                   default=0.2)
+    p.add_argument("--linewidth-mhz", type=_number("--linewidth-mhz", least=0), default=0.2)
     p.add_argument("--pulse", default=None, help="pulse CSV (pulse kind)")
     p.set_defaults(func=cmd_simulate)
 
@@ -259,39 +262,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--target-site", required=True)
     p.add_argument("--idle-site", action="append", default=[])
-    p.add_argument("--lambda", type=float, default=1e-7,
+    p.add_argument("--lambda", type=_number("--lambda"), default=1e-7,
                    help="smoothness weight, 1/Hz")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--duration", type=float, default=10e-6,
+    p.add_argument("--steps", type=_number("--steps", int, least=1), default=200)
+    p.add_argument("--duration", type=_number("--duration", above=0), default=10e-6,
                    help="total pulse duration in seconds")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--seed", type=_number("--seed", int, least=0), default=0)
+    p.add_argument("--restarts", type=_number("--restarts", int, least=1), default=1)
     p.add_argument("--out-pulse", required=True)
     p.add_argument("--out-trace", required=True)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("crosstalk-map", help="spatial flip-error maps")
     p.add_argument("--config", required=True)
-    p.add_argument("--idc-ma", type=float, action="append", required=True,
+    p.add_argument("--idc-ma", type=_number("--idc-ma"), action="append", required=True,
                    help="repeatable; one CSV per value")
-    p.add_argument("--target-u-um", type=float, required=True)
-    p.add_argument("--rabi-mhz", type=float, default=10.0)
-    p.add_argument("--u-min-um", type=float, required=True)
-    p.add_argument("--u-max-um", type=float, required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--v-min-um", type=float, default=0.0)
-    p.add_argument("--v-max-um", type=float, default=0.0)
-    p.add_argument("--nv", type=int, default=1)
+    p.add_argument("--target-u-um", type=_number("--target-u-um"), required=True)
+    p.add_argument("--rabi-mhz", type=_number("--rabi-mhz", above=0), default=10.0)
+    p.add_argument("--u-min-um", type=_number("--u-min-um"), required=True)
+    p.add_argument("--u-max-um", type=_number("--u-max-um"), required=True)
+    p.add_argument("--nu", type=_number("--nu", int, least=1), required=True)
+    p.add_argument("--v-min-um", type=_number("--v-min-um"), default=0.0)
+    p.add_argument("--v-max-um", type=_number("--v-max-um"), default=0.0)
+    p.add_argument("--nv", type=_number("--nv", int, least=1), default=1)
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_crosstalk_map, least={"rabi_mhz": (0, False)})
+    p.set_defaults(func=cmd_crosstalk_map)
 
     p = sub.add_parser("sweep", help="pulse sensitivity grid")
     p.add_argument("--config", required=True)
     p.add_argument("--pulse", required=True)
     p.add_argument("--target-site", required=True)
     p.add_argument("--idle-site", action="append", default=[])
-    p.add_argument("--delta-range", type=_range, required=True, help="lo:hi:n in MHz")
-    p.add_argument("--amp-range", type=_range, required=True,
+    p.add_argument("--delta-range", type=_range("--delta-range"), required=True,
+                   help="lo:hi:n in MHz")
+    p.add_argument("--amp-range", type=_range("--amp-range"), required=True,
                    help="lo:hi:n scale factors")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -302,8 +306,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_finite(args)
-        _check_least(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ class Diverged(SpinmuxError):
     partial results.
     """
 
-    def __init__(self, message, pulse=None, trace=None):
+    def __init__(self, message, pulse, trace):
         super().__init__(message)
         self.pulse = pulse
         self.trace = trace

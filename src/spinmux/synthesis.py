@@ -95,8 +95,8 @@ class OptimizerConfig:
             raise ValueError("max_amp must be positive and finite")
         if self.dt is not None and not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if np.isnan(self.tol):
-            raise ValueError("tol must not be NaN")
+        if not self.tol >= 0:
+            raise ValueError("tol must be >= 0")
 
     @property
     def step_duration(self) -> float:
@@ -109,18 +109,17 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Objective decomposition; f == (1 - eps_i) + sum(eps_j) + reg."""
+    """Objective decomposition; f = (1 - eps_i) + sum(eps_j) + reg, assembled
+    here from the parts and nowhere else."""
 
     eps_i: float       # averaged target transfer probability
     eps_j: tuple       # averaged spectator errors
     reg: float
-    f: float
+    f: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eps_j", tuple(self.eps_j))
-        expected = (1.0 - self.eps_i) + sum(self.eps_j) + self.reg
-        if abs(self.f - expected) > 1e-12:
-            raise ValueError("inconsistent cost assembly")
+        object.__setattr__(self, "f", (1.0 - self.eps_i) + sum(self.eps_j) + self.reg)
 
 
 @dataclass(frozen=True)
@@ -135,20 +134,20 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Accepted-iteration history of the descent that produced a pulse, and why
-    it stopped: converged, stationary, max_iters or diverged (by default, as
-    `converged` says)."""
+    """Accepted-iteration history of the descent that produced a pulse, the
+    restart it came from, and why it stopped: converged, stationary,
+    max_iters or diverged.  `converged` is read from `stop_reason`."""
 
     rows: tuple
-    converged: bool
     restart: int
-    stop_reason: str = ""
+    stop_reason: str
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if not self.stop_reason:
-            object.__setattr__(self, "stop_reason",
-                               "converged" if self.converged else "max_iters")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 class _Ensemble:
@@ -250,13 +249,11 @@ def _errors(target_transfer, spectator_transfers):
 
 def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record=None):
     """f and its parts for amplitude arrays, one CostBreakdown per pulse of a
-    (P, m) stack (one for a 1-d pulse); the one place f is assembled."""
+    (P, m) stack (one for a 1-d pulse)."""
     transfer = ens.transfer_means(i_amps, q_amps, dt, record)
     regs = np.atleast_1d(_regularization(i_amps, q_amps, lam)).tolist()
-    out = []
-    for t, reg in zip(np.atleast_2d(transfer), regs):
-        eps_i, eps_j = _errors(t[0], t[1:])
-        out.append(CostBreakdown(eps_i, eps_j, reg, (1.0 - eps_i) + sum(eps_j) + reg))
+    out = [CostBreakdown(*_errors(t[0], t[1:]), reg)
+           for t, reg in zip(np.atleast_2d(transfer), regs)]
     return out if transfer.ndim > 1 else out[0]
 
 
@@ -483,7 +480,7 @@ def optimize(scenario: ControlScenario, config: OptimizerConfig):
     runs = _descend(_Ensemble.for_scenario(scenario), config, range(config.restarts))
     best = min(runs, key=lambda run: run.bd.f)
     pulse = PulseProgram.from_arrays(best.i_amps, best.q_amps, config.step_duration)
-    trace = OptimizationTrace(best.rows, best.stop == "converged", best.restart, best.stop)
+    trace = OptimizationTrace(best.rows, best.restart, best.stop or "max_iters")
     if all(run.stop == "diverged" for run in runs):
         raise Diverged("no descent step accepted in any restart", pulse=pulse, trace=trace)
     return pulse, trace

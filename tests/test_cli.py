@@ -1,5 +1,9 @@
+import argparse
 import csv
+import dataclasses
+import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -174,7 +178,7 @@ class TestOptimizeCommand:
         best = rect_pi_pulse(1e6, m=4)
         trace = OptimizationTrace(
             rows=(TraceRow(0, 1.0, 0.0, (0.0,), 0.0, 0.0),),
-            converged=False, restart=0,
+            restart=0, stop_reason="diverged",
         )
 
         def stalled(scenario, config):
@@ -472,3 +476,172 @@ class TestExitCodes:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert code == 1
+
+
+def typed_flags():
+    """(argv prefix, action) for every option of every subcommand that has an
+    argparse type, walked from `build_parser()`."""
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in sub.choices.items():
+        prefix = [name, "rabi"] if name == "simulate" else [name]
+        for action in command._actions:
+            if action.type is not None and action.option_strings:
+                yield prefix, action
+
+
+def rules(action):
+    """The variables a flag's argparse type closes over: flag, kind, least and
+    above for `_number`, bound for `_range`, none for a bare `float`."""
+    return inspect.getclosurevars(action.type).nonlocals if inspect.isfunction(
+        action.type) else {}
+
+
+TYPED_FLAGS = list(typed_flags())
+# (prefix, action, "least" or "above") for every bound a flag's type enforces
+BOUNDED_FLAGS = [(prefix, action, bound) for prefix, action in TYPED_FLAGS
+                 for bound in ("least", "above") if rules(action).get(bound) is not None]
+
+
+def flag_id(flag):
+    return f"{flag[0][0]} {flag[1].option_strings[0]}" + (f" {flag[2]}" if flag[2:] else "")
+
+
+class TestFlagRules:
+    """Each numeric flag's rules live in its argparse type, so every flag the
+    parser has is checked here, including flags added later."""
+
+    def test_every_subcommand_has_numeric_flags(self):
+        assert {prefix[0] for prefix, _ in TYPED_FLAGS} == {
+            "address-map", "simulate", "optimize", "crosstalk-map", "sweep"}
+        bounded = {flag_id(f) for f in BOUNDED_FLAGS}
+        assert {"crosstalk-map --rabi-mhz above", "optimize --steps least"} <= bounded
+        assert not {"simulate --rabi-mhz least", "simulate --rabi-mhz above"} & bounded
+
+    @pytest.mark.parametrize("flag", TYPED_FLAGS, ids=flag_id)
+    def test_every_numeric_flag_rejects_nan_and_names_itself(self, capsys, flag):
+        prefix, action = flag
+        name = action.option_strings[0]
+        ranged = "bound" in rules(action)
+        code = cli.main([*prefix, f"{name}={'nan:0:1' if ranged else 'nan'}"])
+        err = capsys.readouterr().err
+        if action.type.__name__ == "int":   # "nan" does not parse as a count
+            assert code == 1
+            assert f"argument {name}: invalid int value: 'nan'" in err
+        else:   # rejected as the flag is parsed, before the missing --config
+            assert code == 2
+            assert err == f"error: {name}: must be a finite number\n"
+
+    @pytest.mark.parametrize("flag", BOUNDED_FLAGS, ids=flag_id)
+    def test_every_bound_is_enforced_on_its_own_flag(self, capsys, flag):
+        prefix, action, bound = flag
+        name, limit = action.option_strings[0], rules(action)[bound]
+        counted = rules(action)["kind"] is int
+
+        def next_value(x, direction):   # the next count, or the next float
+            return x + direction if counted else math.nextafter(x, x + direction)
+
+        if bound == "least":
+            bad, good, message = next_value(limit, -1), limit, f">= {limit}"
+        else:
+            bad, good, message = limit, next_value(limit, 1), f"> {limit}"
+        assert cli.main([*prefix, f"{name}={bad}"]) == 2
+        assert capsys.readouterr().err == f"error: {name}: must be {message}\n"
+        assert action.type(str(good)) == good
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("given, missing", [
+        ("--f-min-ghz", "--f-max-ghz"),
+        ("--f-max-ghz", "--f-min-ghz"),
+    ])
+    def test_half_an_odmr_window_is_a_usage_error(self, demo_config, tmp_path, capsys,
+                                                  given, missing):
+        # used to scan the default window around the first site, exit 0
+        out = tmp_path / "o.csv"
+        code = cli.main(["simulate", "odmr", "--config", demo_config, given, "3.01",
+                         "--points", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and missing in err
+        assert not out.exists()
+
+    def test_unknown_ramsey_site_names_the_flag(self, demo_config, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = cli.main(["simulate", "ramsey", "--config", demo_config, "--site", "nope",
+                         "--points", "5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --site: unknown site id 'nope'\n"
+        assert not out.exists()
+
+    @staticmethod
+    def site_argv(command, config, tmp_path, target, idle):
+        pulse_path = tmp_path / "in.csv"
+        write_pulse(pulse_path, rect_pi_pulse(1e6, m=4))
+        outs = {"optimize": ["--out-pulse", str(tmp_path / "o.csv"),
+                             "--out-trace", str(tmp_path / "o.jsonl")],
+                "sweep": ["--pulse", str(pulse_path), "--delta-range", "0:0:1",
+                          "--amp-range", "1:1:1", "--out", str(tmp_path / "o.csv")]}
+        return [command, "--config", config, "--target-site", target,
+                "--idle-site", idle, *outs[command]]
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_target_as_idle_site_names_the_flag_and_the_site(
+            self, close_pair_config, tmp_path, capsys, command):
+        # used to print "idle detunings must differ from the target's"
+        argv = self.site_argv(command, close_pair_config, tmp_path, "nv-b", "nv-b")
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --idle-site: site 'nv-b' ")
+        assert not list(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    @pytest.mark.parametrize("target, idle, flag", [
+        ("nope", "nv-c", "--target-site"),
+        ("nv-b", "nope", "--idle-site"),
+    ], ids=["target", "idle"])
+    def test_unknown_site_names_its_flag(self, close_pair_config, tmp_path, capsys,
+                                         command, target, idle, flag):
+        code = cli.main(self.site_argv(command, close_pair_config, tmp_path, target, idle))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag}: unknown site id 'nope'\n"
+        assert not list(tmp_path.glob("o*"))
+
+
+class TestOptimizeArtifacts:
+    ROWS = (TraceRow(0, 1.25, 0.5, (0.5, 0.25), 0.5, 0.0),
+            TraceRow(1, 0.75, 0.625, (0.125, 0.0625), 0.1875, 3e-9))
+
+    def test_trace_keys_are_the_trace_row_fields_in_order(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        cli._write_trace(path, OptimizationTrace(self.ROWS, 0, "max_iters"))
+        lines = path.read_text().splitlines()
+        names = [f.name for f in dataclasses.fields(TraceRow)]
+        for line, row in zip(lines, self.ROWS, strict=True):
+            obj = json.loads(line)
+            assert list(obj) == names
+            assert obj == {**vars(row), "eps_j": list(row.eps_j)}
+
+    def test_divergence_writes_what_a_missed_tolerance_writes(
+            self, close_pair_config, tmp_path, monkeypatch, capsys):
+        best = rect_pi_pulse(1e6, m=4)
+        trace = OptimizationTrace(self.ROWS, 0, "diverged")
+
+        def diverged(scenario, config):
+            raise Diverged("stalled", pulse=best, trace=trace)
+
+        files, errs = {}, {}
+        for code, fake in ((3, diverged), (4, lambda scenario, config: (best, trace))):
+            monkeypatch.setattr(cli, "optimize", fake)
+            pulse_path, trace_path = tmp_path / f"p{code}.csv", tmp_path / f"t{code}.jsonl"
+            assert cli.main([
+                "optimize", "--config", close_pair_config,
+                "--target-site", "nv-b", "--idle-site", "nv-c",
+                "--out-pulse", str(pulse_path), "--out-trace", str(trace_path),
+            ]) == code
+            files[code] = pulse_path.read_bytes(), trace_path.read_bytes()
+            errs[code] = capsys.readouterr().err
+        assert files[3] == files[4]
+        assert len(files[3][1].splitlines()) == 2
+        assert errs[3] == "error: stalled\n"
+        assert errs[4].startswith("warning: tolerance missed: ")
+        assert errs[4].endswith("stopped: diverged\n")

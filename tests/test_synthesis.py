@@ -615,7 +615,8 @@ def reference_descend(ens, config, restart):
         converged = bd.f - bd.reg <= config.tol
 
     pulse = PulseProgram.from_arrays(i_amps, q_amps, dt)
-    trace = OptimizationTrace(rows=tuple(rows), converged=converged, restart=restart)
+    trace = OptimizationTrace(rows=tuple(rows), restart=restart,
+                              stop_reason="converged" if converged else "max_iters")
     return pulse, trace, bd, diverged
 
 
@@ -948,3 +949,30 @@ class TestOptimizerConfigFields:
                                   config.seed)] == [int] * 4
         pulse, trace = optimize(ControlScenario(idle_detunings=(1e6,)), config)
         assert len(pulse.i_amps) == 4 and len(trace.rows) == 2
+
+    def test_negative_tol_is_rejected_and_zero_kept(self):
+        # tol=-1 used to run every restart silently to max_iters
+        with pytest.raises(ValueError, match="^tol must be >= 0$"):
+            OptimizerConfig(tol=-1.0)
+        assert OptimizerConfig(tol=0.0).tol == 0.0
+
+
+class TestResultRecords:
+    """Each outcome is stored once: f is assembled by CostBreakdown, and
+    `converged` is read from `stop_reason`."""
+
+    def test_cost_breakdown_assembles_f(self):
+        bd = synthesis.CostBreakdown(0.875, [0.0625, 0.03125], 0.25)
+        assert (bd.eps_j, bd.f) == ((0.0625, 0.03125), 0.125 + 0.0625 + 0.03125 + 0.25)
+        with pytest.raises(TypeError):
+            synthesis.CostBreakdown(0.875, (0.0625,), 0.25, 1.0)
+
+    @pytest.mark.parametrize("reason", ["converged", "stationary", "max_iters", "diverged"])
+    def test_converged_is_read_from_the_stop_reason(self, reason):
+        trace = OptimizationTrace([], 2, reason)
+        assert (trace.rows, trace.restart) == ((), 2)
+        assert trace.converged == (reason == "converged")
+
+    def test_the_outcome_cannot_be_stated_twice(self):
+        with pytest.raises(TypeError):
+            OptimizationTrace(rows=(), converged=True, restart=0, stop_reason="max_iters")
