@@ -13,7 +13,9 @@ alike ("%.17g"):
 Exit codes: 0 success, 1 usage error, 2 validation or physics error,
 3 optimizer divergence, 4 optimizer tolerance missed (in both cases the
 best artifacts are still written).  Each numeric flag's argparse type states
-its rules, so a bad value exits 2 even when a required flag is missing.
+its rules, so a bad value exits 2 even when a required flag is missing, and
+the n of a lo:hi:n range is checked as a count flag is.  Each `simulate` kind
+takes only its own flags: another's is a usage error, whatever its value.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ def _number(flag, kind=float, least=None, above=None):
 
 
 def _range(flag):
-    """An argparse type for `flag`: "lo:hi:n" as (lo, hi, n), n >= 1, each
-    bound checked as a float flag is."""
-    bound = _number(flag)
+    """An argparse type for `flag`: "lo:hi:n" as (lo, hi, n), each bound checked
+    as a float flag is and n as a count flag is."""
+    bound, count = _number(flag), _number(flag, int, least=1)
 
     def parse(spec):
         try:
@@ -72,16 +74,9 @@ def _range(flag):
             lo, hi, n = float(lo), float(hi), int(n)
         except ValueError:
             raise argparse.ArgumentTypeError("must look like lo:hi:n") from None
-        if n < 1:
-            raise argparse.ArgumentTypeError("needs n >= 1")
-        return bound(lo), bound(hi), n
+        return bound(lo), bound(hi), count(n)
 
     return parse
-
-
-def _grid(lo, hi, n):
-    """An evenly spaced list of n values from lo to hi."""
-    return [lo] if n == 1 else list(np.linspace(lo, hi, n))
 
 
 def _site(table, site_id, flag):
@@ -156,8 +151,6 @@ def cmd_simulate(args) -> int:
                                  args.linewidth_mhz * 1e6)
         write_csv(args.out, "f_ghz,contrast", (scan * 1e-9, contrast))
     else:  # "pulse"; argparse admits no other kind
-        if not args.pulse:
-            raise UsageError("simulate pulse requires --pulse")
         pulse = read_pulse(args.pulse)
         write_csv(args.out, "site,eps", _site_epsilons(cfg, pulse))
     return 0
@@ -218,9 +211,8 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     scenario = _scenario_from_config(cfg, args.target_site, args.idle_site)
     pulse = read_pulse(args.pulse)
-    offsets = [x * 1e6 for x in _grid(*args.delta_range)]
-    scales = _grid(*args.amp_range)
-    points = sensitivity_sweep(pulse, scenario, offsets, scales)
+    offsets = np.linspace(*args.delta_range) * 1e6
+    points = sensitivity_sweep(pulse, scenario, offsets, np.linspace(*args.amp_range))
     write_csv(args.out, "offset_mhz,scale,eps_i,eps_j",
               ([p.delta_offset * 1e-6 for p in points], [p.amp_scale for p in points],
                [p.eps_i for p in points], [sum(p.eps_j) for p in points]))
@@ -241,22 +233,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_address_map)
 
     p = sub.add_parser("simulate", help="measurement curves")
-    p.add_argument("kind", choices=["rabi", "ramsey", "odmr", "pulse"])
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rabi-mhz", type=_number("--rabi-mhz"), default=7.5)
-    p.add_argument("--delta-mhz", type=_number("--delta-mhz"), default=0.0)
-    p.add_argument("--t-max-ns", type=_number("--t-max-ns", least=0), default=300.0)
-    p.add_argument("--tau-max-us", type=_number("--tau-max-us", least=0), default=8.0)
-    p.add_argument("--points", type=_number("--points", int, least=1), default=601)
-    p.add_argument("--site", default=None, help="site id (ramsey), default first")
-    p.add_argument("--f-min-ghz", type=_number("--f-min-ghz"), default=None)
-    p.add_argument("--f-max-ghz", type=_number("--f-max-ghz"), default=None)
-    p.add_argument("--probe-rabi-mhz", type=_number("--probe-rabi-mhz", above=0),
-                   default=0.2)
-    p.add_argument("--linewidth-mhz", type=_number("--linewidth-mhz", least=0), default=0.2)
-    p.add_argument("--pulse", default=None, help="pulse CSV (pulse kind)")
     p.set_defaults(func=cmd_simulate)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    rabi, ramsey, odmr, pulse = map(kinds.add_parser, ("rabi", "ramsey", "odmr", "pulse"))
+    for k in (rabi, ramsey, odmr, pulse):
+        k.add_argument("--config", required=True)
+        k.add_argument("--out", required=True)
+    for k in (rabi, ramsey, odmr):
+        k.add_argument("--points", type=_number("--points", int, least=1), default=601)
+    rabi.add_argument("--rabi-mhz", type=_number("--rabi-mhz"), default=7.5)
+    for k in (rabi, ramsey):
+        k.add_argument("--delta-mhz", type=_number("--delta-mhz"), default=0.0)
+    rabi.add_argument("--t-max-ns", type=_number("--t-max-ns", least=0), default=300.0)
+    ramsey.add_argument("--tau-max-us", type=_number("--tau-max-us", least=0), default=8.0)
+    ramsey.add_argument("--site", default=None, help="site id, default first")
+    odmr.add_argument("--f-min-ghz", type=_number("--f-min-ghz"), default=None)
+    odmr.add_argument("--f-max-ghz", type=_number("--f-max-ghz"), default=None)
+    odmr.add_argument("--probe-rabi-mhz", type=_number("--probe-rabi-mhz", above=0),
+                      default=0.2)
+    odmr.add_argument("--linewidth-mhz", type=_number("--linewidth-mhz", least=0),
+                      default=0.2)
+    pulse.add_argument("--pulse", required=True, help="pulse CSV")
 
     p = sub.add_parser("optimize", help="synthesize a selective pulse")
     p.add_argument("--config", required=True)

@@ -101,6 +101,18 @@ def _no_unknown_keys(mapping, path):
         raise ValidationError("unknown field", field=f"{path}.{key}" if path else key)
 
 
+def _build(kind, mapping, path, **fields):
+    """`kind(**fields)`, the fields read out of `mapping` by `_get`.  A
+    ValueError of the constructor becomes a ValidationError naming `path`, and
+    so does a key left in `mapping`, which no field read."""
+    try:
+        value = kind(**fields)
+    except ValueError as exc:
+        raise ValidationError(str(exc), field=path) from None
+    _no_unknown_keys(mapping, path)
+    return value
+
+
 def load_config(path) -> RegisterConfig:
     """Load and validate a register config, applying documented defaults; a
     key that no field reads, such as a misspelled one, is a ValidationError."""
@@ -114,17 +126,11 @@ def load_config(path) -> RegisterConfig:
     raw = dict(raw)
 
     c = _object(raw, "constants", "constants")
-    try:
-        constants = PhysicalConstants(
-            d_zfs=_get(c, "d_zfs_ghz", 2.87, "constants", "number", 1e9),
-            gamma_nv=_get(c, "gamma_nv_ghz_per_t", 28.03, "constants", "number",
-                          1e9),
-            hyperfine_splitting=_get(c, "hyperfine_mhz", 2.2, "constants", "number",
-                                     1e6),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc), field="constants") from None
-    _no_unknown_keys(c, "constants")
+    constants = _build(
+        PhysicalConstants, c, "constants",
+        d_zfs=_get(c, "d_zfs_ghz", 2.87, "constants", "number", 1e9),
+        gamma_nv=_get(c, "gamma_nv_ghz_per_t", 28.03, "constants", "number", 1e9),
+        hyperfine_splitting=_get(c, "hyperfine_mhz", 2.2, "constants", "number", 1e6))
 
     env_raw = _object(raw, "environment", "environment", required=True)
     wire_raw = _object(env_raw, "wire", "environment.wire", required=True)
@@ -133,27 +139,17 @@ def load_config(path) -> RegisterConfig:
     if norm < 1e-12:
         raise ValidationError("direction must be non-zero",
                               field="environment.wire.direction")
-    try:
-        wire = WireGeometry(
-            anchor=_get(wire_raw, "anchor_um", None, "environment.wire", "vector",
-                        1e-6),
-            direction=direction / norm,
-            num_filaments=_get(wire_raw, "num_filaments", 1, "environment.wire",
-                               "integer", bounds=(1, MAX_FILAMENTS)),
-            width=_get(wire_raw, "width_um", 0.0, "environment.wire", "number", 1e-6),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc), field="environment.wire") from None
-    _no_unknown_keys(wire_raw, "environment.wire")
-    try:
-        environment = FieldEnvironment(
-            b_ext=_get(env_raw, "b_ext_mt", None, "environment", "vector", 1e-3),
-            wire=wire,
-            constants=constants,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc), field="environment") from None
-    _no_unknown_keys(env_raw, "environment")
+    wire = _build(
+        WireGeometry, wire_raw, "environment.wire",
+        anchor=_get(wire_raw, "anchor_um", None, "environment.wire", "vector", 1e-6),
+        direction=direction / norm,
+        num_filaments=_get(wire_raw, "num_filaments", 1, "environment.wire",
+                           "integer", bounds=(1, MAX_FILAMENTS)),
+        width=_get(wire_raw, "width_um", 0.0, "environment.wire", "number", 1e-6))
+    environment = _build(
+        FieldEnvironment, env_raw, "environment",
+        b_ext=_get(env_raw, "b_ext_mt", None, "environment", "vector", 1e-3),
+        wire=wire, constants=constants)
 
     d = _object(raw, "drive", "drive")
     drive = WireDrive(i_dc=_get(d, "i_dc_ma", 0.0, "drive", "number", 1e-3), i_ac=0.0)
@@ -180,22 +176,17 @@ def load_config(path) -> RegisterConfig:
             raise ValidationError(f"duplicate site id {site_id!r}",
                                   field=f"{path_k}.id")
         seen.add(site_id)
-        try:
-            sites.append(
-                SpinSite(
-                    id=site_id,
-                    position=_get(s, "position_um", None, path_k, "vector", 1e-6),
-                    orientation=DipoleOrientation(
-                        theta_w=_get(s, "theta_w_deg", 54.7, path_k, "number",
-                                     bounds=(0.0, 180.0)),
-                        theta_u=_get(s, "theta_u_deg", 41.0, path_k, "number",
-                                     bounds=(-180.0, 180.0))),
-                    t2_star=_get(s, "t2_star_us", 1.7, path_k, "number", 1e-6),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc), field=path_k) from None
-        _no_unknown_keys(s, path_k)
+        # the orientation reads the site's own object, whose keys the site checks
+        sites.append(_build(
+            SpinSite, s, path_k, id=site_id,
+            position=_get(s, "position_um", None, path_k, "vector", 1e-6),
+            orientation=_build(
+                DipoleOrientation, {}, path_k,
+                theta_w=_get(s, "theta_w_deg", 54.7, path_k, "number",
+                             bounds=(0.0, 180.0)),
+                theta_u=_get(s, "theta_u_deg", 41.0, path_k, "number",
+                             bounds=(-180.0, 180.0))),
+            t2_star=_get(s, "t2_star_us", 1.7, path_k, "number", 1e-6)))
     _no_unknown_keys(raw, "")
 
     return RegisterConfig(environment=environment, sites=tuple(sites), drive=drive,

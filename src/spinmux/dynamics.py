@@ -125,7 +125,7 @@ class Propagator:
         if m.shape != (2, 2):
             raise ValueError("propagator must be a 2x2 matrix")
         drift = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        if drift > 1e-10:
+        if not drift <= 1e-10:     # a NaN drift fails too
             raise ValueError(f"matrix is not unitary (drift {drift:.3e})")
         object.__setattr__(self, "matrix", m)
 
@@ -254,16 +254,25 @@ def _clamp_unit(p):
     return np.where((p > 1.0) & (p < 1.0 + _BOUNDARY_SLACK), 1.0, p)
 
 
+def _check_finite(**values) -> None:
+    """Raise a ValueError naming the first of the scalar `values` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def step_propagator(delta: float, i_amp: float, q_amp: float, dt: float) -> Propagator:
     """Closed-form propagator of one constant step at a given detuning (Hz)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_finite(delta=delta, i_amp=i_amp, q_amp=q_amp)
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     return Propagator(_matrix(*_su2_pairs(TWO_PI * i_amp, TWO_PI * q_amp,
                                           TWO_PI * delta, dt)))
 
 
 def evolve(pulse: PulseProgram, delta: float) -> Propagator:
     """Total propagator of a pulse at detuning `delta`, step 1 applied first."""
+    _check_finite(delta=delta)
     steps = _su2_pairs(TWO_PI * pulse.i_amps, TWO_PI * pulse.q_amps,
                        TWO_PI * delta, pulse.dt)
     return Propagator(_matrix(*_product(*steps)))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TWO_PI, _clamp_unit, _su2_pairs
+from .dynamics import TWO_PI, _check_finite, _clamp_unit, _su2_pairs
 from .fields import FieldEnvironment, WireDrive, _field_arrays, _site_arrays, rabi_frequency
 from .spins import DipoleOrientation, HyperfineManifold, dipole_axis, hyperfine_detunings
 
@@ -94,8 +94,8 @@ def simulate_odmr(
     a Lorentzian of that full width.
     """
     scan = np.asarray(list(scan), dtype=float)
-    if scan.size == 0:
-        raise ValueError("scan must be non-empty")
+    if scan.size == 0 or not np.isfinite(scan).all():
+        raise ValueError("scan must be non-empty and finite")
     sites = list(sites)
     if not sites:
         raise ValueError("sites must be non-empty")
@@ -133,9 +133,7 @@ def crosstalk_landscape(
     grid position then sees its own detuning and its own (position-scaled)
     drive amplitude.
     """
-    for name, value in (("drive_dc", drive_dc), ("target_u", target_u)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
+    _check_finite(drive_dc=drive_dc, target_u=target_u)
     if not 0 < rabi_target < math.inf:
         raise ValueError("rabi_target must be positive and finite")
     axis = dipole_axis(orientation or DipoleOrientation())

@@ -6,9 +6,9 @@ width spreads the current over parallel filaments in the chip plane.  This
 analytic model replaces a mesh-based solver; one depth parameter is
 calibrated against a measured Zeeman shift instead.
 
-Every site address and drive field (`field_sample`, `address_map`, and the
-ODMR and crosstalk simulators) comes from one field pass, `_field_arrays`,
-over stacked positions, each with its own dipole axis.
+Every address, Zeeman shift and drive field (`field_sample`, `address_map`,
+`zeeman_shift`, the ODMR and crosstalk simulators) comes from one field
+pass, `_field_arrays`, over stacked positions, each with its own dipole axis.
 """
 
 from __future__ import annotations
@@ -118,8 +118,10 @@ class WireDrive:
     i_ac: float                        # A, peak envelope value, >= 0
 
     def __post_init__(self):
-        if self.i_ac < 0:
-            raise ValueError("i_ac must be >= 0")
+        if not math.isfinite(self.i_dc):
+            raise ValueError("i_dc must be finite")
+        if not 0 <= self.i_ac < math.inf:
+            raise ValueError("i_ac must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -240,11 +242,11 @@ def zeeman_shift(
     position: np.ndarray,
     orientation: DipoleOrientation | None = None,
 ) -> float:
-    """Wire-induced shift (Hz) of the upper transition at a chip position."""
-    orientation = orientation or DipoleOrientation()
-    axis = dipole_axis(orientation)
-    b_dc_z, _ = project_field(wire_field(env.wire, i_dc, position), axis)
-    return env.constants.gamma_nv * b_dc_z
+    """Wire-induced shift (Hz) of the upper transition at a chip position:
+    gamma_nv * b_dc_z of the field pass behind every address."""
+    axis = dipole_axis(orientation or DipoleOrientation())
+    b_dc_z, *_ = _field_arrays(env, WireDrive(i_dc, 0.0), position, axis)
+    return env.constants.gamma_nv * float(b_dc_z)
 
 
 # Depth search domain for wire calibration (m).

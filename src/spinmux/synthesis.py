@@ -223,8 +223,8 @@ def regularization(pulse: PulseProgram, lam: float) -> float:
 
 def _regularization(i_amps, q_amps, lam: float):
     """The penalty per pulse of (..., m) amplitudes, from one diff and sum."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and >= 0")
     tv = np.abs(np.diff(np.stack((i_amps, q_amps)))).sum(axis=-1)
     return lam * (tv[0] + tv[1])
 
@@ -505,6 +505,8 @@ def sensitivity_sweep(
     One ensemble holds every spectator at every offset, so each scale is one
     forward evaluation."""
     offsets, scales = list(delta_offsets), list(amp_scales)
+    if not np.isfinite(scales).all():
+        raise ValueError("amp_scales must be finite")
     n = len(scenario.idle_detunings)
     shifted = tuple(d + offset for offset in offsets for d in scenario.idle_detunings)
     ens = _Ensemble.for_scenario(replace(scenario, idle_detunings=shifted))

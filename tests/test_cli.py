@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -478,16 +479,23 @@ class TestExitCodes:
         assert code == 1
 
 
+def subcommands(parser):
+    """(name, parser) of each subcommand of `parser`; none when it has none."""
+    return [item for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for item in action.choices.items()]
+
+
 def typed_flags():
-    """(argv prefix, action) for every option of every subcommand that has an
-    argparse type, walked from `build_parser()`."""
-    parser = cli.build_parser()
-    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for name, command in sub.choices.items():
-        prefix = [name, "rabi"] if name == "simulate" else [name]
-        for action in command._actions:
-            if action.type is not None and action.option_strings:
-                yield prefix, action
+    """(argv prefix, action) for every option that has an argparse type, of
+    every subcommand and of each `simulate` kind under its own prefix, walked
+    from `build_parser()`."""
+    for name, command in subcommands(cli.build_parser()):
+        for prefix, parser in ([([name, kind], p) for kind, p in subcommands(command)]
+                               or [([name], command)]):
+            for action in parser._actions:
+                if action.type is not None and action.option_strings:
+                    yield prefix, action
 
 
 def rules(action):
@@ -504,7 +512,15 @@ BOUNDED_FLAGS = [(prefix, action, bound) for prefix, action in TYPED_FLAGS
 
 
 def flag_id(flag):
-    return f"{flag[0][0]} {flag[1].option_strings[0]}" + (f" {flag[2]}" if flag[2:] else "")
+    """"command --flag [bound]"; a flag an earlier `simulate` kind also takes
+    names its own kind too, so ids stay unique and the first kind's keep their
+    names."""
+    prefix, action = flag[:2]
+    name = action.option_strings[0]
+    first = next(p for p, a in TYPED_FLAGS
+                 if p[0] == prefix[0] and a.option_strings[0] == name)
+    where = prefix[0] if first == prefix else " ".join(prefix)
+    return f"{where} {name}" + (f" {flag[2]}" if flag[2:] else "")
 
 
 class TestFlagRules:
@@ -605,6 +621,74 @@ class TestFlagErrors:
         assert code == 2
         assert capsys.readouterr().err == f"error: {flag}: unknown site id 'nope'\n"
         assert not list(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("flag, spec", [
+        ("--delta-range", "0:1:0"),
+        ("--amp-range", "1:1:0"),
+        ("--amp-range", "1:1:-3"),
+    ], ids=["delta-zero", "amp-zero", "amp-negative"])
+    def test_range_count_below_one_exits_2_and_names_the_flag(
+            self, close_pair_config, tmp_path, capsys, flag, spec):
+        # used to be a usage error, "needs n >= 1" (exit 1), unlike every count flag
+        pulse_path = tmp_path / "in.csv"
+        write_pulse(pulse_path, rect_pi_pulse(1e6, m=4))
+        ranges = {"--delta-range": "0:0:1", "--amp-range": "1:1:1", flag: spec}
+        out = tmp_path / "o.csv"
+        code = cli.main(["sweep", "--config", close_pair_config, "--pulse", str(pulse_path),
+                         "--target-site", "nv-b", "--idle-site", "nv-c",
+                         *(f"{name}={value}" for name, value in ranges.items()),
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag}: must be >= 1\n"
+        assert not out.exists()
+
+
+class TestSimulateKinds:
+    """Each `simulate` kind declares only the flags it reads."""
+
+    FLAGS = {
+        "rabi": ["--config", "--out", "--points", "--rabi-mhz", "--delta-mhz",
+                 "--t-max-ns"],
+        "ramsey": ["--config", "--out", "--points", "--delta-mhz", "--tau-max-us",
+                   "--site"],
+        "odmr": ["--config", "--out", "--points", "--f-min-ghz", "--f-max-ghz",
+                 "--probe-rabi-mhz", "--linewidth-mhz"],
+        "pulse": ["--config", "--out", "--pulse"],
+    }
+
+    def test_each_kind_declares_only_its_own_flags(self):
+        [simulate] = [p for name, p in subcommands(cli.build_parser())
+                      if name == "simulate"]
+        kinds = dict(subcommands(simulate))
+        assert list(kinds) == list(self.FLAGS)
+        for kind, parser in kinds.items():
+            flags = [a.option_strings[0] for a in parser._actions
+                     if a.option_strings and a.dest != "help"]
+            assert flags == self.FLAGS[kind]
+            assert set(re.findall(r"--[\w-]+", parser.format_help())) == {
+                "--help", *self.FLAGS[kind]}
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("rabi", ["--site", "nope", "--pulse", "nofile.csv", "--f-min-ghz", "1"]),
+        ("rabi", ["--tau-max-us", "8"]),
+        ("ramsey", ["--rabi-mhz", "nan"]),
+        ("odmr", ["--delta-mhz", "3"]),
+        ("pulse", ["--points", "0"]),
+    ], ids=["rabi-others", "rabi-tau", "ramsey-rabi-nan", "odmr-delta", "pulse-points"])
+    def test_another_kinds_flag_is_a_usage_error(self, demo_config, tmp_path, capsys,
+                                                 kind, extra):
+        # the first used to exit 0 and write the Rabi curve
+        pulse_path = tmp_path / "in.csv"
+        write_pulse(pulse_path, rect_pi_pulse(1e6, m=4))
+        out = tmp_path / "o.csv"
+        given = ["--pulse", str(pulse_path)] if kind == "pulse" else []
+        code = cli.main(["simulate", kind, "--config", demo_config, *given, *extra,
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unrecognized arguments: ")
+        assert extra[0] in err
+        assert not out.exists()
 
 
 class TestOptimizeArtifacts:

@@ -147,6 +147,30 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, doc))
         assert err.value.field == "environment.wire.num_filaments"
 
+    @pytest.mark.parametrize("wire, message", [
+        ({"width_um": -1}, "width must be >= 0"),
+        ({"num_filaments": 2, "width_um": 0}, "zero-width wire must have exactly one"),
+    ], ids=["negative-width", "filaments-without-width"])
+    def test_wire_geometry_errors_name_the_wire(self, tmp_path, wire, message):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["environment"]["wire"].update(wire)
+        with pytest.raises(ValidationError, match=message) as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.field == "environment.wire"
+
+    def test_site_with_every_field_loads(self, tmp_path):
+        # the orientation's fields share the site's object, and no key of it
+        # is called unknown before the site has read them all
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["sites"][0].update(theta_w_deg=30.0, theta_u_deg=-20.0, t2_star_us=2.5)
+        [site] = load_config(write_config(tmp_path, doc)).sites
+        assert (site.orientation.theta_w, site.orientation.theta_u) == (30.0, -20.0)
+        assert site.t2_star == pytest.approx(2.5e-6)
+        doc["sites"][0]["theta_w"] = 30.0
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.field == "sites[0].theta_w"
+
     def test_integer_valued_filament_count_loads(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["environment"]["wire"].update(num_filaments=3.0, width_um=1.0)

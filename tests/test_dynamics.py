@@ -61,6 +61,19 @@ class TestStepPropagator:
         with pytest.raises(ValueError):
             step_propagator(0.0, 1e6, 0.0, 0.0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((1e6, 1e6, 0.0, math.inf), "dt"),
+        ((0.0, 1e6, 0.0, math.nan), "dt"),
+        ((math.nan, 1e6, 0.0, 1e-9), "delta"),
+        ((math.inf, 0.0, 0.0, 1e-9), "delta"),
+        ((0.0, math.inf, 0.0, 1e-9), "i_amp"),
+        ((0.0, 1e6, -math.inf, 1e-9), "q_amp"),
+    ], ids=["dt-inf", "dt-nan", "delta-nan", "delta-inf", "i-inf", "q-inf"])
+    def test_non_finite_input_names_the_parameter(self, args, name):
+        # each used to return a NaN matrix
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            step_propagator(*args)
+
 
 class TestEvolve:
     def test_single_step_matches_step_propagator(self):
@@ -122,6 +135,13 @@ class TestEvolve:
         # drift against the re-unitarized (polar) factor stays tiny too
         w, _, vh = np.linalg.svd(u)
         assert np.max(np.abs(u - w @ vh)) <= 1e-10
+
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_names_it(self, delta):
+        # used to return a NaN matrix, and state_error then NaN
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            evolve(rect_pi_pulse(1e6, m=4), delta)
 
 
 class TestStateError:
@@ -222,6 +242,11 @@ class TestTypeInvariants:
     def test_propagator_must_be_unitary(self):
         with pytest.raises(ValueError):
             Propagator(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
+
+    def test_nan_matrix_is_not_unitary(self):
+        # a NaN drift used to pass the "drift > tolerance" test
+        with pytest.raises(ValueError, match="not unitary"):
+            Propagator(np.array([[math.nan, 0.0], [0.0, 1.0]], dtype=complex))
 
     def test_state_must_be_normalized(self):
         with pytest.raises(ValueError):

@@ -323,6 +323,18 @@ class TestNonFiniteInput:
                           np.linspace(2.99e9, 3.01e9, 5))
 
 
+    @pytest.mark.parametrize("linewidth", [0.0, 2e5], ids=["raw", "smoothed"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_odmr_scan_point(self, linewidth, bad):
+        # a NaN point read (pi/2)**2 there, or NaN everywhere once smoothed
+        site = SpinSite(id="s", position=np.array([0.5e-6, 0.0, 0.0]))
+        scan = np.linspace(2.99e9, 3.01e9, 5)
+        scan[2] = bad
+        with pytest.raises(ValueError, match="^scan must be"):
+            simulate_odmr(demo_environment(), WireDrive(i_dc=0.15, i_ac=0.0), [site],
+                          2e5, scan, linewidth)
+
+
 def reference_odmr(env, drive, sites, probe_rabi, scan, linewidth_floor):
     """simulate_odmr with its lines collected site by site."""
     manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)

@@ -368,6 +368,41 @@ class TestZeemanShift:
         env = demo_environment()
         assert abs(zeeman_shift(env, 0.15, np.zeros(3))) < 1e-3
 
+    @pytest.mark.parametrize("seed", (4, 5))
+    def test_matches_the_projected_field_bit_for_bit(self, seed):
+        # the shift comes from the shared field pass, not from project_field
+        def reference_zeeman_shift(env, i_dc, position, orientation):
+            axis = dipole_axis(orientation or DipoleOrientation())
+            b_dc_z, _ = project_field(wire_field(env.wire, i_dc, position), axis)
+            return env.constants.gamma_nv * b_dc_z
+
+        rng = np.random.default_rng(seed)
+        for make_env in (demo_environment, strip_environment):
+            env = make_env()
+            for site in mixed_sites(rng, 6):
+                for i_dc in (0.15, -0.04, 0.0, -0.0):
+                    for orientation in (site.orientation, None):
+                        got = zeeman_shift(env, i_dc, site.position, orientation)
+                        assert type(got) is float
+                        assert_same_bits(got, reference_zeeman_shift(
+                            env, i_dc, site.position, orientation))
+
+
+class TestWireDrive:
+    @pytest.mark.parametrize("i_dc, i_ac, name", [
+        (math.nan, 0.0, "i_dc"),
+        (math.inf, 0.0, "i_dc"),
+        (-math.inf, 1e-3, "i_dc"),
+        (0.15, math.nan, "i_ac"),
+        (0.15, math.inf, "i_ac"),
+        (0.15, -1e-3, "i_ac"),
+    ], ids=["dc-nan", "dc-inf", "dc-minus-inf", "ac-nan", "ac-inf", "ac-negative"])
+    def test_bad_current_names_it(self, i_dc, i_ac, name):
+        # a NaN or infinite DC current gave NaN addresses and an ODMR
+        # "contrast" of (pi/2)**2 at every scan point
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            WireDrive(i_dc=i_dc, i_ac=i_ac)
+
 
 
 class TestStackedPathsMatchReferences:

@@ -55,6 +55,16 @@ class TestRegularization:
         with pytest.raises(ValueError):
             regularization(PulseProgram.from_arrays([0.0], [0.0], 1e-9), -1e-9)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_weight_names_it(self, lam):
+        # both used to return NaN
+        pulse = random_pulse(np.random.default_rng(3))
+        scen = ControlScenario(idle_detunings=(1.1e6,), manifold=TRIPLET)
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            regularization(pulse, lam)
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            cost(pulse, scen, lam=lam)
+
 
 class TestEnsembleMembers:
     """Every spin expands into its `hyperfine_detunings`, spin-major."""
@@ -417,6 +427,14 @@ class TestBatchedSweep:
         want = reference_sweep(pulse, scen, [-1e5, 0.0, 2e5], [0.5, 1.0])
         monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", 100)
         assert sensitivity_sweep(pulse, scen, [-1e5, 0.0, 2e5], [0.5, 1.0]) == want
+
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan])
+    def test_non_finite_amplitude_scale_names_it(self, scale):
+        # used to return NaN eps
+        pulse = random_pulse(np.random.default_rng(15))
+        scen = ControlScenario(idle_detunings=(1.1e6,), manifold=TRIPLET)
+        with pytest.raises(ValueError, match="^amp_scales must be finite"):
+            sensitivity_sweep(pulse, scen, [0.0], [1.0, scale])
 
     def test_offset_onto_the_target_raises(self):
         pulse = random_pulse(np.random.default_rng(14))

@@ -1,0 +1,151 @@
+"""The two tools that gate a change, imported by path: `compare_outputs.py`
+(CLI outputs of two trees) and `bench_pairs.py` (paired benchmark
+statistics).  Nothing here runs the CLI or a benchmark."""
+
+import importlib.util
+import json
+import math
+import shutil
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_outputs = load_tool("compare_outputs")
+bench_pairs = load_tool("bench_pairs")
+
+
+def write_outputs(out):
+    """A small output directory as `compare_outputs.py run` writes one."""
+    out.mkdir()
+    rows = [(k * 0.5, math.sin(k) ** 2) for k in range(6)]
+    (out / "rabi.csv").write_text(
+        "t_ns,p1\n" + "".join(f"{t:.17g},{p:.17g}\n" for t, p in rows))
+    (out / "addresses.csv").write_text("site,u_um,f_ghz\nnv-a,0,3.0000000000000004\n")
+    (out / "trace.jsonl").write_text(
+        json.dumps({"iter": 0, "f": 1.25, "eps_j": [0.5, 0.25]}) + "\n"
+        + json.dumps({"iter": 1, "f": 0.75, "eps_j": [0.125, 1.0 / 3.0]}) + "\n")
+    (out / "exit_codes.json").write_text(json.dumps({"optimize": 0, "sweep": 0}))
+    return out
+
+
+def diff(a, b, *tolerances):
+    return compare_outputs.main(["diff", str(a), str(b), *tolerances])
+
+
+EXACT = ("--tol", "0", "--rtol", "0")
+
+
+class TestCompareOutputsDiff:
+    def test_a_directory_matches_itself_exactly(self, tmp_path, capsys):
+        a = write_outputs(tmp_path / "a")
+        assert diff(a, a, *EXACT) == 0
+        out = capsys.readouterr().out
+        assert out.count("byte-identical") == 3 and "exit codes differ" not in out
+
+    @pytest.mark.parametrize("name", ["rabi.csv", "trace.jsonl"])
+    def test_one_ulp_fails_exactly_and_passes_a_relative_tolerance(self, tmp_path, name):
+        a = write_outputs(tmp_path / "a")
+        b = tmp_path / "b"
+        shutil.copytree(a, b)
+        if name == "rabi.csv":
+            lines = (b / name).read_text().splitlines()
+            t, p = lines[3].split(",")
+            lines[3] = f"{t},{math.nextafter(float(p), math.inf):.17g}"
+        else:
+            lines = [json.loads(line) for line in (b / name).read_text().splitlines()]
+            lines[1]["eps_j"][1] = math.nextafter(lines[1]["eps_j"][1], 0.0)
+            lines = [json.dumps(row) for row in lines]
+        (b / name).write_text("\n".join(lines) + "\n")
+        assert (a / name).read_bytes() != (b / name).read_bytes()
+        assert diff(a, b, *EXACT) == 1
+        assert diff(a, b, "--rtol", "1e-15") == 0
+        assert diff(a, b) == 0      # with no tolerance the diff only reports
+
+    def test_differing_exit_codes_fail(self, tmp_path, capsys):
+        a = write_outputs(tmp_path / "a")
+        b = tmp_path / "b"
+        shutil.copytree(a, b)
+        (b / "exit_codes.json").write_text(json.dumps({"optimize": 4, "sweep": 0}))
+        assert diff(a, b, *EXACT) == 1
+        assert "exit codes differ" in capsys.readouterr().out
+
+    def test_a_missing_file_fails(self, tmp_path, capsys):
+        a = write_outputs(tmp_path / "a")
+        b = tmp_path / "b"
+        shutil.copytree(a, b)
+        (b / "addresses.csv").unlink()
+        assert diff(a, b, *EXACT) == 1
+        assert f"addresses.csv: only in {a}" in capsys.readouterr().out
+
+    def test_a_differing_text_cell_fails_at_any_tolerance(self, tmp_path):
+        a = write_outputs(tmp_path / "a")
+        b = tmp_path / "b"
+        shutil.copytree(a, b)
+        text = (b / "addresses.csv").read_text()
+        (b / "addresses.csv").write_text(text.replace("nv-a", "nv-b"))
+        assert diff(a, b, "--tol", "1e300") == 1
+
+
+def side(wall_s, rate, attempted=10, failed=0):
+    return {"attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                        "rate": {"value": rate, "unit": "1/s"}}}
+
+
+SPEC = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.24},
+                       {"name": "rate", "better": "higher", "bound": 0.1}]}
+
+
+class TestBenchPairsStatistics:
+    def test_quartiles_are_inclusive(self):
+        assert bench_pairs.quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == {
+            "median": 3.0, "q1": 2.0, "q3": 4.0}
+        assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == {
+            "median": 2.5, "q1": 1.75, "q3": 3.25}
+        assert bench_pairs.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+    def test_summarize_counts_pairs_won_and_the_gain_against_the_parent_iqr(self):
+        parent_wall = [1.0, 1.1, 1.2, 1.3, 1.4]        # q1 1.1, median 1.2, q3 1.3
+        change_wall = [0.8, 0.9, 1.3, 0.85, 0.95]      # median 0.9: wins 4 of 5
+        change_rate = [10.0, 11.0, 10.0, 10.0, 10.0]   # median unchanged: wins 1
+        runs = [{"parent": side(p, 10.0, failed=k % 2), "change": side(c, r)}
+                for k, (p, c, r) in enumerate(zip(parent_wall, change_wall, change_rate))]
+        runs.append({"parent": {"error": "exit 1: boom"}, "change": side(0.1, 99.0)})
+        out = bench_pairs.summarize(runs, SPEC)
+        assert (out["pairs_run"], out["pairs_errored"]) == (5, 1)
+        assert (out["parent_attempted"], out["parent_failed"]) == (50, 2)
+        assert (out["change_attempted"], out["change_failed"]) == (50, 0)
+
+        wall = out["metrics"]["wall_s"]
+        assert wall["parent"] == {"median": 1.2, "q1": 1.1, "q3": 1.3}
+        assert wall["change"]["median"] == 0.9
+        assert wall["change_better_pairs"] == 4
+        assert wall["median_change_frac"] == pytest.approx(-0.25)
+        assert wall["gain_exceeds_parent_iqr"] is True     # 0.3 against 0.2
+        assert (wall["unit"], wall["better"], wall["bound"]) == ("s", "lower", 0.24)
+
+        rate = out["metrics"]["rate"]
+        assert rate["change_better_pairs"] == 1
+        assert rate["median_change_frac"] == 0.0
+        assert rate["gain_exceeds_parent_iqr"] is False    # 0 against 0
+
+        table = bench_pairs.table({"workloads": {"synth": out}})
+        assert "| synth | `wall_s` | 1.2 [1.1, 1.3] | 0.9 [0.85, 0.95] | 4/5, -25.0% |" \
+            in table.splitlines()
+
+    def test_a_gain_inside_the_parent_iqr_is_not_claimed(self):
+        runs = [{"parent": side(p, 1.0), "change": side(p - 0.05, 1.0)}
+                for p in (1.0, 1.2, 1.4, 1.6, 1.8)]
+        wall = bench_pairs.summarize(runs, SPEC)["metrics"]["wall_s"]
+        assert wall["change_better_pairs"] == 5
+        assert wall["gain_exceeds_parent_iqr"] is False    # 0.05 against 0.4
