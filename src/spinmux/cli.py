@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config_io import RegisterConfig, load_config
+from .config_io import RegisterConfig, _is_number, load_config
 from .dynamics import PulseProgram, QubitState
 from .errors import Diverged, SpinmuxError, UsageError, ValidationError
 from .experiments import crosstalk_landscape, simulate_odmr, simulate_rabi, \
@@ -44,15 +44,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(flag, kind=float, least=None, above=None):
-    """An argparse type for `flag`: `kind` of the text, finite, at least
-    `least` and above `above`.  A value that breaks a rule raises a
+def _number(flag, kind=float, least=None, above=None, scale=1.0):
+    """An argparse type for `flag`: `kind` of the text, finite, finite still
+    times `scale`, its factor to SI units (only one above 1 can overflow), at
+    least `least` and above `above`.  A value that breaks a rule raises a
     ValidationError naming the flag (exit 2); text that does not parse stays
     argparse's usage error (exit 1)."""
     def parse(text):
         value = kind(text)
-        if not math.isfinite(value):
+        if not _is_number(value):
             raise ValidationError("must be a finite number", field=flag)
+        if not math.isfinite(value * scale):
+            raise ValidationError("too large to convert to SI units", field=flag)
         if least is not None and value < least:
             raise ValidationError(f"must be >= {least}", field=flag)
         if above is not None and value <= above:
@@ -63,10 +66,10 @@ def _number(flag, kind=float, least=None, above=None):
     return parse
 
 
-def _range(flag):
+def _range(flag, scale=1.0):
     """An argparse type for `flag`: "lo:hi:n" as (lo, hi, n), each bound checked
-    as a float flag is and n as a count flag is."""
-    bound, count = _number(flag), _number(flag, int, least=1)
+    as a float flag of that `scale` is and n as a count flag is."""
+    bound, count = _number(flag, scale=scale), _number(flag, int, least=1)
 
     def parse(spec):
         try:
@@ -77,6 +80,14 @@ def _range(flag):
         return bound(lo), bound(hi), count(n)
 
     return parse
+
+
+def _grid(lo, hi, n, flags):
+    """np.linspace(lo, hi, n), or a ValidationError naming `flags` when the
+    span hi - lo overflows."""
+    if not math.isfinite(hi - lo):
+        raise ValidationError("the span hi - lo must be finite", field=flags)
+    return np.linspace(lo, hi, n)
 
 
 def _site(table, site_id, flag):
@@ -102,8 +113,7 @@ def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
     return ControlScenario(idle_detunings=tuple(idle), manifold=cfg.manifold)
 
 
-def cmd_address_map(args) -> int:
-    cfg = load_config(args.config)
+def cmd_address_map(args, cfg: RegisterConfig) -> int:
     drive = WireDrive(i_dc=args.idc_ma * 1e-3, i_ac=0.0)
     entries = address_map(cfg.environment, drive, cfg.sites).entries
     write_csv(args.out, "site,u_um,f_ghz", ([e.site_id for e in entries],
@@ -122,8 +132,7 @@ def _site_epsilons(cfg: RegisterConfig, pulse: PulseProgram):
     return [e.site_id for e in entries], 1.0 - stay
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_simulate(args, cfg: RegisterConfig) -> int:
     if args.kind == "rabi":
         times = np.linspace(0.0, args.t_max_ns * 1e-9, args.points)
         pops = simulate_rabi(args.rabi_mhz * 1e6, args.delta_mhz * 1e6, times)
@@ -145,7 +154,7 @@ def cmd_simulate(args) -> int:
                              + ("--f-max-ghz" if args.f_max_ghz is None else "--f-min-ghz"))
         else:
             lo, hi = args.f_min_ghz * 1e9, args.f_max_ghz * 1e9
-        scan = np.linspace(lo, hi, args.points)
+        scan = _grid(lo, hi, args.points, "--f-min-ghz/--f-max-ghz")
         contrast = simulate_odmr(cfg.environment, cfg.drive, cfg.sites,
                                  args.probe_rabi_mhz * 1e6, scan,
                                  args.linewidth_mhz * 1e6)
@@ -162,8 +171,7 @@ def _write_trace(path, trace) -> None:
         fh.writelines(json.dumps(vars(row)) + "\n" for row in trace.rows)
 
 
-def cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
+def cmd_optimize(args, cfg: RegisterConfig) -> int:
     scenario = _scenario_from_config(cfg, args.target_site, args.idle_site)
     opt = OptimizerConfig(
         m=args.steps,
@@ -191,10 +199,9 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_crosstalk_map(args) -> int:
-    cfg = load_config(args.config)
-    us = np.linspace(args.u_min_um, args.u_max_um, args.nu) * 1e-6
-    vs = np.linspace(args.v_min_um, args.v_max_um, args.nv) * 1e-6
+def cmd_crosstalk_map(args, cfg: RegisterConfig) -> int:
+    us = _grid(args.u_min_um, args.u_max_um, args.nu, "--u-min-um/--u-max-um") * 1e-6
+    vs = _grid(args.v_min_um, args.v_max_um, args.nv, "--v-min-um/--v-max-um") * 1e-6
     grid = [np.array([u, v, 0.0]) for u in us for v in vs]
     for idc_ma in args.idc_ma:
         entries = crosstalk_landscape(
@@ -207,12 +214,12 @@ def cmd_crosstalk_map(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg: RegisterConfig) -> int:
     scenario = _scenario_from_config(cfg, args.target_site, args.idle_site)
     pulse = read_pulse(args.pulse)
-    offsets = np.linspace(*args.delta_range) * 1e6
-    points = sensitivity_sweep(pulse, scenario, offsets, np.linspace(*args.amp_range))
+    offsets = _grid(*args.delta_range, "--delta-range") * 1e6
+    points = sensitivity_sweep(pulse, scenario, offsets,
+                               _grid(*args.amp_range, "--amp-range"))
     write_csv(args.out, "offset_mhz,scale,eps_i,eps_j",
               ([p.delta_offset * 1e-6 for p in points], [p.amp_scale for p in points],
                [p.eps_i for p in points], [sum(p.eps_j) for p in points]))
@@ -224,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Frequency-addressed spin-register workbench")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)    # `main` loads it, once
+    config.add_argument("--config", required=True)
 
-    p = sub.add_parser("address-map", parents=[], help="per-site addresses")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("address-map", parents=[config], help="per-site addresses")
     p.add_argument("--idc-ma", type=_number("--idc-ma"), required=True,
                    help="DC current in milliamperes")
     p.add_argument("--out", required=True)
@@ -235,28 +243,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="measurement curves")
     p.set_defaults(func=cmd_simulate)
     kinds = p.add_subparsers(dest="kind", required=True)
-    rabi, ramsey, odmr, pulse = map(kinds.add_parser, ("rabi", "ramsey", "odmr", "pulse"))
+    rabi, ramsey, odmr, pulse = (kinds.add_parser(kind, parents=[config])
+                                 for kind in ("rabi", "ramsey", "odmr", "pulse"))
     for k in (rabi, ramsey, odmr, pulse):
-        k.add_argument("--config", required=True)
         k.add_argument("--out", required=True)
     for k in (rabi, ramsey, odmr):
         k.add_argument("--points", type=_number("--points", int, least=1), default=601)
-    rabi.add_argument("--rabi-mhz", type=_number("--rabi-mhz"), default=7.5)
+    rabi.add_argument("--rabi-mhz", type=_number("--rabi-mhz", scale=1e6), default=7.5)
     for k in (rabi, ramsey):
-        k.add_argument("--delta-mhz", type=_number("--delta-mhz"), default=0.0)
+        k.add_argument("--delta-mhz", type=_number("--delta-mhz", scale=1e6), default=0.0)
     rabi.add_argument("--t-max-ns", type=_number("--t-max-ns", least=0), default=300.0)
     ramsey.add_argument("--tau-max-us", type=_number("--tau-max-us", least=0), default=8.0)
     ramsey.add_argument("--site", default=None, help="site id, default first")
-    odmr.add_argument("--f-min-ghz", type=_number("--f-min-ghz"), default=None)
-    odmr.add_argument("--f-max-ghz", type=_number("--f-max-ghz"), default=None)
-    odmr.add_argument("--probe-rabi-mhz", type=_number("--probe-rabi-mhz", above=0),
-                      default=0.2)
-    odmr.add_argument("--linewidth-mhz", type=_number("--linewidth-mhz", least=0),
-                      default=0.2)
+    for flag in ("--f-min-ghz", "--f-max-ghz"):
+        odmr.add_argument(flag, type=_number(flag, scale=1e9), default=None)
+    odmr.add_argument("--probe-rabi-mhz", default=0.2,
+                      type=_number("--probe-rabi-mhz", above=0, scale=1e6))
+    odmr.add_argument("--linewidth-mhz", default=0.2,
+                      type=_number("--linewidth-mhz", least=0, scale=1e6))
     pulse.add_argument("--pulse", required=True, help="pulse CSV")
 
-    p = sub.add_parser("optimize", help="synthesize a selective pulse")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("optimize", parents=[config], help="synthesize a selective pulse")
     p.add_argument("--target-site", required=True)
     p.add_argument("--idle-site", action="append", default=[])
     p.add_argument("--lambda", type=_number("--lambda"), default=1e-7,
@@ -270,12 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-trace", required=True)
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("crosstalk-map", help="spatial flip-error maps")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("crosstalk-map", parents=[config], help="spatial flip-error maps")
     p.add_argument("--idc-ma", type=_number("--idc-ma"), action="append", required=True,
                    help="repeatable; one CSV per value")
     p.add_argument("--target-u-um", type=_number("--target-u-um"), required=True)
-    p.add_argument("--rabi-mhz", type=_number("--rabi-mhz", above=0), default=10.0)
+    p.add_argument("--rabi-mhz", type=_number("--rabi-mhz", above=0, scale=1e6), default=10.0)
     p.add_argument("--u-min-um", type=_number("--u-min-um"), required=True)
     p.add_argument("--u-max-um", type=_number("--u-max-um"), required=True)
     p.add_argument("--nu", type=_number("--nu", int, least=1), required=True)
@@ -285,12 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_crosstalk_map)
 
-    p = sub.add_parser("sweep", help="pulse sensitivity grid")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep", parents=[config], help="pulse sensitivity grid")
     p.add_argument("--pulse", required=True)
     p.add_argument("--target-site", required=True)
     p.add_argument("--idle-site", action="append", default=[])
-    p.add_argument("--delta-range", type=_range("--delta-range"), required=True,
+    p.add_argument("--delta-range", type=_range("--delta-range", 1e6), required=True,
                    help="lo:hi:n in MHz")
     p.add_argument("--amp-range", type=_range("--amp-range"), required=True,
                    help="lo:hi:n scale factors")
@@ -303,7 +308,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -29,12 +29,6 @@ class RegisterConfig:
     drive: WireDrive
     carrier: float
 
-    def site(self, site_id: str) -> SpinSite:
-        for s in self.sites:
-            if s.id == site_id:
-                return s
-        raise ValidationError(f"unknown site id {site_id!r}", field="sites")
-
     @property
     def manifold(self) -> HyperfineManifold:
         return HyperfineManifold.triplet(self.environment.constants.hyperfine_splitting)

@@ -11,7 +11,8 @@ import numpy as np
 
 from .dynamics import TWO_PI, _check_finite, _clamp_unit, _su2_pairs
 from .fields import FieldEnvironment, WireDrive, _field_arrays, _site_arrays, rabi_frequency
-from .spins import DipoleOrientation, HyperfineManifold, dipole_axis, hyperfine_detunings
+from .spins import DipoleOrientation, HyperfineManifold, dipole_axis, \
+    hyperfine_detunings, transition_frequencies
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,10 @@ def simulate_odmr(
     manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)
     duration = 1.0 / (2.0 * probe_rabi)
 
-    *_, omega_plus = _field_arrays(env, WireDrive(drive.i_dc, 0.0), *_site_arrays(sites))
+    b_dc_z, b_ext_z, *_ = _field_arrays(env, WireDrive(drive.i_dc, 0.0),
+                                        *_site_arrays(sites))
     # per site: upper then lower transition, each split by the manifold
-    omegas = np.stack([omega_plus, 2.0 * env.constants.d_zfs - omega_plus], axis=1)
+    omegas = np.stack(transition_frequencies(env.constants, b_ext_z + b_dc_z), axis=1)
     lines = hyperfine_detunings(omegas[..., None], manifold).ravel()
 
     contrast = np.mean(
@@ -158,8 +160,7 @@ def crosstalk_landscape(
                                             positions, axis)
     rabis = rabi_frequency(env.constants, b_ac_xy)
     deltas = omega_plus - omega_mw
-    a, _ = _su2_pairs(TWO_PI * rabis, 0.0, TWO_PI * deltas, duration)
-    eps = _clamp_unit(1.0 - np.abs(a) ** 2)
+    eps = _clamp_unit(_flip_populations(rabis, deltas, duration))
     rabis, deltas = rabis.tolist(), deltas.tolist()
     # scalar (rabi/delta)**2: numpy's array power can round it one ulp apart
     bounds = [math.inf if d == 0.0 else (r / d) ** 2 for r, d in zip(rabis, deltas)]

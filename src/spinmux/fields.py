@@ -204,11 +204,14 @@ def _field_arrays(env: FieldEnvironment, drive: WireDrive, positions, axes):
     each resolved along its own dipole axis (..., 3); one axis broadcasts.
     The one field pass behind every site address and drive: the DC call
     checks the positions, so zero AC current skips its field."""
-    b_dc_z = _dot(wire_field(env.wire, drive.i_dc, positions), axes)
     b_ext_z = _dot(env.b_ext, axes)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        b_dc_z = _dot(wire_field(env.wire, drive.i_dc, positions), axes)
+        omega_plus, _ = transition_frequencies(env.constants, b_ext_z + b_dc_z)
+    if not np.isfinite(omega_plus).all():
+        raise ValueError(f"transition frequency not finite at i_dc={drive.i_dc:g} A")
     b_ac_xy = (project_field(wire_field(env.wire, drive.i_ac, positions), axes)[1]
                if drive.i_ac != 0.0 else np.zeros_like(b_dc_z))
-    omega_plus, _ = transition_frequencies(env.constants, b_ext_z + b_dc_z)
     return b_dc_z, b_ext_z, b_ac_xy, omega_plus
 
 

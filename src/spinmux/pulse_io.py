@@ -9,8 +9,6 @@ trips lossless for float64.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 from .dynamics import PulseProgram
@@ -21,8 +19,8 @@ PULSE_HEADER = "t_ns,i_mhz,q_mhz"
 # Allowed relative wobble of the time grid around perfect uniformity.
 _SPACING_TOL = 1e-6
 
-# Rows are formatted and parsed in blocks of this many, so the temporary
-# strings and floats of a long pulse stay small.
+# Rows are formatted in blocks of this many, so the temporary strings of a
+# long pulse stay small.
 _BLOCK_ROWS = 512
 
 
@@ -56,29 +54,27 @@ def _line_numbers(lines):
 
 
 def _parse_rows(lines):
-    """(times, i_mhz, q_mhz) arrays of the non-blank data lines: float() on
-    every value in bulk, or, when that fails, row by row to name the first
-    bad line."""
+    """(times, i_mhz, q_mhz) arrays of the non-blank data lines: numpy's reader
+    in one pass, or, when it refuses them or finds other than three columns,
+    float() row by row, which names the first bad line.  That pass strips each
+    value first, so padding by the separators \\x1c-\\x1f, which numpy's reader
+    skips and float() alone refuses, parses either way."""
     rows = list(filter(str.strip, lines[1:]))
     if not rows:
         raise ParseError("no data rows", line=2)
-    if list(map(str.count, rows, repeat(","))).count(2) == len(rows):
-        values = np.empty((len(rows), 3))
-        try:
-            for block in range(0, len(rows), _BLOCK_ROWS):
-                fields = ",".join(rows[block:block + _BLOCK_ROWS]).split(",")
-                values[block:block + _BLOCK_ROWS].flat = np.fromiter(
-                    map(float, fields), float, len(fields))
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] == 3:
             return values.T
-        except ValueError:
-            pass
+    except ValueError:
+        pass
     values = []
     for number, line in zip(_line_numbers(lines), rows):
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError("expected three comma-separated values", line=number)
         try:
-            values.append([float(p) for p in parts])
+            values.append([float(p.strip()) for p in parts])
         except ValueError:
             raise ParseError("non-numeric value", line=number) from None
     return np.array(values).T

@@ -142,5 +142,7 @@ def transition_frequencies(
 
 
 def hyperfine_detunings(delta: float, manifold: HyperfineManifold) -> np.ndarray:
-    """Per-nuclear-state detunings (Hz): delta shifted by each manifold offset."""
-    return delta + np.asarray(manifold.detuning_offsets)
+    """Per-nuclear-state detunings (Hz): delta plus each distinct manifold
+    offset, so a zero splitting leaves one member, at the first offset (-0.0 in
+    `triplet(0.0)`, which keeps the sign of a -0.0 delta)."""
+    return delta + np.asarray(manifold.detuning_offsets[:3 if manifold.splitting else 1])

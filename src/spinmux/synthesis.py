@@ -156,16 +156,14 @@ class _Ensemble:
     Each spin is (detuning, bra state, ket state) and expands, spin-major,
     into its `hyperfine_detunings` members; `transfer_means` averages
     |<bra|U|ket>|^2 back per spin.  This is the only place pulses are
-    averaged over the manifold.  When the manifold splitting is zero a spin
-    keeps only its first member, of weight 1, which keeps results identical
-    to the single-member computation.
+    averaged over the manifold.
     """
 
     def __init__(self, spins, manifold: HyperfineManifold):
         detunings, bras, kets = zip(*spins)
         deltas = hyperfine_detunings(np.array(detunings)[:, None], manifold)
-        per_spin = 1 if manifold.splitting == 0.0 else deltas.shape[1]
-        self.deltas = deltas[:, :per_spin].ravel()
+        per_spin = deltas.shape[1]
+        self.deltas = deltas.ravel()
         self.bras = np.repeat([state.amplitudes for state in bras], per_spin, axis=0)
         self.kets = np.repeat([state.amplitudes for state in kets], per_spin, axis=0)
         self.num_spins = len(spins)

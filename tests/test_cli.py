@@ -5,6 +5,8 @@ import inspect
 import json
 import math
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,6 +568,101 @@ class TestFlagRules:
         assert action.type(str(good)) == good
 
 
+def si_scale(action):
+    """The factor to SI units that a flag's type checks its values against:
+    its own, or its bounds' for a `_range`; 1.0 when it checks none."""
+    own = rules(action)
+    if "bound" in own:
+        own = inspect.getclosurevars(own["bound"]).nonlocals
+    return own.get("scale", 1.0)
+
+
+class TestSIUnits:
+    """A value finite in the flag's unit must stay finite in SI units, as a
+    config value must; the walk covers every typed flag, as TestFlagRules does."""
+
+    def test_every_mhz_and_ghz_flag_checks_its_conversion(self):
+        scales = {action.option_strings[0]: si_scale(action) for _, action in TYPED_FLAGS}
+        assert {flag: scale for flag, scale in scales.items() if scale != 1.0} == {
+            "--rabi-mhz": 1e6, "--delta-mhz": 1e6, "--f-min-ghz": 1e9,
+            "--f-max-ghz": 1e9, "--probe-rabi-mhz": 1e6, "--linewidth-mhz": 1e6,
+            "--delta-range": 1e6}
+
+    @pytest.mark.parametrize("flag", [f for f in TYPED_FLAGS if si_scale(f[1]) > 1.0],
+                             ids=flag_id)
+    def test_an_overflow_in_si_units_names_the_flag(self, capsys, flag):
+        prefix, action = flag
+        name = action.option_strings[0]
+        value = "1e308:0:1" if "bound" in rules(action) else "1e308"
+        assert cli.main([*prefix, f"{name}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {name}: too large to convert to SI units\n"
+
+    @pytest.mark.parametrize("flag", [f for f in TYPED_FLAGS
+                                      if rules(f[1]).get("kind") is int], ids=flag_id)
+    def test_a_count_beyond_the_float_range_names_the_flag(self, capsys, flag):
+        # used to end in an OverflowError traceback
+        prefix, action = flag
+        name = action.option_strings[0]
+        assert cli.main([*prefix, f"{name}=1{'0' * 400}"]) == 2
+        assert capsys.readouterr().err == f"error: {name}: must be a finite number\n"
+
+
+class TestOverflowNamesItsSource:
+    """Values finite as given whose address, SI value or grid span overflows:
+    each exits 2 naming its flag, or i_dc, before numpy warns, and writes no
+    file.  All used to print a numpy RuntimeWarning first, and the current
+    cases to exit 0 writing inf or nan."""
+
+    def run(self, argv, out, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        assert not list(out.parent.glob(out.name + "*"))
+        return capsys.readouterr().err
+
+    def test_address_map_current_whose_addresses_overflow(self, demo_config, tmp_path,
+                                                          capsys):
+        out = tmp_path / "a.csv"
+        err = self.run(["address-map", "--config", demo_config, "--idc-ma", "1e306",
+                        "--out", str(out)], out, capsys)
+        assert err == "error: transition frequency not finite at i_dc=1e+303 A\n"
+
+    @pytest.mark.parametrize("window", [[], ["--f-min-ghz", "2.99", "--f-max-ghz", "3.01"]],
+                             ids=["default-window", "given-window"])
+    def test_config_current_whose_addresses_overflow(self, demo_config, tmp_path, capsys,
+                                                     window):
+        doc = json.loads(Path(demo_config).read_text())
+        doc["drive"]["i_dc_ma"] = 1e306
+        config, out = tmp_path / "big.json", tmp_path / "odmr.csv"
+        config.write_text(json.dumps(doc))
+        err = self.run(["simulate", "odmr", "--config", str(config), *window,
+                        "--out", str(out)], out, capsys)
+        assert err == "error: transition frequency not finite at i_dc=1e+303 A\n"
+
+    @pytest.mark.parametrize("command, argv, message", [
+        (["simulate", "odmr"], ["--f-min-ghz", "1e300", "--f-max-ghz", "1.7e308"],
+         "--f-min-ghz: too large to convert to SI units"),
+        (["crosstalk-map"], ["--idc-ma", "0", "--target-u-um", "1.5", "--u-min-um=-1e308",
+                             "--u-max-um", "1e308", "--nu", "3"],
+         "--u-min-um/--u-max-um: the span hi - lo must be finite"),
+        (["sweep"], ["--target-site", "nv-b", "--idle-site", "nv-c",
+                     "--delta-range=-1e308:1e308:3", "--amp-range", "0.9:1.1:5"],
+         "--delta-range: too large to convert to SI units"),
+    ], ids=["odmr", "crosstalk-map", "sweep"])
+    def test_grid_that_overflows_names_its_flag(self, demo_config, close_pair_config,
+                                                tmp_path, capsys, command, argv, message):
+        out = tmp_path / "o.csv"
+        if command == ["sweep"]:
+            pulse = tmp_path / "pulse.csv"
+            write_pulse(pulse, rect_pi_pulse(1e6, m=4))
+            given = ["--config", close_pair_config, "--pulse", str(pulse), "--out", str(out)]
+        else:
+            given = ["--config", demo_config,
+                     "--out-prefix" if command == ["crosstalk-map"] else "--out", str(out)]
+        err = self.run([*command, *given, *argv], out, capsys)
+        assert err == f"error: {message}\n"
+
+
 class TestFlagErrors:
     @pytest.mark.parametrize("given, missing", [
         ("--f-min-ghz", "--f-max-ghz"),
@@ -689,6 +786,51 @@ class TestSimulateKinds:
         assert err.startswith("usage error: unrecognized arguments: ")
         assert extra[0] in err
         assert not out.exists()
+
+
+def command_argvs(demo, pair, pulse, out):
+    """A small run of every command and `simulate` kind, by its name."""
+    return {
+        "address-map": ["--config", demo, "--idc-ma", "150", "--out", out],
+        "simulate rabi": ["--config", demo, "--points", "3", "--out", out],
+        "simulate ramsey": ["--config", demo, "--points", "3", "--out", out],
+        "simulate odmr": ["--config", demo, "--points", "3", "--out", out],
+        "simulate pulse": ["--config", pair, "--pulse", pulse, "--out", out],
+        "optimize": ["--config", pair, "--target-site", "nv-b", "--idle-site", "nv-c",
+                     "--steps", "4", "--duration", "1e-7", "--out-pulse", out,
+                     "--out-trace", out + ".jsonl"],
+        "crosstalk-map": ["--config", demo, "--idc-ma", "150", "--target-u-um", "1.5",
+                          "--u-min-um", "0", "--u-max-um", "1", "--nu", "3",
+                          "--out-prefix", out],
+        "sweep": ["--config", pair, "--pulse", pulse, "--target-site", "nv-b",
+                  "--idle-site", "nv-c", "--delta-range", "0:0:1", "--amp-range",
+                  "1:1:1", "--out", out],
+    }
+
+
+class TestOneConfigLoad:
+    def test_every_command_is_covered(self):
+        names = [f"{name} {kind}" if kind else name
+                 for name, command in subcommands(cli.build_parser())
+                 for kind in ([k for k, _ in subcommands(command)] or [None])]
+        assert sorted(names) == sorted(command_argvs("", "", "", ""))
+
+    @pytest.mark.parametrize("command", list(command_argvs("", "", "", "")))
+    def test_each_command_loads_its_config_once(self, demo_config, close_pair_config,
+                                                tmp_path, monkeypatch, command):
+        load, calls = cli.load_config, []
+
+        def counted(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_config", counted)
+        pulse = tmp_path / "pulse.csv"
+        write_pulse(pulse, rect_pi_pulse(1e7, m=4))
+        argv = command_argvs(demo_config, close_pair_config, str(pulse),
+                             str(tmp_path / "o"))[command]
+        assert cli.main([*command.split(), *argv]) in (0, 4)
+        assert calls == [argv[argv.index("--config") + 1]]
 
 
 class TestOptimizeArtifacts:

@@ -220,11 +220,6 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, doc))
         assert err.value.field == "constants"
 
-    def test_unknown_site_lookup(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, MINIMAL))
-        with pytest.raises(ValidationError):
-            cfg.site("nope")
-
 
 class TestDemoConfigs:
     def test_demo_register_loads(self, demo_config):
@@ -243,14 +238,15 @@ class TestDemoConfigs:
 
     def test_demo_reference_site_sits_at_3ghz(self, demo_config):
         cfg = load_config(demo_config)
-        sample = field_sample(cfg.environment, WireDrive(i_dc=0.0, i_ac=0.0),
-                              cfg.site("nv-b"))
+        [site] = [s for s in cfg.sites if s.id == "nv-b"]
+        sample = field_sample(cfg.environment, WireDrive(i_dc=0.0, i_ac=0.0), site)
         assert sample.omega_plus == pytest.approx(3.00e9, abs=1.0)
 
     def test_demo_shift_moves_reference_site_to_3p06_ghz(self, demo_config):
         # with the full 150 mA bias the reference site lands near 3.06 GHz
         cfg = load_config(demo_config)
-        sample = field_sample(cfg.environment, cfg.drive, cfg.site("nv-b"))
+        [site] = [s for s in cfg.sites if s.id == "nv-b"]
+        sample = field_sample(cfg.environment, cfg.drive, site)
         assert sample.omega_plus == pytest.approx(3.0608e9, rel=1e-3)
 
     def test_close_pair_split_by_1p1_mhz(self, close_pair_config):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,14 @@ import pytest
 from spinmux import (
     DipoleOrientation,
     HyperfineManifold,
+    PhysicalConstants,
     QubitState,
     SpinSite,
     WireDrive,
     crosstalk_landscape,
+    demo_config_path,
     field_sample,
+    load_config,
     rabi_frequency,
     simulate_odmr,
     simulate_rabi,
@@ -21,7 +25,7 @@ from spinmux import (
 from spinmux.dynamics import TWO_PI, _clamp_unit, _su2_pairs
 from spinmux.experiments import CrosstalkEntry, _flip_populations, _lorentzian_smooth
 from spinmux.fields import _field_arrays
-from spinmux.spins import dipole_axis, hyperfine_detunings
+from spinmux.spins import dipole_axis, hyperfine_detunings, transition_frequencies
 
 from test_fields import (assert_same_bits, demo_environment, mixed_sites,
                          reference_omega_plus, strip_environment)
@@ -80,6 +84,12 @@ class TestSimulateRamsey:
         taus = np.linspace(0.0, 4e-6, 101)
         sig = simulate_ramsey(1e6, HyperfineManifold.triplet(0.0), math.inf, taus)
         assert np.max(np.abs(sig - np.cos(2 * math.pi * 1e6 * taus))) <= 1e-12
+
+    def test_zero_splitting_is_one_damped_cosine_bit_for_bit(self):
+        # one member, so no mean over three copies rounds the cosine
+        taus = np.linspace(0.0, 8e-6, 601)
+        sig = simulate_ramsey(3e6, HyperfineManifold.triplet(0.0), 1.7e-6, taus)
+        assert_same_bits(sig, np.cos(2.0 * math.pi * (taus * 3e6)) * np.exp(-taus / 1.7e-6))
 
     def test_triplet_beat_spectrum(self):
         # oracle: DFT of the generated signal; peaks at |3 -+ 2.2| and 3+2.2 MHz
@@ -198,6 +208,23 @@ class TestSimulateOdmr:
         with pytest.raises(ValueError, match="linewidth_floor"):
             simulate_odmr(self.env, self.drive, [self.site], 2e5, self.scan(), -2e5)
 
+    @pytest.mark.parametrize("floor", (0.0, 2e5))
+    def test_zero_splitting_is_one_member_per_line_bit_for_bit(self, floor):
+        # each site's upper and lower line once, from transition_frequencies
+        env = dataclasses.replace(demo_environment(),
+                                  constants=PhysicalConstants(hyperfine_splitting=0.0))
+        sites = mixed_sites(np.random.default_rng(4), 5)
+        drive, scan = WireDrive(i_dc=0.12, i_ac=0.0), np.linspace(2.7e9, 3.3e9, 61)
+        lines = []
+        for site in sites:
+            sample = field_sample(env, drive, site)
+            lines += transition_frequencies(env.constants, sample.b_ext_z + sample.b_dc_z)
+        want = np.mean(_flip_populations(2e5, np.array(lines)[None, :] - scan[:, None],
+                                         1.0 / (2.0 * 2e5)), axis=1)
+        if floor:
+            want = _lorentzian_smooth(scan, want, floor)
+        assert_same_bits(simulate_odmr(env, drive, sites, 2e5, scan, floor), want)
+
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError):
             simulate_odmr(self.env, self.drive, [self.site], 2e5, [], 0.0)
@@ -232,6 +259,24 @@ class TestCrosstalkLandscape:
         for pos, entry in zip(self.grid(), report.entries):
             if abs(pos[0] - 1.5e-6) >= 3e-6:
                 assert entry.epsilon < 0.01
+
+    @pytest.mark.parametrize("drive_dc", (0.0, 0.15))
+    def test_readme_maps_match_the_rabi_closed_form(self, drive_dc):
+        # epsilon is |<1|U|0>|^2, as in the Rabi and ODMR simulators;
+        # 1 - |<0|U|0>|^2 loses digits to cancellation where it is small
+        env = load_config(demo_config_path()).environment
+        grid = [np.array([u, 0.0, 0.0]) for u in np.linspace(-4.0, 4.0, 65) * 1e-6]
+        entries = crosstalk_landscape(env, drive_dc, 1.5e-6, 1e7, grid).entries
+        target = SpinSite(id="t", position=np.array([1.5e-6, 0.0, 0.0]))
+        unit = field_sample(env, WireDrive(i_dc=drive_dc, i_ac=1.0), target).b_ac_xy
+        drive = WireDrive(i_dc=drive_dc, i_ac=1e7 / rabi_frequency(env.constants, unit))
+        duration = 1.0 / (2.0 * 1e7)
+        for pos, entry in zip(grid, entries):
+            site = SpinSite(id="p", position=pos)
+            rabi = rabi_frequency(env.constants, field_sample(env, drive, site).b_ac_xy)
+            rate = math.hypot(rabi, entry.detuning)
+            want = (rabi / rate) ** 2 * math.sin(math.pi * rate * duration) ** 2
+            assert abs(entry.epsilon - want) <= 1e-11 * want
 
     def test_simulated_error_never_beats_the_bound(self):
         env = demo_environment()
@@ -365,8 +410,8 @@ def reference_crosstalk_entries(env, drive_dc, target_u, rabi_target, grid):
                                             positions, dipole_axis(orientation))
     rabis = rabi_frequency(env.constants, b_ac_xy)
     deltas = omega_plus - target_sample.omega_plus
-    a, _ = _su2_pairs(TWO_PI * rabis, 0.0, TWO_PI * deltas, duration)
-    eps = _clamp_unit(1.0 - np.abs(a) ** 2)
+    _, b = _su2_pairs(TWO_PI * rabis, 0.0, TWO_PI * deltas, duration)
+    eps = _clamp_unit(np.abs(b) ** 2)
     return [
         CrosstalkEntry(site_id=f"g{k:04d}", detuning=delta, epsilon=e,
                        bound=math.inf if delta == 0.0 else (rabi / delta) ** 2)

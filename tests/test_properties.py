@@ -120,9 +120,10 @@ def test_simulate_pulse_without_hyperfine_is_single_member_evolve(
         assert code == 0
         read_back = read_pulse(pulse_path)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert [r[0] for r in rows] == sorted(s.id for s in cfg.sites)
+    sites = {s.id: s for s in cfg.sites}
+    assert [r[0] for r in rows] == sorted(sites)
     for site_id, eps in rows:
-        delta = (field_sample(cfg.environment, cfg.drive, cfg.site(site_id)).omega_plus
+        delta = (field_sample(cfg.environment, cfg.drive, sites[site_id]).omega_plus
                  - cfg.carrier)
         expected = state_error(evolve(read_back, delta), ground)
         assert abs(float(eps) - expected) <= 1e-12

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinmux import ParseError, PulseProgram, read_pulse, rect_pi_pulse, write_pulse
-from spinmux.pulse_io import _BLOCK_ROWS, write_csv
+from spinmux.pulse_io import _BLOCK_ROWS, _line_numbers, _parse_rows, write_csv
 
 
 def reference_write_csv(path, header, rows):
@@ -189,3 +191,86 @@ class TestParseErrors:
         assert np.array_equal(back.i_amps, want[:, 1] * 1e6)
         assert np.array_equal(back.q_amps, want[:, 2] * 1e6)
         assert back.dt == want[-1, 0] / 3 * 1e-9
+
+
+def reference_parse_rows(lines):
+    """The data-row parser before numpy's reader: float() on every value, in
+    blocks of 512 rows when every row has two commas, else row by row to name
+    the first bad line."""
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
+        raise ParseError("no data rows", line=2)
+    if [row.count(",") for row in rows].count(2) == len(rows):
+        values = np.empty((len(rows), 3))
+        try:
+            for block in range(0, len(rows), 512):
+                fields = ",".join(rows[block:block + 512]).split(",")
+                values[block:block + 512].flat = np.fromiter(map(float, fields), float,
+                                                              len(fields))
+            return values.T
+        except ValueError:
+            pass
+    values = []
+    for number, line in zip(_line_numbers(lines), rows):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError("expected three comma-separated values", line=number)
+        try:
+            values.append([float(p) for p in parts])
+        except ValueError:
+            raise ParseError("non-numeric value", line=number) from None
+    return np.array(values).T
+
+
+# numbers as write_csv and people write them, and cells float() reads but numpy
+# does not ("1_0", a full-width digit), or neither does
+CELLS = st.tuples(
+    st.sampled_from(["", "", " ", "\t", "\r"]),
+    st.one_of(st.floats().map(repr), st.floats(-1e3, 1e3).map("{:.17g}".format),
+              st.integers(-10**6, 10**6).map(str),
+              st.sampled_from(["1_0", "\uff11", "x", "", "1e400", "-0", ".5", "+2."])),
+    st.sampled_from(["", "", " ", "\r"]),
+).map("".join)
+
+
+@st.composite
+def pulse_texts(draw):
+    """A header and up to 12 lines: blank ones, and rows of one to four cells,
+    of one width throughout (1, 3 or 4) unless the file is ragged."""
+    width, ragged = draw(st.sampled_from([1, 3, 3, 4])), draw(st.booleans())
+    lines = ["t_ns,i_mhz,q_mhz"]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\r", "\t "])))
+        else:
+            n = draw(st.integers(1, 4)) if ragged else width
+            lines.append(",".join(draw(st.lists(CELLS, min_size=n, max_size=n))))
+    return "\n".join(lines)
+
+
+def parse_outcome(parse, lines):
+    """The arrays' shape and bytes, or the ParseError's line and message."""
+    try:
+        values = parse(lines)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    return values.shape, np.ascontiguousarray(values).tobytes()
+
+
+class TestNumpyReader:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=pulse_texts())
+    def test_same_arrays_or_error_line_as_the_float_parser(self, text):
+        lines = text.split("\n")
+        assert parse_outcome(_parse_rows, lines) == parse_outcome(reference_parse_rows,
+                                                                  lines)
+
+    @pytest.mark.parametrize("last", ["30,1,0", "3_0,1,0"], ids=["numpy", "row-by-row"])
+    def test_separator_padding_parses_in_either_pass(self, last):
+        # numpy's reader skips \x1c-\x1f around a value, as str.strip does, and
+        # so does the row-by-row pass that "3_0" sends the file to; float()
+        # alone refuses them
+        lines = ["t_ns,i_mhz,q_mhz", "10,\x1c1,0\x1f", "20,1\x1d,\x1e0", last]
+        times, i_mhz, q_mhz = _parse_rows(lines)
+        assert times.tolist() == [10.0, 20.0, 30.0]
+        assert i_mhz.tolist() == [1.0, 1.0, 1.0] and q_mhz.tolist() == [0.0, 0.0, 0.0]

@@ -140,8 +140,11 @@ class TestHyperfine:
         assert out == pytest.approx([-1.1e6, 1.1e6, 3.3e6])
 
     def test_disabled_manifold(self):
+        # one member, the first: a -0.0 detuning keeps its sign bit
         out = hyperfine_detunings(5e5, HyperfineManifold.triplet(0.0))
-        assert out == pytest.approx([5e5, 5e5, 5e5])
+        assert out.tolist() == [5e5]
+        [zero] = hyperfine_detunings(-0.0, HyperfineManifold.triplet(0.0))
+        assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
 
     def test_symmetric_about_middle(self):
         rng = np.random.default_rng(3)

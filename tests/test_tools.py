@@ -5,12 +5,16 @@ statistics).  Nothing here runs the CLI or a benchmark."""
 import importlib.util
 import json
 import math
+import os
+import re
+import shlex
 import shutil
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def load_tool(name):
@@ -87,6 +91,17 @@ class TestCompareOutputsDiff:
         assert diff(a, b, *EXACT) == 1
         assert f"addresses.csv: only in {a}" in capsys.readouterr().out
 
+    def test_an_equal_infinite_cell_passes_a_tolerance(self, tmp_path, capsys):
+        # a crosstalk map's bound is inf on the target; rtol 0 times inf made
+        # an equal cell fail, and numpy warn
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out, eps in ((a, 0.25), (b, math.nextafter(0.25, 1.0))):
+            out.mkdir()
+            (out / "xtalk.csv").write_text(f"epsilon,bound\n{eps!r},inf\n0.5,2\n")
+        assert diff(a, b, "--tol", "1e-15", "--rtol", "0") == 0
+        assert diff(a, b, *EXACT) == 1
+        assert "Warning" not in capsys.readouterr().err
+
     def test_a_differing_text_cell_fails_at_any_tolerance(self, tmp_path):
         a = write_outputs(tmp_path / "a")
         b = tmp_path / "b"
@@ -94,6 +109,33 @@ class TestCompareOutputsDiff:
         text = (b / "addresses.csv").read_text()
         (b / "addresses.csv").write_text(text.replace("nv-a", "nv-b"))
         assert diff(a, b, "--tol", "1e300") == 1
+
+
+def readme_quick_start():
+    """The `spinmux` commands of README's quick-start block, without the
+    program name, each as shlex splits it after joining continued lines."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\n.*?```bash\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("spinmux ")]
+
+
+def without_paths(argv):
+    """argv with each path cut to its file name, and README's $CFG and $PAIR
+    to the demo configs they name."""
+    names = {"$CFG": "demo_register.json", "$PAIR": "demo_close_pair.json"}
+    return [names.get(arg, os.path.basename(arg)) for arg in argv]
+
+
+class TestReadmeCommandsInTheOutputGate:
+    def test_the_gate_runs_the_quick_start(self):
+        # the gate adds one optimize that misses its tolerance after the README's
+        gate = [without_paths(argv) for argv in compare_outputs.readme_commands(
+            Path("/data"), Path("/out"), Path("/out/pulse.csv"))]
+        missed = [argv for argv in gate if "pulse_missed.csv" in argv]
+        assert len(missed) == 1 and missed[0][0] == "optimize"
+        gate.remove(missed[0])
+        assert [without_paths(argv) for argv in readme_quick_start()] == gate
 
 
 def side(wall_s, rate, attempted=10, failed=0):

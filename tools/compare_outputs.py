@@ -215,7 +215,9 @@ def diff(dir_a: Path, dir_b: Path, tol: float | None, rtol: float | None) -> int
                 rel = np.where(delta > 0.0, delta / size, 0.0)
             print(f"{name} {col}: max abs diff {np.max(delta, initial=0.0):.3g}, "
                   f"max rel diff {np.max(rel, initial=0.0):.3g}")
-            ok = ok and bool(np.all(delta <= (tol or 0.0) + (rtol or 0.0) * size))
+            with np.errstate(invalid="ignore"):     # rtol 0 times an infinite cell
+                passed = (delta == 0.0) | (delta <= (tol or 0.0) + (rtol or 0.0) * size)
+            ok = ok and bool(np.all(passed))
     codes = [json.loads((d / "exit_codes.json").read_text())
              if (d / "exit_codes.json").is_file() else None for d in (dir_a, dir_b)]
     if codes[0] != codes[1]:
