@@ -10,12 +10,13 @@ alike ("%.17g"):
     spinmux crosstalk-map  spatial flip-error maps for a targeted pi-pulse
     spinmux sweep          detuning/amplitude sensitivity grid for a pulse
 
-Exit codes: 0 success, 1 usage error, 2 validation or physics error,
-3 optimizer divergence, 4 optimizer tolerance missed (in both cases the
-best artifacts are still written).  Each numeric flag's argparse type states
-its rules, so a bad value exits 2 even when a required flag is missing, and
-the n of a lo:hi:n range is checked as a count flag is.  Each `simulate` kind
-takes only its own flags: another's is a usage error, whatever its value.
+Exit codes: 0 success, 1 usage error, 2 validation or physics error (an
+output holding NaN too), 3 optimizer divergence, 4 optimizer tolerance missed
+(in both cases the best artifacts are still written).  Each numeric flag's
+argparse type states its rules, so a bad value exits 2 even when a required
+flag is missing, and the n of a lo:hi:n range is checked as a count flag is.
+Each `simulate` kind takes only its own flags: another's is a usage error,
+whatever its value.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config_io import RegisterConfig, _is_number, load_config
-from .dynamics import PulseProgram, QubitState
+from .dynamics import QubitState
 from .errors import Diverged, SpinmuxError, UsageError, ValidationError
 from .experiments import crosstalk_landscape, simulate_odmr, simulate_rabi, \
     simulate_ramsey
@@ -97,20 +98,27 @@ def _site(table, site_id, flag):
     return table[site_id]
 
 
+def _detunings(cfg: RegisterConfig):
+    """{site id: detuning} in the one rotating frame of every pulse command:
+    the site's address at the configured DC current minus `cfg.carrier`."""
+    return {e.site_id: e.omega_plus - cfg.carrier
+            for e in address_map(cfg.environment, cfg.drive, cfg.sites).entries}
+
+
 def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
-    """Detunings from the frequency addresses at the configured DC current."""
+    """The target and spectators at their `_detunings`."""
     if not idle_ids:
         raise UsageError("need at least one --idle-site")
-    addr = {e.site_id: e.omega_plus
-            for e in address_map(cfg.environment, cfg.drive, cfg.sites).entries}
-    target = _site(addr, target_id, "--target-site")
+    detuning = _detunings(cfg)
+    target = _site(detuning, target_id, "--target-site")
     idle = []
     for site_id in idle_ids:
-        idle.append(_site(addr, site_id, "--idle-site") - target)
-        if idle[-1] == 0.0:
+        idle.append(_site(detuning, site_id, "--idle-site"))
+        if idle[-1] == target:
             raise ValidationError(f"site {site_id!r} has the target's address",
                                   field="--idle-site")
-    return ControlScenario(idle_detunings=tuple(idle), manifold=cfg.manifold)
+    return ControlScenario(idle_detunings=tuple(idle), target_detuning=target,
+                           manifold=cfg.manifold)
 
 
 def cmd_address_map(args, cfg: RegisterConfig) -> int:
@@ -120,16 +128,6 @@ def cmd_address_map(args, cfg: RegisterConfig) -> int:
                                             [e.position_u * 1e6 for e in entries],
                                             [e.omega_plus * 1e-9 for e in entries]))
     return 0
-
-
-def _site_epsilons(cfg: RegisterConfig, pulse: PulseProgram):
-    """(site ids, manifold-averaged departure from |0> per site), at the
-    config carrier."""
-    ground = QubitState.ground()
-    entries = address_map(cfg.environment, cfg.drive, cfg.sites).entries
-    spins = [(e.omega_plus - cfg.carrier, ground, ground) for e in entries]
-    stay = _Ensemble(spins, cfg.manifold).transfer_means(*pulse.amplitudes(), pulse.dt)
-    return [e.site_id for e in entries], 1.0 - stay
 
 
 def cmd_simulate(args, cfg: RegisterConfig) -> int:
@@ -160,8 +158,11 @@ def cmd_simulate(args, cfg: RegisterConfig) -> int:
                                  args.linewidth_mhz * 1e6)
         write_csv(args.out, "f_ghz,contrast", (scan * 1e-9, contrast))
     else:  # "pulse"; argparse admits no other kind
-        pulse = read_pulse(args.pulse)
-        write_csv(args.out, "site,eps", _site_epsilons(cfg, pulse))
+        pulse, detuning = read_pulse(args.pulse), _detunings(cfg)
+        ground = QubitState.ground()
+        spins = [(d, ground, ground) for d in detuning.values()]
+        stay = _Ensemble(spins, cfg.manifold).transfer_means(*pulse.amplitudes(), pulse.dt)
+        write_csv(args.out, "site,eps", (list(detuning), 1.0 - stay))
     return 0
 
 

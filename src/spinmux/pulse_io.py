@@ -27,13 +27,16 @@ _BLOCK_ROWS = 512
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns as CSV under `header`: a column of str as
     it is, numbers with 17 significant digits ("%.17g"), formatted in blocks
-    of _BLOCK_ROWS rows.  Every table spinmux writes goes through here."""
+    of _BLOCK_ROWS rows.  Every table spinmux writes goes through here, so a
+    NaN in a numeric column (not inf) raises ValueError before any write."""
     text = [len(column) > 0 and isinstance(column[0], str) for column in columns]
     line = ",".join("%s" if is_text else "%.17g" for is_text in text) + "\n"
     width = len(columns)
     cells = [None] * (width * len(columns[0]))     # row-major
     for j, (column, is_text) in enumerate(zip(columns, text)):
-        cells[j::width] = column if is_text else np.asarray(column, dtype=float).tolist()
+        if not is_text and np.isnan(column := np.asarray(column, dtype=float)).any():
+            raise ValueError(f"{path}: column {header.split(',')[j]!r} holds NaN")
+        cells[j::width] = column if is_text else column.tolist()
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for start in range(0, len(cells), _BLOCK_ROWS * width):

@@ -52,8 +52,8 @@ class ControlScenario:
     """A selective-control task: flip the target |0> -> |1>, keep the
     spectators in |0>."""
 
-    idle_detunings: tuple                      # Hz, one per spectator
-    target_detuning: float = 0.0               # Hz, normally 0 (carrier on target)
+    idle_detunings: tuple                      # Hz from the carrier, one per spectator
+    target_detuning: float = 0.0               # Hz from the carrier (0: on the target)
     manifold: HyperfineManifold = field(default_factory=HyperfineManifold.triplet)
 
     def __post_init__(self):

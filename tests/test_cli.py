@@ -16,6 +16,7 @@ from spinmux import (
     Diverged,
     OptimizationTrace,
     PulseProgram,
+    demo_config_path,
     read_pulse,
     rect_pi_pulse,
     regularization,
@@ -206,6 +207,33 @@ class TestOptimizeCommand:
         ])
         assert code == 1
 
+    def test_target_off_the_carrier_is_designed_in_the_carrier_frame(
+            self, close_pair_config, tmp_path):
+        # the carrier sits on nv-b: a pulse for nv-c must flip nv-c, and
+        # simulate pulse and sweep must report what the trace reports
+        pulse_path, trace_path = tmp_path / "pulse.csv", tmp_path / "trace.jsonl"
+        sites = ["--target-site", "nv-c", "--idle-site", "nv-b"]
+        assert cli.main([
+            "optimize", "--config", close_pair_config, *sites,
+            "--lambda", "1e-9", "--steps", "200", "--duration", "10e-6",
+            "--seed", "0", "--restarts", "5",
+            "--out-pulse", str(pulse_path), "--out-trace", str(trace_path),
+        ]) == 0
+        last = json.loads(trace_path.read_text().splitlines()[-1])
+        eps_out, sweep_out = tmp_path / "eps.csv", tmp_path / "sweep.csv"
+        assert cli.main(["simulate", "pulse", "--config", close_pair_config,
+                         "--pulse", str(pulse_path), "--out", str(eps_out)]) == 0
+        assert cli.main(["sweep", "--config", close_pair_config, "--pulse", str(pulse_path),
+                         *sites, "--delta-range", "0:0:1", "--amp-range", "1:1:1",
+                         "--out", str(sweep_out)]) == 0
+        eps = {r["site"]: float(r["eps"]) for r in read_csv(eps_out)}
+        [row] = read_csv(sweep_out)
+        assert last["eps_i"] >= 0.99
+        for eps_i, eps_j in ((eps["nv-c"], eps["nv-b"]),
+                             (float(row["eps_i"]), float(row["eps_j"]))):
+            assert eps_i == pytest.approx(last["eps_i"], abs=1e-9)
+            assert eps_j == pytest.approx(sum(last["eps_j"]), abs=1e-9)
+
 
 class TestCrosstalkMapCommand:
     def test_maps_with_and_without_gradient(self, demo_config, tmp_path):
@@ -231,13 +259,19 @@ class TestCrosstalkMapCommand:
 
 
 class TestSweepCommand:
-    def test_nominal_point_matches_pulse_simulation(self, close_pair_config, tmp_path):
+    @pytest.mark.parametrize("config, target, idle", [
+        ("demo_close_pair", "nv-b", "nv-c"),
+        ("demo_close_pair", "nv-c", "nv-b"),
+        ("demo_register", "nv-c", "nv-b"),     # 130 MHz off the 3.0 GHz carrier
+    ], ids=["pair-nv-b", "pair-nv-c", "register-nv-c"])
+    def test_nominal_point_matches_pulse_simulation(self, tmp_path, config, target, idle):
+        config = demo_config_path(config)
         pulse_path = tmp_path / "p.csv"
         write_pulse(pulse_path, rect_pi_pulse(1e6, m=20))
         sweep_out = tmp_path / "sweep.csv"
         code = cli.main([
-            "sweep", "--config", close_pair_config, "--pulse", str(pulse_path),
-            "--target-site", "nv-b", "--idle-site", "nv-c",
+            "sweep", "--config", config, "--pulse", str(pulse_path),
+            "--target-site", target, "--idle-site", idle,
             "--delta-range", "0:0:1", "--amp-range", "1:1:1",
             "--out", str(sweep_out),
         ])
@@ -247,14 +281,12 @@ class TestSweepCommand:
         assert float(row["scale"]) == 1.0
 
         eps_out = tmp_path / "eps.csv"
-        code = cli.main(["simulate", "pulse", "--config", close_pair_config,
+        code = cli.main(["simulate", "pulse", "--config", config,
                          "--pulse", str(pulse_path), "--out", str(eps_out)])
         assert code == 0
         eps = {r["site"]: float(r["eps"]) for r in read_csv(eps_out)}
-        # the carrier sits on nv-b's address in this config, so the pulse-kind
-        # epsilons are exactly the sweep's nominal target/spectator numbers
-        assert float(row["eps_i"]) == pytest.approx(eps["nv-b"], abs=1e-12)
-        assert float(row["eps_j"]) == pytest.approx(eps["nv-c"], abs=1e-12)
+        assert float(row["eps_i"]) == pytest.approx(eps[target], abs=1e-12)
+        assert float(row["eps_j"]) == pytest.approx(eps[idle], abs=1e-12)
 
     def test_zero_scale_row_is_all_zero(self, close_pair_config, tmp_path):
         pulse_path = tmp_path / "p.csv"
@@ -661,6 +693,40 @@ class TestOverflowNamesItsSource:
                      "--out-prefix" if command == ["crosstalk-map"] else "--out", str(out)]
         err = self.run([*command, *given, *argv], out, capsys)
         assert err == f"error: {message}\n"
+
+
+class TestNaNIsNeverWritten:
+    """Finite inputs whose dynamics overflow to NaN: the one CSV writer
+    refuses the NaN, so each exits 2 naming the file and column, and writes
+    no file.  Each used to exit 0 writing nan."""
+
+    def run(self, argv, out, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # numpy's overflow
+            assert cli.main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_rabi(self, demo_config, tmp_path, capsys):
+        out = tmp_path / "rabi.csv"
+        err = self.run(["simulate", "rabi", "--config", demo_config,
+                        "--rabi-mhz", "1e300"], out, capsys)
+        assert err == f"error: {out}: column 'p1' holds NaN\n"
+
+    def test_odmr(self, demo_config, tmp_path, capsys):
+        out = tmp_path / "odmr.csv"
+        err = self.run(["simulate", "odmr", "--config", demo_config,
+                        "--f-min-ghz", "1e290", "--f-max-ghz", "1e291"], out, capsys)
+        assert err == f"error: {out}: column 'contrast' holds NaN\n"
+
+    def test_sweep(self, close_pair_config, close_pair_run, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        err = self.run(["sweep", "--config", close_pair_config,
+                        "--pulse", str(close_pair_run[0]),
+                        "--target-site", "nv-b", "--idle-site", "nv-c",
+                        "--delta-range=1e301:1e302:2", "--amp-range", "0.9:1.1:5"],
+                       out, capsys)
+        assert err == f"error: {out}: column 'eps_j' holds NaN\n"
 
 
 class TestFlagErrors:

@@ -236,3 +236,28 @@ def test_random_configs_load_or_name_the_field(config_file, doc):
         assert exc.line
     else:
         assert _finite(cfg)
+
+
+@PROPERTY
+@given(carrier_ghz=st.floats(2.98, 3.19),
+       sites=st.permutations([site["id"] for site in DEMO["sites"]]),
+       pulse=pulses(max_m=12))
+def test_cost_and_simulate_pulse_share_one_frame(carrier_ghz, sites, pulse):
+    # with the carrier anywhere among the demo register's addresses, the cost of
+    # the scenario optimize and sweep build is what simulate pulse reports
+    doc = json.loads(json.dumps(DEMO))
+    doc["drive"]["carrier_ghz"] = carrier_ghz
+    with tempfile.TemporaryDirectory() as tmp:
+        config, pulse_path, out = (Path(tmp) / name
+                                   for name in ("config.json", "pulse.csv", "eps.csv"))
+        config.write_text(json.dumps(doc))
+        write_pulse(pulse_path, pulse)
+        assert cli.main(["simulate", "pulse", "--config", str(config),
+                         "--pulse", str(pulse_path), "--out", str(out)]) == 0
+        cfg, read_back = load_config(config), read_pulse(pulse_path)
+        eps = {site: float(e) for site, e in
+               (line.split(",") for line in out.read_text().splitlines()[1:])}
+    target, idle = sites[:2]
+    parts = cost(read_back, cli._scenario_from_config(cfg, target, [idle]), 0.0)
+    assert abs(parts.eps_i - eps[target]) <= 1e-12
+    assert abs(parts.eps_j[0] - eps[idle]) <= 1e-12

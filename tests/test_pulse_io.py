@@ -39,6 +39,13 @@ class TestWriteCsv:
         reference_write_csv(tmp_path / "want.csv", header, zip(*columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_nan_raises_naming_path_and_column_before_writing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError) as info:
+            write_csv(path, "site,eps,bound", (["a", "b"], [0.5, math.nan], [math.inf, 1.0]))
+        assert str(info.value) == f"{path}: column 'eps' holds NaN"
+        assert not path.exists()
+
 
 class TestRoundTrip:
     def test_three_row_constant_pulse(self, tmp_path):
