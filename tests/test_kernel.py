@@ -95,14 +95,22 @@ def test_compose_applies_a_pair_to_kets():
 
 
 def reference_scan(a, b):
-    """The recursive odd/even scan that `_scan` replaced: scan the products of
-    neighbouring pairs recursively, which gives every odd entry, then compose
-    each even entry's step onto the odd entry before it."""
+    """The recursive odd/even scan that `_scan` replaced, with `_scan`'s rule
+    that the last prefix is the pairwise tree's product."""
+    sa, sb = odd_even_scan(a, b)
+    if a.shape[-1]:
+        sa[..., -1], sb[..., -1] = reference_product(a, b)
+    return sa, sb
+
+
+def odd_even_scan(a, b):
+    """Scan the products of neighbouring pairs recursively, which gives every
+    odd entry, then compose each even entry's step onto the odd entry before it."""
     n = a.shape[-1]
     if n <= 1:
         return a, b
     pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
-    sa, sb = reference_scan(pa, pb)
+    sa, sb = odd_even_scan(pa, pb)
     out_a, out_b = np.empty_like(a), np.empty_like(b)
     out_a[..., 1::2], out_b[..., 1::2] = sa, sb
     out_a[..., 0], out_b[..., 0] = a[..., 0], b[..., 0]
@@ -140,9 +148,19 @@ def test_down_sweep_equals_the_recursive_scan(m, members, seed):
     assert np.array_equal(pa, top_a[:, 0]) and np.array_equal(pb, top_b[:, 0])
     ra, rb = reference_product(a, b)
     assert np.array_equal(pa, ra) and np.array_equal(pb, rb)
-    # the scan carries the odd leftover's product at the bottom level, the
-    # tree at the top, so the last prefix and the product agree to rounding
-    assert np.max(np.abs(as_matrices(pa, pb) - as_matrices(sa[:, -1], sb[:, -1]))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 71))
+def test_last_prefix_is_the_product_bit_for_bit(m):
+    # the down-sweep alone composes an odd leftover at the bottom level, the
+    # tree at the top, which rounds differently from m = 7 on
+    rng = np.random.default_rng(m)
+    a, b = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
+                      TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
+                      TWO_PI * rng.uniform(-3e6, 3e6, (3, 1)), DT)
+    sa, sb = _scan(_tree(a, b))
+    pa, pb = _product(a, b)
+    assert same_bits(sa[:, -1], pa) and same_bits(sb[:, -1], pb)
 
 
 def test_scan_of_an_empty_axis_is_empty():
@@ -189,11 +207,13 @@ def reference_su2_pairs(ax, ay, az, dt, coefficient=False):
     half_dt = 0.5 * np.asarray(dt, dtype=float)
     omega = np.sqrt(ax * ax + ay * ay + az * az)
     theta = half_dt * omega
+    t = np.tan(0.5 * theta)
+    cos_t, sin_t = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
     moving = omega > 0.0
-    k = np.where(moving, np.sin(theta) / np.where(moving, omega, 1.0), half_dt)
+    k = np.where(moving, sin_t / np.where(moving, omega, 1.0), half_dt)
     x, y, z = k * ax, k * ay, k * az
-    a = np.empty(np.broadcast(np.cos(theta), z).shape, dtype=complex)
-    a.real = np.cos(theta)
+    a = np.empty(np.broadcast(cos_t, z).shape, dtype=complex)
+    a.real = cos_t
     np.subtract(0.0, z, out=a.imag)
     b = np.empty(np.broadcast(x, y).shape, dtype=complex)
     b.real = y
@@ -271,6 +291,19 @@ def test_su2_q_on_both_sides_of_the_series_threshold(dt, series, exact):
     (a, _), k = _su2_pairs(rates, 0.0, 0.0, dt, coefficient=True)
     assert same_bits(_su2_q(a.real, k, rates ** 2, dt),
                      reference_su2_q(a.real, k, rates ** 2, dt))
+
+
+@pytest.mark.parametrize("axis", (0, 1, 2), ids=("x", "y", "z"))
+def test_half_angle_steps_match_libm(axis):
+    # dt = 2 makes theta = |a| dt/2 the rate itself
+    theta = np.concatenate([np.geomspace(1e-9, 1e6, 20001), [np.pi, 2.0 * np.pi],
+                            np.nextafter(1e-3, [0.0, 1.0])])
+    rates = [0.0, 0.0, 0.0]
+    rates[axis] = theta
+    (a, b), k = _su2_pairs(*rates, 2.0, coefficient=True)
+    assert np.max(np.abs(a.real - np.cos(theta))) <= 4.5e-16
+    assert np.max(np.abs(k * theta - np.sin(theta))) <= 4.5e-16
+    assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)) <= 1e-15
 
 
 def reference_gradient(ens, i_amps, q_amps, dt):
@@ -365,9 +398,10 @@ def reference_one_pass_gradient(ens, i_amps, q_amps, dt):
     omega2 = ax[None, :] * ax[None, :] + ay[None, :] * ay[None, :] + az * az
     omega = np.sqrt(omega2)
     theta = half_dt * omega
-    cos_t = np.cos(theta)
+    t = np.tan(0.5 * theta)
+    cos_t, sin_t = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
     moving = omega > 0.0
-    k = np.where(moving, np.sin(theta) / np.where(moving, omega, 1.0), half_dt)
+    k = np.where(moving, sin_t / np.where(moving, omega, 1.0), half_dt)
     a, b = _pair(cos_t, k * ax[None, :], k * ay[None, :], k * az)
     q = np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
                  (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
