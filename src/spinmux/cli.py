@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .config_io import RegisterConfig, _is_number, load_config
-from .dynamics import QubitState
 from .errors import Diverged, SpinmuxError, UsageError, ValidationError
 from .experiments import crosstalk_landscape, simulate_odmr, simulate_rabi, \
     simulate_ramsey
@@ -159,10 +158,9 @@ def cmd_simulate(args, cfg: RegisterConfig) -> int:
         write_csv(args.out, "f_ghz,contrast", (scan * 1e-9, contrast))
     else:  # "pulse"; argparse admits no other kind
         pulse, detuning = read_pulse(args.pulse), _detunings(cfg)
-        ground = QubitState.ground()
-        spins = [(d, ground, ground) for d in detuning.values()]
-        stay = _Ensemble(spins, cfg.manifold).transfer_means(*pulse.amplitudes(), pulse.dt)
-        write_csv(args.out, "site,eps", (list(detuning), 1.0 - stay))
+        flips = _Ensemble(list(detuning.values()), cfg.manifold).transfer_means(
+            *pulse.amplitudes(), pulse.dt)
+        write_csv(args.out, "site,eps", (list(detuning), flips))
     return 0
 
 

@@ -4,11 +4,11 @@ The objective for a target spin i and spectators j is
 
     f(I, Q) = (1 - eps_i) + sum_j eps_j + R
 
-where eps_i is the (nuclear-manifold averaged) probability that the target
-goes from |0> to |1>, eps_j the averaged departure of each spectator from |0>,
-and R a total-variation penalty that keeps the waveform
-generator-friendly.  The epsilon terms carry exact analytic gradients through
-the closed-form step exponentials; R contributes a sign subgradient.
+where eps_i and each eps_j are the target's and the spectators' (nuclear-
+manifold averaged) flip probabilities |<1|U|0>|^2, and R a total-variation
+penalty that keeps the waveform generator-friendly.  The epsilon terms carry
+exact analytic gradients through the closed-form step exponentials; R
+contributes a sign subgradient.
 
 The forward kernel and the gradient take (P, m) amplitude stacks, one pulse
 per row, and give per-pulse results (a 1-d pulse is a stack of one), so that
@@ -19,13 +19,13 @@ one forward call per line-search round, which tries two trials per restart.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import (TWO_PI, PulseProgram, QubitState, _clamp_unit, _compose,
-                       _scan, _su2_pairs, _su2_q, _tree)
+from .dynamics import (TWO_PI, PulseProgram, _clamp_unit, _compose, _scan,
+                       _su2_pairs, _su2_q, _tree)
 from .errors import Diverged
 from .spins import HyperfineManifold, hyperfine_detunings
 
@@ -112,8 +112,8 @@ class CostBreakdown:
     """Objective decomposition; f = (1 - eps_i) + sum(eps_j) + reg, assembled
     here from the parts and nowhere else."""
 
-    eps_i: float       # averaged target transfer probability
-    eps_j: tuple       # averaged spectator errors
+    eps_i: float       # averaged target flip probability
+    eps_j: tuple       # averaged spectator flip probabilities
     reg: float
     f: float = field(init=False)
 
@@ -151,48 +151,44 @@ class OptimizationTrace:
 
 
 class _Ensemble:
-    """Flattened per-member detunings and state vectors for a set of spins.
+    """Flattened per-member detunings and goal signs for a set of spins.
 
-    Each spin is (detuning, bra state, ket state) and expands, spin-major,
-    into its `hyperfine_detunings` members; `transfer_means` averages
-    |<bra|U|ket>|^2 back per spin.  This is the only place pulses are
-    averaged over the manifold.
+    Each spin expands, spin-major, into its `hyperfine_detunings` members, and
+    every member reads its flip amplitude z = <1|U|0>, the `b` of its
+    propagator; `transfer_means` averages |z|^2 back per spin.  A spin's goal
+    is a sign that only the gradient reads: -1 for a target (1 - |z|^2 in f),
+    +1 for a spectator (|z|^2).  This is the only place pulses are averaged
+    over the manifold.
     """
 
-    def __init__(self, spins, manifold: HyperfineManifold):
-        detunings, bras, kets = zip(*spins)
+    def __init__(self, detunings, manifold: HyperfineManifold, signs=1.0):
         deltas = hyperfine_detunings(np.array(detunings)[:, None], manifold)
-        per_spin = deltas.shape[1]
+        self.num_spins, self.per_spin = deltas.shape
         self.deltas = deltas.ravel()
-        self.bras = np.repeat([state.amplitudes for state in bras], per_spin, axis=0)
-        self.kets = np.repeat([state.amplitudes for state in kets], per_spin, axis=0)
-        self.num_spins = len(spins)
-        self.weight = 1.0 / per_spin
+        self.signs = np.repeat(np.broadcast_to(signs, self.num_spins), self.per_spin)
+        self.weight = 1.0 / self.per_spin
 
     @classmethod
     def for_scenario(cls, scenario: ControlScenario) -> "_Ensemble":
-        """Target first (|0> -> |1>), then the spectators (|0> -> |0>, so
-        1 - |z|^2 is their departure)."""
-        ground, excited = QubitState.ground(), QubitState.excited()
-        spins = [(scenario.target_detuning, excited, ground)]
-        spins += [(d, ground, ground) for d in scenario.idle_detunings]
-        return cls(spins, scenario.manifold)
+        """Target first (sign -1), then the spectators (sign +1)."""
+        idle = scenario.idle_detunings
+        return cls((scenario.target_detuning, *idle), scenario.manifold,
+                   [-1.0] + [1.0] * len(idle))
 
     def forward(self, i_amps, q_amps, dt, rows):
-        """<bra|U|ket> of the members in `rows` per pulse of the (..., m)
+        """z = <1|U|0> of the members in `rows` per pulse of the (..., m)
         amplitudes, and the record the gradient reads: (rows, the levels of
         the steps' `_tree`, `_su2_pairs`'s k), each with the pulse axes first."""
         steps, k = _su2_pairs(TWO_PI * np.asarray(i_amps)[..., None, :],
                               TWO_PI * np.asarray(q_amps)[..., None, :],
                               TWO_PI * self.deltas[rows, None], dt, coefficient=True)
         levels = _tree(*steps)
-        final = _compose(levels[-1][0][..., 0], levels[-1][1][..., 0], *self.kets[rows].T)
-        return self._overlaps(*final, rows), (rows, levels, k)
+        return levels[-1][1][..., 0], (rows, levels, k)
 
     def transfer_means(self, i_amps, q_amps, dt, record=None) -> np.ndarray:
-        """Mean |<bra|U|ket>|^2 per pulse and spin, in spin order, evaluated in
-        row blocks of at most _BLOCK_MEMBER_STEPS member-steps over all pulses
-        (one member per block when the pulses alone are longer).  Each block's
+        """Mean |<1|U|0>|^2 per pulse and spin, in spin order, evaluated in row
+        blocks of at most _BLOCK_MEMBER_STEPS member-steps over all pulses (one
+        member per block when the pulses alone are longer).  Each block's
         `forward` record is appended to the list `record` when one is given."""
         n, rows = len(self.deltas), max(1, _BLOCK_MEMBER_STEPS // np.size(i_amps))
         members = np.empty(np.shape(i_amps)[:-1] + (n,))
@@ -204,13 +200,9 @@ class _Ensemble:
             del z, block_record     # not alive while the next block is built
         return _clamp_unit(self._per_spin(members))
 
-    def _overlaps(self, x, y, rows=slice(None)):
-        """<bra|(x, y)> per member in `rows`."""
-        return self.bras[rows, 0].conj() * x + self.bras[rows, 1].conj() * y
-
     def _per_spin(self, member_values: np.ndarray) -> np.ndarray:
         """Mean over each spin's members, which are laid out spin-major."""
-        shape = member_values.shape[:-1] + (self.num_spins, -1)
+        shape = member_values.shape[:-1] + (self.num_spins, self.per_spin)
         return member_values.reshape(shape).sum(axis=-1) * self.weight
 
 
@@ -240,19 +232,14 @@ def _regularization_gradient(i_amps, q_amps, lam: float):
     return sub(np.asarray(i_amps, dtype=float)), sub(np.asarray(q_amps, dtype=float))
 
 
-def _errors(target_transfer, spectator_transfers):
-    """(eps_i, eps_j) from the target's and the spectators' transfer means."""
-    return float(target_transfer), tuple(1.0 - float(v) for v in spectator_transfers)
-
-
 def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record=None):
     """f and its parts for amplitude arrays, one CostBreakdown per pulse of a
     (P, m) stack (one for a 1-d pulse)."""
-    transfer = ens.transfer_means(i_amps, q_amps, dt, record)
+    flips = ens.transfer_means(i_amps, q_amps, dt, record)
     regs = np.atleast_1d(_regularization(i_amps, q_amps, lam)).tolist()
-    out = [CostBreakdown(*_errors(t[0], t[1:]), reg)
-           for t, reg in zip(np.atleast_2d(transfer), regs)]
-    return out if transfer.ndim > 1 else out[0]
+    out = [CostBreakdown(f[0], f[1:], reg)
+           for f, reg in zip(np.atleast_2d(flips).tolist(), regs)]
+    return out if flips.ndim > 1 else out[0]
 
 
 def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record):
@@ -279,22 +266,23 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
     """Gradient of the epsilon part of f with respect to I and Q, per pulse of
     (..., m) amplitudes whose forward `record` holds the same pulse axes.
 
-    GRAPE-style, from one prefix scan P_l = U_l ... U_0 with U = P_{m-1}, the
-    down-sweep of each member block's tree in the forward `record`.  The state
-    entering step l is psi_l = P_{l-1} ket (psi_0 = ket).  By unitarity
-    U_{m-1} ... U_{l+1} = U P_l^H, so the costate after step l is
+    GRAPE-style (Khaneja et al., J. Magn. Reson. 172, 296, 2005), from one
+    prefix scan P_l = U_l ... U_0 with U = P_{m-1}, the down-sweep of each
+    member block's tree in the forward `record`.  The state entering step l is
+    psi_l = P_{l-1}|0>, the prefix pair (a, b)_{l-1} itself (psi_0 = |0>).  By
+    unitarity U_{m-1} ... U_{l+1} = U P_l^H, so the costate after step l is
 
-        chi_l = P_l U^H bra,
+        chi_l = P_l U^H |1>,   with U^H |1> = (b*, a) of U,
 
-    and dz/da_j = <chi_l|dU_l/da_j|psi_l> with z = <bra|U|ket>.  Every spin
-    contributes a (1 - |z|^2) term to f, so a member's gradient is
-    -2 Re(conj(z) dz/da_j).  With the step derivative of `_su2_pairs`,
+    and dz/da_j = <chi_l|dU_l/da_j|psi_l> with z = <1|U|0>.  A member of goal
+    sign s adds s |z|^2 to f, up to a constant, so its gradient is
+    2 Re(conj(s z) dz/da_j).  With the step derivative of `_su2_pairs`,
 
-        Re(conj(z) dz/da_j) = a_j (q (a.R) - (dt/2) k R_0) + k R_j,
+        Re(conj(s z) dz/da_j) = a_j (q (a.R) - (dt/2) k R_0) + k R_j,
 
-    where R_0 = Re(conj(z) <chi|psi>) and R_n = Im(conj(z) <chi|sigma_n|psi>)
-    per member and step.  z is folded into the costate,
-    z chi_l = P_l (z U^H bra), so the four forms take four complex products
+    where R_0 = Re(conj(s z) <chi|psi>) and R_n = Im(conj(s z) <chi|sigma_n|psi>)
+    per member and step.  s z is folded into the costate,
+    s z chi_l = P_l (s z U^H |1>), so the four forms take four complex products
     and dU is never formed.  Members and steps are the last two axes.
     """
     ax = TWO_PI * np.asarray(i_amps, dtype=float)[..., None, :]
@@ -306,21 +294,16 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
         q = _su2_q(levels[0][0].real, k, ax * ax + ay * ay + az * az, dt)
         a, b = _scan(levels)
         del levels
-        (ket0, ket1), bras = ens.kets[rows].T, ens.bras[rows].T
-        # f_l = P_l ket, so psi_l = f_{l-1} and z = <bra|f_{m-1}>
-        f0, f1 = _compose(a, b, ket0[:, None], ket1[:, None])
-        z = ens._overlaps(f0[..., -1], f1[..., -1], rows)
-        # conj(z chi_l) = conj(P_l) v with v = conj(z U^H bra), U^H = (a*, -b)
-        w0, w1 = _compose(a[..., -1].conj(), -b[..., -1], *bras)
-        c0, c1 = _compose(a.conj(), b.conj(),
-                          (z * w0).conj()[..., None], (z * w1).conj()[..., None])
+        # conj(s z chi_l) = conj(P_l) v with v = conj(s z U^H |1>)
+        z = ens.signs[rows] * b[..., -1]
+        c0, c1 = _compose(a.conj(), b.conj(), (z * b[..., -1].conj()).conj()[..., None],
+                          (z * a[..., -1]).conj()[..., None])
+        psi0, psi1 = np.empty_like(a), np.empty_like(b)
+        psi0[..., 0], psi1[..., 0] = 1.0, 0.0
+        psi0[..., 1:], psi1[..., 1:] = a[..., :-1], b[..., :-1]
         del a, b
-        psi0, psi1 = np.empty_like(f0), np.empty_like(f1)
-        psi0[..., 0], psi1[..., 0] = ket0, ket1
-        psi0[..., 1:], psi1[..., 1:] = f0[..., :-1], f1[..., :-1]
-        del f0, f1
 
-        # the four forms, from the products conj(z chi)_i psi_j
+        # the four forms, from the products conj(s z chi)_i psi_j
         u00, u11 = c0 * psi0, c1 * psi1
         r0 = u00.real + u11.real
         rz = u00.imag - u11.imag
@@ -335,8 +318,8 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
         terms[0, ..., rows, :] = q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0
         terms[1, ..., rows, :], terms[2, ..., rows, :] = k * rx, k * ry
     t, kx, ky = (term.sum(axis=-2) for term in terms)
-    # -2 per member, manifold-weighted; 2*pi chains a_x, a_y to I, Q
-    coeff = -2.0 * TWO_PI * ens.weight
+    # 2 per member, manifold-weighted; 2*pi chains a_x, a_y to I, Q
+    coeff = 2.0 * TWO_PI * ens.weight
     return coeff * (ax[..., 0, :] * t + kx), coeff * (ay[..., 0, :] * t + ky)
 
 
@@ -486,10 +469,10 @@ def optimize(scenario: ControlScenario, config: OptimizerConfig):
 
 @dataclass(frozen=True)
 class SweepPoint:
-    delta_offset: float   # Hz added to every spectator detuning
+    delta_offset: float   # Hz added to every detuning, the target's too
     amp_scale: float      # multiplier on all amplitudes
-    eps_i: float
-    eps_j: tuple
+    eps_i: float          # the target's flip probability
+    eps_j: tuple          # the spectators' flip probabilities
 
 
 def sensitivity_sweep(
@@ -498,19 +481,18 @@ def sensitivity_sweep(
     delta_offsets,
     amp_scales,
 ):
-    """Re-evaluate the scenario over a grid of detuning offsets and amplitude
-    scales; the Cartesian grid is returned row-major in the given order.
-    One ensemble holds every spectator at every offset, so each scale is one
-    forward evaluation."""
+    """Re-evaluate the scenario over a grid of common detuning offsets (a
+    carrier error: the target moves too) and amplitude scales, each point the
+    `cost` of the shifted scenario and scaled pulse, row-major in the given
+    order.  One ensemble holds every site at every offset, so each scale is
+    one forward evaluation."""
     offsets, scales = list(delta_offsets), list(amp_scales)
     if not np.isfinite(scales).all():
         raise ValueError("amp_scales must be finite")
-    n = len(scenario.idle_detunings)
-    shifted = tuple(d + offset for offset in offsets for d in scenario.idle_detunings)
-    ens = _Ensemble.for_scenario(replace(scenario, idle_detunings=shifted))
+    sites = np.add.outer(offsets, (scenario.target_detuning, *scenario.idle_detunings))
+    ens = _Ensemble(sites.ravel(), scenario.manifold)
     i_amps, q_amps = pulse.amplitudes()
-    transfers = [ens.transfer_means(i_amps * scale, q_amps * scale, pulse.dt)
-                 for scale in scales]
-    return [SweepPoint(float(offset), float(scale),
-                       *_errors(t[0], t[1 + k * n:1 + (k + 1) * n]))
-            for k, offset in enumerate(offsets) for scale, t in zip(scales, transfers)]
+    flips = [ens.transfer_means(i_amps * scale, q_amps * scale, pulse.dt)
+             .reshape(sites.shape).tolist() for scale in scales]
+    return [SweepPoint(float(offset), float(scale), f[k][0], tuple(f[k][1:]))
+            for k, offset in enumerate(offsets) for scale, f in zip(scales, flips)]

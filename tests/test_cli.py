@@ -285,8 +285,9 @@ class TestSweepCommand:
                          "--pulse", str(pulse_path), "--out", str(eps_out)])
         assert code == 0
         eps = {r["site"]: float(r["eps"]) for r in read_csv(eps_out)}
-        assert float(row["eps_i"]) == pytest.approx(eps[target], abs=1e-12)
-        assert float(row["eps_j"]) == pytest.approx(eps[idle], abs=1e-12)
+        # one flip probability for every site: the same bits in both commands
+        assert float(row["eps_i"]) == eps[target]
+        assert float(row["eps_j"]) == eps[idle]
 
     def test_zero_scale_row_is_all_zero(self, close_pair_config, tmp_path):
         pulse_path = tmp_path / "p.csv"
@@ -726,7 +727,8 @@ class TestNaNIsNeverWritten:
                         "--target-site", "nv-b", "--idle-site", "nv-c",
                         "--delta-range=1e301:1e302:2", "--amp-range", "0.9:1.1:5"],
                        out, capsys)
-        assert err == f"error: {out}: column 'eps_j' holds NaN\n"
+        # the offset moves the target too, so its column is the first with NaN
+        assert err == f"error: {out}: column 'eps_i' holds NaN\n"
 
 
 class TestFlagErrors:

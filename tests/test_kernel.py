@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinmux.synthesis as synthesis
-from spinmux import (ControlScenario, HyperfineManifold, PulseProgram, QubitState,
-                     evolve, step_propagator)
+from spinmux import (ControlScenario, HyperfineManifold, PulseProgram, evolve,
+                     step_propagator)
 from spinmux.dynamics import (TWO_PI, _compose, _matrix, _pair, _product, _scan,
                               _su2_pairs, _su2_q, _tree)
 from spinmux.synthesis import _cost_gradient_arrays, _Ensemble
@@ -176,9 +176,9 @@ def test_transfer_means_match_stepwise_loop(m):
     scenario = ControlScenario(idle_detunings=(1.1e6, -0.7e6))
     ens = _Ensemble.for_scenario(scenario)
     per_member = []
-    for delta, bra, ket in zip(ens.deltas, ens.bras, ens.kets):
+    for delta in ens.deltas:
         u = stepwise_prefixes(i_amps, q_amps, delta)[-1]
-        per_member.append(abs(np.vdot(bra, u @ ket)) ** 2)
+        per_member.append(abs(u[1, 0]) ** 2)
     want = np.array(per_member).reshape(ens.num_spins, -1).mean(axis=1)
     got = ens.transfer_means(i_amps, q_amps, DT)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -307,8 +307,9 @@ def test_half_angle_steps_match_libm(axis):
 
 
 def reference_gradient(ens, i_amps, q_amps, dt):
-    """The two-scan gradient: exact dU/dax and dU/day pairs applied to the
-    forward states, and costates from a scan of the reversed U^H steps."""
+    """The two-scan gradient of sum_s s |<1|U|0>|^2 over the members' goal
+    signs s: exact dU/dax and dU/day pairs applied to the forward states from
+    |0>, and costates from a scan of the reversed U^H steps from |1>."""
     ax = TWO_PI * np.asarray(i_amps)[None, :]
     ay = TWO_PI * np.asarray(q_amps)[None, :]
     az = TWO_PI * ens.deltas[:, None]
@@ -329,11 +330,12 @@ def reference_gradient(ens, i_amps, q_amps, dt):
     a, b = pair(cos_t, k * ax, k * ay, k * az)
     du_dax = pair(-half_dt * k * ax, q * ax * ax + k, q * ax * ay, q * ax * az)
     du_day = pair(-half_dt * k * ay, q * ay * ax, q * ay * ay + k, q * ay * az)
-    kets, bras = ens.kets.T[..., None], ens.bras.T[..., None]
+    ones, zeros = np.ones((len(ens.deltas), 1)), np.zeros((len(ens.deltas), 1))
+    kets, bras = (ones, zeros), (zeros, ones)
 
     forward = _compose(*reference_scan(a, b), *kets)
     psi = [np.concatenate([kt, f[:, :-1]], axis=1) for kt, f in zip(kets, forward)]
-    z = ens._overlaps(forward[0][:, -1], forward[1][:, -1])
+    z = ens.signs * forward[1][:, -1]
     backward = _compose(*reference_scan(a[:, :0:-1].conj(), -b[:, :0:-1]), *bras)
     chi = [np.concatenate([c[:, ::-1], br], axis=1).conj()
            for br, c in zip(bras, backward)]
@@ -342,7 +344,7 @@ def reference_gradient(ens, i_amps, q_amps, dt):
         v0, v1 = _compose(*du, *psi)
         return chi[0] * v0 + chi[1] * v1
 
-    coeff = -2.0 * TWO_PI * ens.weight
+    coeff = 2.0 * TWO_PI * ens.weight
     g_i = coeff * np.real(z.conj()[:, None] * dz(du_dax)).sum(axis=0)
     g_q = coeff * np.real(z.conj()[:, None] * dz(du_day)).sum(axis=0)
     return g_i, g_q
@@ -355,26 +357,23 @@ def forward_record(ens, i_amps, q_amps, dt):
     return record
 
 
-def superposition(rng):
-    amp = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return QubitState(amp / np.linalg.norm(amp))
+def random_goals(rng, spins):
+    """A goal sign per spin, -1 (target) or +1 (spectator), at random."""
+    return rng.choice([-1.0, 1.0], spins)
 
 
 @pytest.mark.parametrize("m", M_VALUES + (3000,))
 @pytest.mark.parametrize("triplet", (True, False))
 @pytest.mark.parametrize("spectators", (1, 4))
-@pytest.mark.parametrize("superposed", (False, True))
-def test_gradient_matches_two_scan_reference(m, triplet, spectators, superposed):
-    rng = np.random.default_rng([m, triplet, spectators, superposed])
+@pytest.mark.parametrize("random_signs", (False, True))
+def test_gradient_matches_two_scan_reference(m, triplet, spectators, random_signs):
+    rng = np.random.default_rng([m, triplet, spectators, random_signs])
     signs = rng.choice([-1.0, 1.0], spectators)
     idle = tuple(rng.uniform(0.3e6, 3e6, spectators) * signs)
     manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.triplet(0.0)
-    if superposed:
-        # general bras and kets: the target leaves a random state for |1>,
-        # each spectator is held in its own random state
-        spins = [(0.0, QubitState.excited(), superposition(rng))]
-        spins += [(d, s, s) for d, s in zip(idle, [superposition(rng) for _ in idle])]
-        ens = _Ensemble(spins, manifold)
+    if random_signs:
+        # any mix of targets and spectators, each spin with its own goal
+        ens = _Ensemble((0.0, *idle), manifold, random_goals(rng, 1 + spectators))
     else:
         ens = _Ensemble.for_scenario(ControlScenario(idle_detunings=idle,
                                                      manifold=manifold))
@@ -406,19 +405,18 @@ def reference_one_pass_gradient(ens, i_amps, q_amps, dt):
     q = np.where(theta < 1e-3, -(half_dt ** 3) * (1.0 / 3.0 - theta * theta / 30.0),
                  (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
     a, b = reference_scan(a, b)
-    (ket0, ket1), bras = ens.kets.T, ens.bras.T
-    f0, f1 = _compose(a, b, ket0[:, None], ket1[:, None])
-    z = ens._overlaps(f0[:, -1], f1[:, -1])
-    w0, w1 = _compose(a[:, -1].conj(), -b[:, -1], *bras)
+    # psi_l = P_{l-1}|0> = (a, b)_{l-1}; the costate seed is U^H|1> = (b*, a)
+    z = ens.signs * b[:, -1]
     c0, c1 = _compose(a.conj(), b.conj(),
-                      (z * w0).conj()[:, None], (z * w1).conj()[:, None])
-    psi0 = np.concatenate([ket0[:, None], f0[:, :-1]], axis=1)
-    psi1 = np.concatenate([ket1[:, None], f1[:, :-1]], axis=1)
+                      (z * b[:, -1].conj()).conj()[:, None], (z * a[:, -1]).conj()[:, None])
+    n = len(ens.deltas)
+    psi0 = np.concatenate([np.ones((n, 1)), a[:, :-1]], axis=1)
+    psi1 = np.concatenate([np.zeros((n, 1)), b[:, :-1]], axis=1)
     u00, u11, u01, u10 = c0 * psi0, c1 * psi1, c0 * psi1, c1 * psi0
     r0, rz = u00.real + u11.real, u00.imag - u11.imag
     rx, ry = u01.imag + u10.imag, u10.real - u01.real
     t = (q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0).sum(axis=0)
-    coeff = -2.0 * TWO_PI * ens.weight
+    coeff = 2.0 * TWO_PI * ens.weight
     return (coeff * (ax * t + (k * rx).sum(axis=0)),
             coeff * (ay * t + (k * ry).sum(axis=0)))
 
@@ -430,10 +428,7 @@ def test_record_fed_gradient_reproduces_one_pass_bit_for_bit(monkeypatch, m, bud
                                                              triplet):
     rng = np.random.default_rng([m, budget, triplet])
     manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.triplet(0.0)
-    spins = [(0.0, QubitState.excited(), QubitState.ground())]
-    spins += [(d, s, s) for d, s in zip(rng.uniform(-3e6, 3e6, 4),
-                                         [superposition(rng) for _ in range(4)])]
-    ens = _Ensemble(spins, manifold)
+    ens = _Ensemble((0.0, *rng.uniform(-3e6, 3e6, 4)), manifold, random_goals(rng, 5))
     i_amps, q_amps = random_pulse(rng, m)
     want = reference_one_pass_gradient(ens, i_amps, q_amps, DT)
     monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
@@ -474,11 +469,11 @@ def blocked_transfer_means(monkeypatch, ens, i_amps, q_amps, budget):
 
 
 def mixed_ensemble(rng, spectators):
-    """A target, spectators held in random states, all over the triplet."""
-    spins = [(0.0, QubitState.excited(), QubitState.ground())]
-    spins += [(d, s, s) for d, s in zip(rng.uniform(-3e6, 3e6, spectators),
-                                         [superposition(rng) for _ in range(spectators)])]
-    return _Ensemble(spins, HyperfineManifold.triplet())
+    """A spin at 0 and `spectators` more at random detunings, each with a
+    random goal sign, all over the triplet."""
+    detunings = (0.0, *rng.uniform(-3e6, 3e6, spectators))
+    return _Ensemble(detunings, HyperfineManifold.triplet(),
+                     random_goals(rng, 1 + spectators))
 
 
 @pytest.mark.parametrize("m, budget, blocks", [

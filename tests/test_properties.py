@@ -34,6 +34,7 @@ from spinmux import (
     state_error,
     write_pulse,
 )
+from spinmux.synthesis import _cost_gradient_arrays, _Ensemble
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -78,13 +79,19 @@ def test_gradient_matches_central_differences(pulse, idle, triplet):
     # near 1e-17 and its O(h^2) truncation below that
     manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.triplet(0.0)
     scen = ControlScenario(idle_detunings=tuple(idle), manifold=manifold)
-    g_i, g_q = gradient(pulse, scen, 0.0)
-    i_amps, q_amps = pulse.amplitudes()
-    h = 64.0
 
     def f(iv, qv):
         return cost(PulseProgram.from_arrays(iv, qv, pulse.dt), scen, 0.0).f
 
+    assert_central_differences(pulse, gradient(pulse, scen, 0.0), f)
+
+
+def assert_central_differences(pulse, grads, f):
+    """Each entry of the (dI, dQ) gradient `grads` against the central
+    difference of f(I, Q) with h = 64 Hz."""
+    i_amps, q_amps = pulse.amplitudes()
+    g_i, g_q = grads
+    h = 64.0
     for l in range(len(i_amps)):
         for grad, amps, other, first in ((g_i, i_amps, q_amps, True),
                                          (g_q, q_amps, i_amps, False)):
@@ -95,6 +102,29 @@ def test_gradient_matches_central_differences(pulse, idle, triplet):
             f_dn = f(dn, other) if first else f(other, dn)
             fd = (f_up - f_dn) / (2 * h)
             assert abs(grad[l] - fd) <= 1e-5 * abs(fd) + 1e-12
+
+
+@PROPERTY
+@given(pulse=pulses(min_m=2, max_m=10, max_amp=5e6),
+       targets=st.lists(st.floats(-5e6, 5e6), min_size=1, max_size=3),
+       idle=st.lists(SPECTATOR, min_size=0, max_size=3),
+       triplet=st.booleans())
+def test_gradient_matches_central_differences_for_several_targets(pulse, targets, idle,
+                                                                  triplet):
+    # f = sum over targets of (1 - eps) plus sum over spectators of eps, so
+    # both goal signs meet the finite differences, in any mix
+    manifold = HyperfineManifold.triplet() if triplet else HyperfineManifold.triplet(0.0)
+    signs = [-1.0] * len(targets) + [1.0] * len(idle)
+    ens = _Ensemble((*targets, *idle), manifold, signs)
+    i_amps, q_amps = pulse.amplitudes()
+    record = []
+    ens.transfer_means(i_amps, q_amps, pulse.dt, record)
+
+    def f(iv, qv):
+        return len(targets) + float(np.dot(signs, ens.transfer_means(iv, qv, pulse.dt)))
+
+    assert_central_differences(
+        pulse, _cost_gradient_arrays(ens, i_amps, q_amps, pulse.dt, record), f)
 
 
 @pytest.fixture(scope="module")

@@ -13,9 +13,9 @@ from spinmux import (
     HyperfineManifold,
     OptimizerConfig,
     PulseProgram,
-    QubitState,
     cost,
     demo_config_path,
+    evolve,
     gradient,
     optimize,
     rect_pi_pulse,
@@ -26,8 +26,7 @@ from spinmux import (
     load_config,
 )
 from spinmux.errors import Diverged
-from spinmux.synthesis import (OptimizationTrace, TraceRow, _Ensemble, _initial_amplitudes,
-                               _objective)
+from spinmux.synthesis import OptimizationTrace, TraceRow, _Ensemble, _initial_amplitudes
 
 TRIPLET = HyperfineManifold.triplet()
 NO_MANIFOLD = HyperfineManifold.triplet(0.0)
@@ -67,28 +66,32 @@ class TestRegularization:
 
 
 class TestEnsembleMembers:
-    """Every spin expands into its `hyperfine_detunings`, spin-major."""
+    """Every spin expands into its `hyperfine_detunings`, spin-major, and each
+    member carries its spin's goal sign."""
 
     @staticmethod
-    def assert_members(ens, spins, manifold, per_spin):
+    def assert_members(ens, detunings, signs, manifold, per_spin):
         want = np.concatenate([hyperfine_detunings(d, manifold)[:per_spin]
-                               for d, _, _ in spins])
+                               for d in detunings])
         assert ens.deltas.shape == want.shape
         assert np.array_equal(ens.deltas, want)
         assert np.array_equal(np.signbit(ens.deltas), np.signbit(want))
-        for states, k in ((ens.bras, 1), (ens.kets, 2)):
-            assert np.array_equal(states, [spin[k].amplitudes for spin in spins
-                                           for _ in range(per_spin)])
-        assert (ens.num_spins, ens.weight) == (len(spins), 1.0 / per_spin)
+        assert np.array_equal(ens.signs, np.repeat(signs, per_spin))
+        assert (ens.num_spins, ens.weight) == (len(detunings), 1.0 / per_spin)
 
     @pytest.mark.parametrize("splitting", (2.2e6, 0.37e6))
     def test_members_are_hyperfine_detunings(self, splitting):
         rng = np.random.default_rng(int(splitting))
-        ground, excited = QubitState.ground(), QubitState.excited()
-        spins = [(0.0, excited, ground), (-0.0, ground, ground)]
-        spins += [(float(d), ground, excited) for d in rng.uniform(-3e6, 3e6, 4)]
+        detunings = (0.0, -0.0, *rng.uniform(-3e6, 3e6, 4))
+        signs = rng.choice([-1.0, 1.0], len(detunings))
         manifold = HyperfineManifold.triplet(splitting)
-        self.assert_members(_Ensemble(spins, manifold), spins, manifold, 3)
+        self.assert_members(_Ensemble(detunings, manifold, signs), detunings, signs,
+                            manifold, 3)
+
+    def test_the_scenario_flips_its_target_only(self):
+        scenario = ControlScenario(idle_detunings=(1.1e6, -0.7e6), target_detuning=0.3e6)
+        ens = _Ensemble.for_scenario(scenario)
+        self.assert_members(ens, (0.3e6, 1.1e6, -0.7e6), (-1.0, 1.0, 1.0), TRIPLET, 3)
 
     def test_zero_hyperfine_keeps_one_member_of_weight_1(self, tmp_path):
         doc = json.loads(Path(demo_config_path("demo_close_pair")).read_text())
@@ -96,9 +99,10 @@ class TestEnsembleMembers:
         path = tmp_path / "no_hyperfine.json"
         path.write_text(json.dumps(doc))
         manifold = load_config(str(path)).manifold
-        ground = QubitState.ground()
-        spins = [(d, ground, ground) for d in (0.0, -0.0, 1.1e6, -2.3e6)]
-        self.assert_members(_Ensemble(spins, manifold), spins, manifold, 1)
+        detunings = (0.0, -0.0, 1.1e6, -2.3e6)
+        # without signs every spin is a spectator
+        self.assert_members(_Ensemble(detunings, manifold), detunings, [1.0] * 4,
+                            manifold, 1)
 
 
 class TestCost:
@@ -140,6 +144,18 @@ class TestCost:
         eps_j = state_error(evolve(pulse, 2.2e6), g)
         assert bd.eps_i == pytest.approx(eps_i, rel=1e-12, abs=1e-15)
         assert bd.eps_j[0] == pytest.approx(eps_j, rel=1e-12, abs=1e-15)
+
+    def test_spectator_flips_keep_their_digits(self):
+        # every eps is |<1|U|0>|^2 itself: 1 - |<0|U|0>|^2 lost up to 4.3e-13
+        # relative on these spectators, whose errors are about 2e-2
+        scen = ControlScenario(idle_detunings=(1.1e6, -2.3e6, 4.4e6), manifold=TRIPLET)
+        for seed in range(20):
+            pulse = random_pulse(np.random.default_rng([16, seed]), m=200, scale=1e5)
+            bd = cost(pulse, scen, 0.0)
+            for d, got in zip(scen.idle_detunings, bd.eps_j):
+                want = np.mean([abs(evolve(pulse, x).matrix[1, 0]) ** 2
+                                for x in hyperfine_detunings(d, TRIPLET)])
+                assert abs(got - want) <= 1e-14 * want
 
     def test_idle_detuning_must_differ_from_target(self):
         with pytest.raises(ValueError):
@@ -330,6 +346,14 @@ class TestSensitivitySweep:
         worst = max(sum(p.eps_j) for p in points)
         assert worst >= 5.0 * sum(nominal.eps_j)
 
+    def test_a_carrier_error_detunes_the_target(self):
+        # the offset moves the target too, so the pulse's own selectivity
+        # shows: 50 kHz off, the flip falls from above 0.99 to below a half
+        pulse, scen = self.converged_pulse_and_scenario()
+        points = sensitivity_sweep(pulse, scen, [-5e4, 0.0, 5e4], [1.0])
+        assert points[1].eps_i >= 0.99
+        assert points[0].eps_i <= 0.5 and points[2].eps_i <= 0.5
+
     def test_symmetric_offsets_for_real_pulse_and_symmetric_spectators(self):
         # a Q-free palindromic pulse with spectators at +-delta gives an
         # offset-even summed spectator error (conjugation symmetry)
@@ -356,23 +380,25 @@ class TestSensitivitySweep:
 
 
 def reference_sweep(pulse, scenario, delta_offsets, amp_scales):
-    """The per-point sweep: one ensemble per offset, one forward evaluation
-    per grid point."""
-    i_amps, q_amps = pulse.amplitudes()
+    """The per-point sweep: `cost` of the scenario with the offset added to
+    every detuning, the target's too, and of the pulse times the scale."""
     out = []
     for offset in delta_offsets:
         shifted = replace(
-            scenario, idle_detunings=tuple(d + offset for d in scenario.idle_detunings))
-        ens = _Ensemble.for_scenario(shifted)
+            scenario, target_detuning=scenario.target_detuning + offset,
+            idle_detunings=tuple(d + offset for d in scenario.idle_detunings))
         for scale in amp_scales:
-            bd = _objective(ens, i_amps * scale, q_amps * scale, pulse.dt, 0.0)
+            scaled = PulseProgram.from_arrays(pulse.i_amps * scale, pulse.q_amps * scale,
+                                              pulse.dt)
+            bd = cost(scaled, shifted, 0.0)
             out.append(SweepPoint(delta_offset=float(offset), amp_scale=float(scale),
                                   eps_i=bd.eps_i, eps_j=bd.eps_j))
     return out
 
 
 class TestBatchedSweep:
-    """One ensemble over every offset gives the per-point sweep bit for bit."""
+    """One ensemble over every offset gives `cost` of every shifted scenario
+    and scaled pulse, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_grids_equal_per_point_sweep(self, seed):
@@ -418,7 +444,7 @@ class TestBatchedSweep:
         pulse = random_pulse(np.random.default_rng(12))
         scen = ControlScenario(idle_detunings=(1.1e6, -0.7e6), manifold=TRIPLET)
         sensitivity_sweep(pulse, scen, np.linspace(-2e5, 2e5, 5), [0.95, 1.0, 1.05])
-        assert calls == [3 * (1 + 5 * 2)] * 3
+        assert calls == [3 * 5 * (1 + 2)] * 3
 
     def test_small_budget_equals_per_point_sweep(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -436,14 +462,16 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match="^amp_scales must be finite"):
             sensitivity_sweep(pulse, scen, [0.0], [1.0, scale])
 
-    def test_offset_onto_the_target_raises(self):
+    def test_an_offset_onto_the_target_detuning_moves_the_target_too(self):
+        # a carrier error of -1.1 MHz takes the spectator to the target's
+        # nominal detuning, and the target to -1.1 MHz: a valid scenario
         pulse = random_pulse(np.random.default_rng(14))
         scen = ControlScenario(idle_detunings=(1.1e6, 2e6), manifold=TRIPLET)
-        with pytest.raises(ValueError, match="must differ from the target") as want:
-            reference_sweep(pulse, scen, [0.0, -1.1e6], [1.0])
-        with pytest.raises(ValueError) as got:
-            sensitivity_sweep(pulse, scen, [0.0, -1.1e6], [1.0])
-        assert str(got.value) == str(want.value)
+        got = sensitivity_sweep(pulse, scen, [0.0, -1.1e6], [1.0])
+        assert got == reference_sweep(pulse, scen, [0.0, -1.1e6], [1.0])
+        moved = cost(pulse, ControlScenario(idle_detunings=(0.0, 0.9e6),
+                                            target_detuning=-1.1e6, manifold=TRIPLET), 0.0)
+        assert (got[1].eps_i, got[1].eps_j) == (moved.eps_i, moved.eps_j)
 
 
 class TestGradientReuse:
