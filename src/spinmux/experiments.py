@@ -131,9 +131,10 @@ def crosstalk_landscape(
     """Flip error across the chip for a rectangular pi-pulse on one target spin.
 
     The pulse carrier sits on the transition of a spin at (target_u, 0, 0) and
-    the AC current is chosen so that spin is driven at `rabi_target`.  Every
-    grid position then sees its own detuning and its own (position-scaled)
-    drive amplitude.
+    the AC current is chosen so that spin is driven at `rabi_target`.  One
+    field pass at unit current covers the target and the grid; the drive
+    scales with the current, so each position's Rabi rate is its rate per
+    ampere times rabi_target / (the target's), at its own detuning.
     """
     _check_finite(drive_dc=drive_dc, target_u=target_u)
     if not 0 < rabi_target < math.inf:
@@ -142,24 +143,16 @@ def crosstalk_landscape(
     positions = np.asarray(list(grid), dtype=float)
     if positions.size and (positions.ndim != 2 or positions.shape[1] != 3):
         raise ValueError("grid positions must be 3-vectors")
-    positions = positions.reshape(-1, 3)
+    points = np.vstack(([target_u, 0.0, 0.0], positions.reshape(-1, 3)))
 
-    # the AC current that drives the target at rabi_target, from its field
-    # at unit current
-    *_, b_ac_unit, omega_mw = _field_arrays(env, WireDrive(i_dc=drive_dc, i_ac=1.0),
-                                            np.array([target_u, 0.0, 0.0]), axis)
+    *_, b_ac_unit, omega_plus = _field_arrays(env, WireDrive(i_dc=drive_dc, i_ac=1.0),
+                                              points, axis)
     rabi_per_amp = rabi_frequency(env.constants, b_ac_unit)
-    if rabi_per_amp <= 0:
+    if rabi_per_amp[0] <= 0:
         raise ValueError("target spin sees no transverse drive field")
-    i_ac = rabi_target / rabi_per_amp
+    rabis = rabi_per_amp[1:] * (rabi_target / rabi_per_amp[0])
+    deltas = omega_plus[1:] - omega_plus[0]
     duration = 1.0 / (2.0 * rabi_target)
-
-    # the grid's pass rounds as the target's, so a grid point on the target
-    # gets zero detuning
-    *_, b_ac_xy, omega_plus = _field_arrays(env, WireDrive(i_dc=drive_dc, i_ac=i_ac),
-                                            positions, axis)
-    rabis = rabi_frequency(env.constants, b_ac_xy)
-    deltas = omega_plus - omega_mw
     eps = _clamp_unit(_flip_populations(rabis, deltas, duration))
     rabis, deltas = rabis.tolist(), deltas.tolist()
     # scalar (rabi/delta)**2: numpy's array power can round it one ulp apart

@@ -6,9 +6,11 @@ width spreads the current over parallel filaments in the chip plane.  This
 analytic model replaces a mesh-based solver; one depth parameter is
 calibrated against a measured Zeeman shift instead.
 
-Every address, Zeeman shift and drive field (`field_sample`, `address_map`,
-`zeeman_shift`, the ODMR and crosstalk simulators) comes from one field
-pass, `_field_arrays`, over stacked positions, each with its own dipole axis.
+`wire_field` alone evaluates the wire's field; `calibrate_wire` tries each
+depth by moving the point, not the wire.  Every address, Zeeman shift and
+drive field (`field_sample`, `address_map`, `zeeman_shift`, the ODMR and
+crosstalk simulators) comes from one field pass, `_field_arrays`, over
+stacked positions, each with its own dipole axis.
 """
 
 from __future__ import annotations
@@ -69,12 +71,8 @@ class WireGeometry:
 
     def filament_anchors(self) -> np.ndarray:
         """Centerline points of the individual filaments, shape (n, 3)."""
-        return self._anchors_at(self.anchor)
-
-    def _anchors_at(self, anchors: np.ndarray) -> np.ndarray:
-        """`filament_anchors` (..., n, 3) of the centerline moved to `anchors`."""
         if self.num_filaments == 1:
-            return anchors[..., None, :]
+            return self.anchor[None, :]
         # spread across the width, perpendicular to the wire in the chip plane;
         # filaments sit at the centers of equal-width sub-strips
         perp = np.cross(W_HAT, self.direction)
@@ -84,7 +82,7 @@ class WireGeometry:
         perp = perp / norm
         n = self.num_filaments
         offsets = (np.arange(n) + 0.5) / n * self.width - self.width / 2.0
-        return anchors[..., None, :] + offsets[:, None] * perp[None, :]
+        return self.anchor[None, :] + offsets[:, None] * perp[None, :]
 
     def with_depth(self, depth: float) -> "WireGeometry":
         """Same wire with the centerline moved to w = -depth."""
@@ -159,31 +157,26 @@ def wire_field(wire: WireGeometry, current: float, point: np.ndarray) -> np.ndar
 
     `point` may stack positions as (..., 3); all points and filaments are
     evaluated in one array pass and the result has the shape of `point`.
+    A straight wire moved by a vector acts as the point moved by its negative:
+    at depth d it acts on (u, v, 0) as `with_depth(0.0)` on (u, v, d), bit for bit.
     """
-    return _filament_field(wire.filament_anchors(), wire.direction,
-                           current / wire.num_filaments, point)
-
-
-def _filament_field(anchors, d_hat, i_fil, point) -> np.ndarray:
-    """Field (T) at `point` (..., 3) of filaments along `d_hat` through `anchors`
-    (..., filaments, 3), each carrying `i_fil` (A); stacks of wires broadcast."""
     points = np.asarray(point, dtype=float)
-    r = points[..., None, :] - anchors                       # (..., filaments, 3)
+    d_hat = wire.direction
+    r = points[..., None, :] - wire.filament_anchors()       # (..., filaments, 3)
     r_perp = r - _dot(r, d_hat)[..., None] * d_hat
     dist = np.sqrt(_dot(r_perp, r_perp))
     # the degeneracy check runs even at zero current, keeping the
     # precondition independent of the drive
     bad = dist <= MIN_FILAMENT_DISTANCE
     if bad.any():
-        offender = np.broadcast_to(points, bad.shape[:-1] + (3,))[
-            tuple(np.argwhere(bad)[0][:-1])]
+        offender = points[tuple(np.argwhere(bad)[0][:-1])]
         raise DegeneratePoint(
             f"point {offender.tolist()} lies within {MIN_FILAMENT_DISTANCE} m "
             "of a filament centerline"
         )
     # azimuthal field, right-hand rule around the current direction: d x r_perp
     # from its component formulas, which round as np.cross does
-    scale = MU0 * i_fil / (2.0 * math.pi * dist * dist)
+    scale = MU0 * (current / wire.num_filaments) / (2.0 * math.pi * dist * dist)
     (dx, dy, dz), (rx, ry, rz) = d_hat.tolist(), r_perp.T
     cross = np.array([dy * rz - dz * ry, dz * rx - dx * rz, dx * ry - dy * rx]).T
     return np.sum(scale[..., None] * cross, axis=-2)
@@ -205,13 +198,13 @@ def _field_arrays(env: FieldEnvironment, drive: WireDrive, positions, axes):
     The one field pass behind every site address and drive: the DC call
     checks the positions, so zero AC current skips its field."""
     b_ext_z = _dot(env.b_ext, axes)
-    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+    with np.errstate(over="ignore", invalid="ignore"):     # omega checked below
         b_dc_z = _dot(wire_field(env.wire, drive.i_dc, positions), axes)
         omega_plus, _ = transition_frequencies(env.constants, b_ext_z + b_dc_z)
+        b_ac_xy = (project_field(wire_field(env.wire, drive.i_ac, positions), axes)[1]
+                   if drive.i_ac != 0.0 else np.zeros_like(b_dc_z))
     if not np.isfinite(omega_plus).all():
         raise ValueError(f"transition frequency not finite at i_dc={drive.i_dc:g} A")
-    b_ac_xy = (project_field(wire_field(env.wire, drive.i_ac, positions), axes)[1]
-               if drive.i_ac != 0.0 else np.zeros_like(b_dc_z))
     return b_dc_z, b_ext_z, b_ac_xy, omega_plus
 
 
@@ -271,20 +264,18 @@ def calibrate_wire(
 
     Scans depths in CALIBRATION_DEPTH_RANGE for a bracket, then bisects it
     CALIBRATION_HALVINGS times; the shift at (at_u, 0, 0) must then match
-    `target_shift` within 1 kHz.  Raises NoSolution when no depth reaches the
-    target.
+    `target_shift` within 1 kHz.  Depth d is tried as `with_depth(0.0)` at
+    (at_u, 0, d).  Raises NoSolution when no depth reaches the target.
     """
     if target_shift <= 0:
         raise NoSolution("target shift must be positive and reachable")
     axis = dipole_axis(orientation or DipoleOrientation())
-    point, wire = np.array([at_u, 0.0, 0.0]), env.wire
+    point, surface = np.array([at_u, 0.0, 0.0]), env.wire.with_depth(0.0)
 
     def residuals(*depths) -> np.ndarray:
-        """zeeman_shift - target_shift of the wire at each depth, in one call."""
-        anchors = np.repeat(wire.anchor[None, :], len(depths), axis=0)
-        anchors[:, 2] = np.negative(depths)     # as `with_depth` places them
-        b = _filament_field(wire._anchors_at(anchors), wire.direction,
-                            i_dc / wire.num_filaments, point)
+        """zeeman_shift - target_shift at each depth, in one call: the surface
+        wire at the point moved up by the depth."""
+        b = wire_field(surface, i_dc, point + np.multiply.outer(depths, W_HAT))
         return env.constants.gamma_nv * _dot(b, axis) - target_shift
 
     lo, hi = CALIBRATION_DEPTH_RANGE

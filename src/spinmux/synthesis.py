@@ -452,14 +452,15 @@ def optimize(scenario: ControlScenario, config: OptimizerConfig):
     """Synthesize a pulse for the scenario; returns (pulse, trace).
 
     Runs up to `config.restarts` independently seeded descents, stopping early
-    once one reaches the tolerance; the best final objective wins.  Restarts
-    run in lockstep groups, two line-search trials each per forward call, with
-    the result of running them one after another, one trial at a time.  Raises
-    Diverged (carrying the best artifacts so far) only if every restart stalls
-    in its line search.
+    once one reaches the tolerance; that one wins, else the least final
+    objective (penalty included).  Restarts run in lockstep groups, two
+    line-search trials each per forward call, with the result of running them
+    one after another, one trial at a time.  Raises Diverged (carrying the
+    best artifacts so far) only if every restart stalls in its line search.
     """
     runs = _descend(_Ensemble.for_scenario(scenario), config, range(config.restarts))
-    best = min(runs, key=lambda run: run.bd.f)
+    # a converged restart drops the later ones, so it is the last kept
+    best = runs[-1] if runs[-1].stop == "converged" else min(runs, key=lambda run: run.bd.f)
     pulse = PulseProgram.from_arrays(best.i_amps, best.q_amps, config.step_duration)
     trace = OptimizationTrace(best.rows, best.restart, best.stop or "max_iters")
     if all(run.stop == "diverged" for run in runs):

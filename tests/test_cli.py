@@ -177,6 +177,23 @@ class TestOptimizeCommand:
         assert "tol=0.001" in stderr[0]
         assert stderr[0].endswith("stopped: stationary")
 
+    def test_a_converged_restart_is_written_over_a_lower_objective(
+            self, close_pair_config, tmp_path, capsys):
+        # restart 0 stops stationary at f = 0.072, missing the tolerance;
+        # restart 1 converges after 8 iterations at f = 0.094, and exits 0
+        trace_path = tmp_path / "trace.jsonl"
+        code = cli.main([
+            "optimize", "--config", close_pair_config,
+            "--target-site", "nv-b", "--idle-site", "nv-c",
+            "--lambda", "1e-8", "--steps", "100", "--duration", "6e-6",
+            "--restarts", "4", "--seed", "1",
+            "--out-pulse", str(tmp_path / "pulse.csv"), "--out-trace", str(trace_path),
+        ])
+        assert code == 0 and capsys.readouterr().err == ""
+        rows = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert len(rows) == 9
+        assert (1.0 - rows[-1]["eps_i"]) + sum(rows[-1]["eps_j"]) <= 1e-3
+
     def test_divergence_exit_code_still_writes_artifacts(self, close_pair_config,
                                                          tmp_path, monkeypatch):
         best = rect_pi_pulse(1e6, m=4)
@@ -256,6 +273,21 @@ class TestCrosstalkMapCommand:
         for u, eps in steep.items():
             if abs(u - 1.5) >= 3.0:
                 assert eps < 0.01
+
+
+    def test_a_far_point_gets_no_drive_and_no_warning(self, demo_config, tmp_path,
+                                                      capsys):
+        # its squared distance to the wire overflows to inf, which leaves it no
+        # field; the AC field used to print numpy's "overflow encountered"
+        prefix = tmp_path / "far"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["crosstalk-map", "--config", demo_config, "--idc-ma", "0",
+                             "--target-u-um", "1.5", "--u-min-um", "0", "--u-max-um",
+                             "1e300", "--nu", "2", "--out-prefix", str(prefix)])
+        assert code == 0 and capsys.readouterr().err == ""
+        far = read_csv(f"{prefix}_idc0ma.csv")[1]
+        assert float(far["u_um"]) > 1e299 and float(far["epsilon"]) == 0.0
 
 
 class TestSweepCommand:

@@ -63,6 +63,21 @@ class TestSimulateRabi:
         expected = np.sin(math.pi * rabi * times) ** 2
         assert np.max(np.abs(pops - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("make_env", (demo_environment, strip_environment),
+                             ids=["thin", "strip"])
+    def test_the_target_anywhere_in_a_random_grid_has_zero_detuning(self, make_env):
+        # the target and the grid share one field pass, so a grid point on
+        # the target rounds as the target does
+        env, rng = make_env(), np.random.default_rng(11)
+        for _ in range(5):
+            target_u, k = rng.uniform(-3e-6, 3e-6), rng.integers(50)
+            grid = rng.uniform(-4e-6, 4e-6, (50, 3)) * [1.0, 1.0, 0.0]
+            grid[k] = [target_u, 0.0, 0.0]
+            entry = crosstalk_landscape(env, rng.uniform(0.05, 0.2), target_u, 1e7,
+                                        grid).entries[k]
+            assert entry.detuning == 0.0 and entry.bound == math.inf
+            assert entry.epsilon == pytest.approx(1.0, abs=1e-12)
+
     def test_matches_per_point_propagators(self):
         times = np.linspace(0.0, 4e-7, 57)
         for rabi, delta in ((7.5e6, 0.0), (3e6, 2.2e6), (1e6, -4e6), (0.0, 1e6)):
@@ -291,6 +306,21 @@ class TestCrosstalkLandscape:
             entry = crosstalk_landscape(env, drive_dc, 1.5e-6, 1e7, grid).entries[1]
             assert entry.detuning == 0.0 and entry.bound == math.inf
 
+    @pytest.mark.parametrize("make_env", (demo_environment, strip_environment),
+                             ids=["thin", "strip"])
+    def test_the_target_anywhere_in_a_random_grid_has_zero_detuning(self, make_env):
+        # the target and the grid share one field pass, so a grid point on
+        # the target rounds as the target does
+        env, rng = make_env(), np.random.default_rng(11)
+        for _ in range(5):
+            target_u, k = rng.uniform(-3e-6, 3e-6), rng.integers(50)
+            grid = rng.uniform(-4e-6, 4e-6, (50, 3)) * [1.0, 1.0, 0.0]
+            grid[k] = [target_u, 0.0, 0.0]
+            entry = crosstalk_landscape(env, rng.uniform(0.05, 0.2), target_u, 1e7,
+                                        grid).entries[k]
+            assert entry.detuning == 0.0 and entry.bound == math.inf
+            assert entry.epsilon == pytest.approx(1.0, abs=1e-12)
+
     def test_matches_per_point_propagators(self):
         # reference: the per-point loop, one field sample, step propagator
         # and state error per grid position
@@ -398,17 +428,19 @@ def reference_odmr(env, drive, sites, probe_rabi, scan, linewidth_floor):
 
 
 def reference_crosstalk_entries(env, drive_dc, target_u, rabi_target, grid):
-    """crosstalk_landscape's entries, built one by one in an enumerate/zip loop."""
+    """crosstalk_landscape's entries, built one by one in an enumerate/zip loop.
+    The target's field comes from its own field_sample; every point is driven
+    at its rate per ampere times rabi_target / (the target's rate per ampere)."""
     positions = np.asarray(list(grid), dtype=float).reshape(-1, 3)
     orientation = DipoleOrientation()
     target = SpinSite(id="target", position=np.array([target_u, 0.0, 0.0]),
                       orientation=orientation)
-    target_sample = field_sample(env, WireDrive(i_dc=drive_dc, i_ac=1.0), target)
-    i_ac = rabi_target / rabi_frequency(env.constants, target_sample.b_ac_xy)
+    unit = WireDrive(i_dc=drive_dc, i_ac=1.0)
+    target_sample = field_sample(env, unit, target)
+    target_per_amp = rabi_frequency(env.constants, target_sample.b_ac_xy)
     duration = 1.0 / (2.0 * rabi_target)
-    *_, b_ac_xy, omega_plus = _field_arrays(env, WireDrive(i_dc=drive_dc, i_ac=i_ac),
-                                            positions, dipole_axis(orientation))
-    rabis = rabi_frequency(env.constants, b_ac_xy)
+    *_, b_ac_unit, omega_plus = _field_arrays(env, unit, positions, dipole_axis(orientation))
+    rabis = rabi_frequency(env.constants, b_ac_unit) * (rabi_target / target_per_amp)
     deltas = omega_plus - target_sample.omega_plus
     _, b = _su2_pairs(TWO_PI * rabis, 0.0, TWO_PI * deltas, duration)
     eps = _clamp_unit(np.abs(b) ** 2)

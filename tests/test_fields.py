@@ -360,6 +360,41 @@ class TestCalibrateWire:
         w2 = calibrate_wire(env, target_shift=2.4e8, at_u=2e-6, i_dc=0.30)
         assert w1.anchor[2] == pytest.approx(w2.anchor[2], abs=1e-12)
 
+    @pytest.mark.parametrize("make_env", (demo_environment, strip_environment),
+                             ids=["thin", "strip"])
+    def test_each_trial_depth_is_the_shift_of_the_wire_moved_there(self, make_env,
+                                                                    monkeypatch):
+        # calibrate_wire tries depth d as the surface wire at (at_u, 0, d):
+        # each field it evaluates, and the field at random depths, gives the
+        # zeeman_shift of the wire moved to that depth, bit for bit
+        env, rng = make_env(), np.random.default_rng(5)
+        surface = env.wire.with_depth(0.0)
+        calls = []
+
+        def recorded(wire, current, point):
+            assert np.array_equal(wire.anchor, surface.anchor)
+            calls.append((current, np.array(point), wire_field(wire, current, point)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(fields, "wire_field", recorded)
+        for _ in range(3):
+            calibrate_wire(env, rng.uniform(30e6, 150e6), rng.uniform(2e-6, 3e-6),
+                           rng.uniform(0.12, 0.2))
+        monkeypatch.undo()
+        # per calibration: the scan, the bracket's low end, the halvings, the check
+        assert len(calls) == 3 * (CALIBRATION_HALVINGS + 3)
+        depths = np.exp(rng.uniform(*np.log(CALIBRATION_DEPTH_RANGE), 40))
+        points = np.array([[rng.uniform(2e-6, 3e-6), 0.0, d] for d in depths])
+        calls.append((0.15, points, wire_field(surface, 0.15, points)))
+        axis = dipole_axis(DipoleOrientation())
+        for i_dc, points, b in calls:
+            for point, b_point in zip(points.reshape(-1, 3), b.reshape(-1, 3)):
+                moved = FieldEnvironment(env.b_ext, env.wire.with_depth(point[2]),
+                                         env.constants)
+                want = zeeman_shift(moved, i_dc, np.array([point[0], 0.0, 0.0]))
+                assert point[1] == 0.0
+                assert env.constants.gamma_nv * float(_dot(b_point, axis)) == want
+
 
 class TestZeemanShift:
     def test_vanishes_above_the_wire_crossing(self):

@@ -667,14 +667,14 @@ def reference_descend(ens, config, restart):
 
 
 def reference_optimize(scenario, config):
-    """Restarts one after another, stopping after the first that converges;
-    the lowest final objective wins."""
+    """Restarts one after another, stopping after the first that converges,
+    which wins; when none converges, the lowest final objective wins."""
     ens = _Ensemble.for_scenario(scenario)
     best = None
     any_ok = False
     for restart in range(config.restarts):
         pulse, trace, bd, diverged = reference_descend(ens, config, restart)
-        if best is None or bd.f < best[2].f:
+        if best is None or bd.f < best[2].f or trace.converged:
             best = (pulse, trace, bd)
         any_ok = any_ok or not diverged
         if trace.converged:
@@ -735,6 +735,15 @@ class TestLockstepRestarts:
         _, _, trace = self.assert_same_as_sequential(self.SCENARIO,
                                                      replace(config, max_iters=20))
         assert (trace.converged, trace.restart, len(trace.rows)) == (True, 1, 8)
+
+    def test_the_converged_restart_wins_over_a_lower_objective(self):
+        # restart 0 stops stationary at f = 0.0763 with error above tol;
+        # restart 1 converges at f = 0.1276, its penalty the larger part
+        config = self.config(lam=1e-8, restarts=4, seed=3, max_iters=300)
+        _, _, trace = self.assert_same_as_sequential(self.SCENARIO, config)
+        assert (trace.converged, trace.restart, len(trace.rows)) == (True, 1, 19)
+        last = trace.rows[-1]
+        assert last.f > 0.1 and (1.0 - last.eps_i) + sum(last.eps_j) <= config.tol
 
     def test_restart_0_converges_while_the_others_search(self):
         # alone, the restarts converge after 8, 12, 10 and 9 iterations

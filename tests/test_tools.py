@@ -102,6 +102,22 @@ class TestCompareOutputsDiff:
         assert diff(a, b, *EXACT) == 1
         assert "Warning" not in capsys.readouterr().err
 
+    def test_only_the_failing_column_is_marked(self, tmp_path, capsys):
+        a = write_outputs(tmp_path / "a")
+        b = tmp_path / "b"
+        shutil.copytree(a, b)
+        for name, old, new in (("rabi.csv", "0.5,", "0.50000000000000089,"),
+                               ("trace.jsonl", "1.25", "1.2500000000000002")):
+            (b / name).write_text((b / name).read_text().replace(old, new, 1))
+        assert diff(a, b, "--rtol", "1e-15") == 1     # t_ns moves 8 ulps, f 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.endswith(" FAIL")] == [
+            line for line in lines if line.startswith("rabi.csv t_ns: ")]
+        assert "trace.jsonl f: max abs diff 2.22e-16, max rel diff 1.78e-16" in lines
+        assert lines[-1] == "not within tolerance: rabi.csv t_ns"
+        assert diff(a, b, "--rtol", "1e-15", "--tol", "1e-15") == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "all within tolerance"
+
     def test_a_differing_text_cell_fails_at_any_tolerance(self, tmp_path):
         a = write_outputs(tmp_path / "a")
         b = tmp_path / "b"

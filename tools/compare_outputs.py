@@ -31,7 +31,9 @@ revision against the working tree is then three commands:
 the two directories: CSV columns by header name, trace JSON-lines fields by
 key (list entries as key[k]), with the largest relative difference beside
 it.  Text columns must match exactly.  With `--tol` and/or `--rtol`, a cell
-passes when |a - b| <= tol + rtol * max(|a|, |b|), and the exit status is 1
+passes when |a - b| <= tol + rtol * max(|a|, |b|), a column with a failing
+cell ends its line with FAIL, the last line names every failing file and
+column ("all within tolerance" when there is none), and the exit status is 1
 when any cell fails, a file or column is missing on one side, row counts
 differ, or the exit codes differ.
 
@@ -187,14 +189,14 @@ def _differences(a: list, b: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def diff(dir_a: Path, dir_b: Path, tol: float | None, rtol: float | None) -> int:
-    ok = True
+    gated, failed = tol is not None or rtol is not None, []
     names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir()
                     if p.suffix in (".csv", ".jsonl") and p.name != "given_pulse.csv"})
     for name in names:
         pa, pb = dir_a / name, dir_b / name
         if not (pa.is_file() and pb.is_file()):
             print(f"{name}: only in {dir_a if pa.is_file() else dir_b}")
-            ok = False
+            failed.append(name)
             continue
         if pa.read_bytes() == pb.read_bytes():
             print(f"{name}: byte-identical")
@@ -203,27 +205,33 @@ def diff(dir_a: Path, dir_b: Path, tol: float | None, rtol: float | None) -> int
         cols_b, rows_b = _columns(pb)
         if rows_a != rows_b:
             print(f"{name}: {rows_a} rows against {rows_b}")
-            ok = False
+            failed.append(name)
             continue
         for col in list(cols_a) + [c for c in cols_b if c not in cols_a]:
             if col not in cols_a or col not in cols_b:
                 print(f"{name} {col}: missing on one side")
-                ok = False
+                failed.append(f"{name} {col}")
                 continue
             delta, size = _differences(cols_a[col], cols_b[col])
             with np.errstate(invalid="ignore", divide="ignore"):
                 rel = np.where(delta > 0.0, delta / size, 0.0)
-            print(f"{name} {col}: max abs diff {np.max(delta, initial=0.0):.3g}, "
-                  f"max rel diff {np.max(rel, initial=0.0):.3g}")
             with np.errstate(invalid="ignore"):     # rtol 0 times an infinite cell
                 passed = (delta == 0.0) | (delta <= (tol or 0.0) + (rtol or 0.0) * size)
-            ok = ok and bool(np.all(passed))
+            fail = not np.all(passed)
+            print(f"{name} {col}: max abs diff {np.max(delta, initial=0.0):.3g}, "
+                  f"max rel diff {np.max(rel, initial=0.0):.3g}"
+                  + (" FAIL" if fail and gated else ""))
+            if fail:
+                failed.append(f"{name} {col}")
     codes = [json.loads((d / "exit_codes.json").read_text())
              if (d / "exit_codes.json").is_file() else None for d in (dir_a, dir_b)]
     if codes[0] != codes[1]:
         print(f"exit codes differ: {codes[0]} against {codes[1]}")
-        ok = False
-    return 0 if ok or (tol is None and rtol is None) else 1
+        failed.append("exit codes")
+    if not gated:
+        return 0
+    print(f"not within tolerance: {', '.join(failed)}" if failed else "all within tolerance")
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
