@@ -44,18 +44,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(flag, kind=float, least=None, above=None, scale=1.0):
+def _number(flag, kind=float, least=None, above=None, scale=1.0, si=None):
     """An argparse type for `flag`: `kind` of the text, finite, finite still
-    times `scale`, its factor to SI units (only one above 1 can overflow), at
-    least `least` and above `above`.  A value that breaks a rule raises a
-    ValidationError naming the flag (exit 2); text that does not parse stays
-    argparse's usage error (exit 1)."""
+    times `scale`, its factor to SI units (only one above 1 can overflow), and
+    times `si`, a rate's or duration's factor to Hz or s, within the ceiling,
+    at least `least` and above `above`.  A bad value raises a ValidationError
+    naming the flag (exit 2); text that does not parse stays a usage error (exit 1)."""
+    ceiling = 1e15  # Hz or s: inside it no product the step builder forms overflows
     def parse(text):
         value = kind(text)
         if not _is_number(value):
             raise ValidationError("must be a finite number", field=flag)
         if not math.isfinite(value * scale):
             raise ValidationError("too large to convert to SI units", field=flag)
+        if si is not None and abs(value * si) > ceiling:
+            raise ValidationError(f"beyond {ceiling:g} in SI units (Hz or s)", field=flag)
         if least is not None and value < least:
             raise ValidationError(f"must be >= {least}", field=flag)
         if above is not None and value <= above:
@@ -66,10 +69,10 @@ def _number(flag, kind=float, least=None, above=None, scale=1.0):
     return parse
 
 
-def _range(flag, scale=1.0):
+def _range(flag, **rules):
     """An argparse type for `flag`: "lo:hi:n" as (lo, hi, n), each bound checked
-    as a float flag of that `scale` is and n as a count flag is."""
-    bound, count = _number(flag, scale=scale), _number(flag, int, least=1)
+    as a float flag of those `_number` rules is and n as a count flag is."""
+    bound, count = _number(flag, **rules), _number(flag, int, least=1)
 
     def parse(spec):
         try:
@@ -230,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Frequency-addressed spin-register workbench")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    mhz = dict(scale=1e6, si=1e6)   # a MHz rate: checked for overflow and the ceiling
     config = argparse.ArgumentParser(add_help=False)    # `main` loads it, once
     config.add_argument("--config", required=True)
 
@@ -248,18 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
         k.add_argument("--out", required=True)
     for k in (rabi, ramsey, odmr):
         k.add_argument("--points", type=_number("--points", int, least=1), default=601)
-    rabi.add_argument("--rabi-mhz", type=_number("--rabi-mhz", scale=1e6), default=7.5)
+    rabi.add_argument("--rabi-mhz", type=_number("--rabi-mhz", **mhz), default=7.5)
     for k in (rabi, ramsey):
-        k.add_argument("--delta-mhz", type=_number("--delta-mhz", scale=1e6), default=0.0)
-    rabi.add_argument("--t-max-ns", type=_number("--t-max-ns", least=0), default=300.0)
-    ramsey.add_argument("--tau-max-us", type=_number("--tau-max-us", least=0), default=8.0)
+        k.add_argument("--delta-mhz", type=_number("--delta-mhz", **mhz), default=0.0)
+    rabi.add_argument("--t-max-ns", type=_number("--t-max-ns", least=0, si=1e-9),
+                      default=300.0)
+    ramsey.add_argument("--tau-max-us", type=_number("--tau-max-us", least=0, si=1e-6),
+                        default=8.0)
     ramsey.add_argument("--site", default=None, help="site id, default first")
     for flag in ("--f-min-ghz", "--f-max-ghz"):
-        odmr.add_argument(flag, type=_number(flag, scale=1e9), default=None)
+        odmr.add_argument(flag, type=_number(flag, scale=1e9, si=1e9), default=None)
     odmr.add_argument("--probe-rabi-mhz", default=0.2,
-                      type=_number("--probe-rabi-mhz", above=0, scale=1e6))
+                      type=_number("--probe-rabi-mhz", above=0, **mhz))
     odmr.add_argument("--linewidth-mhz", default=0.2,
-                      type=_number("--linewidth-mhz", least=0, scale=1e6))
+                      type=_number("--linewidth-mhz", least=0, **mhz))
     pulse.add_argument("--pulse", required=True, help="pulse CSV")
 
     p = sub.add_parser("optimize", parents=[config], help="synthesize a selective pulse")
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=_number("--lambda"), default=1e-7,
                    help="smoothness weight, 1/Hz")
     p.add_argument("--steps", type=_number("--steps", int, least=1), default=200)
-    p.add_argument("--duration", type=_number("--duration", above=0), default=10e-6,
+    p.add_argument("--duration", type=_number("--duration", above=0, si=1.0), default=10e-6,
                    help="total pulse duration in seconds")
     p.add_argument("--seed", type=_number("--seed", int, least=0), default=0)
     p.add_argument("--restarts", type=_number("--restarts", int, least=1), default=1)
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--idc-ma", type=_number("--idc-ma"), action="append", required=True,
                    help="repeatable; one CSV per value")
     p.add_argument("--target-u-um", type=_number("--target-u-um"), required=True)
-    p.add_argument("--rabi-mhz", type=_number("--rabi-mhz", above=0, scale=1e6), default=10.0)
+    p.add_argument("--rabi-mhz", type=_number("--rabi-mhz", above=0, **mhz), default=10.0)
     p.add_argument("--u-min-um", type=_number("--u-min-um"), required=True)
     p.add_argument("--u-max-um", type=_number("--u-max-um"), required=True)
     p.add_argument("--nu", type=_number("--nu", int, least=1), required=True)
@@ -294,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse", required=True)
     p.add_argument("--target-site", required=True)
     p.add_argument("--idle-site", action="append", default=[])
-    p.add_argument("--delta-range", type=_range("--delta-range", 1e6), required=True,
+    p.add_argument("--delta-range", type=_range("--delta-range", **mhz), required=True,
                    help="lo:hi:n in MHz")
     p.add_argument("--amp-range", type=_range("--amp-range"), required=True,
                    help="lo:hi:n scale factors")

@@ -19,6 +19,8 @@ from .errors import ParseError, ValidationError
 from .fields import MAX_FILAMENTS, FieldEnvironment, WireDrive, WireGeometry
 from .spins import DipoleOrientation, HyperfineManifold, PhysicalConstants, SpinSite
 
+_LIBRARY = object()     # an absent optional key: its field keeps the library default
+
 
 @dataclass(frozen=True)
 class RegisterConfig:
@@ -51,13 +53,15 @@ def _is_number(value) -> bool:
 
 
 def _get(mapping, key, default, path, kind, scale=1.0, bounds=None):
-    """Remove a field from `mapping` and return its value: a 3-vector or a
-    number converted to SI by `scale`, or an integer count.  A number or
-    count must lie within `bounds` (lo, hi), when given, before scaling."""
+    """Remove a field from `mapping` and return its value (absent: `default`,
+    None if required, _LIBRARY as is): a 3-vector, a number converted to SI by
+    `scale` or an integer count, either within `bounds` (lo, hi) before scaling."""
     value = mapping.pop(key, default)
     field = f"{path}.{key}"
     if value is None:
         raise ValidationError("missing required field", field=field)
+    if value is _LIBRARY:
+        return value
     if kind == "vector":
         if not (isinstance(value, list) and len(value) == 3
                 and all(_is_number(v) for v in value)):
@@ -96,11 +100,11 @@ def _no_unknown_keys(mapping, path):
 
 
 def _build(kind, mapping, path, **fields):
-    """`kind(**fields)`, the fields read out of `mapping` by `_get`.  A
-    ValueError of the constructor becomes a ValidationError naming `path`, and
-    so does a key left in `mapping`, which no field read."""
+    """`kind(**fields)` of the fields `_get` read out of `mapping`, _LIBRARY ones
+    left out.  A ValueError of the constructor becomes a ValidationError naming
+    `path`, and so does a key left in `mapping`, which no field read."""
     try:
-        value = kind(**fields)
+        value = kind(**{name: v for name, v in fields.items() if v is not _LIBRARY})
     except ValueError as exc:
         raise ValidationError(str(exc), field=path) from None
     _no_unknown_keys(mapping, path)
@@ -122,9 +126,9 @@ def load_config(path) -> RegisterConfig:
     c = _object(raw, "constants", "constants")
     constants = _build(
         PhysicalConstants, c, "constants",
-        d_zfs=_get(c, "d_zfs_ghz", 2.87, "constants", "number", 1e9),
-        gamma_nv=_get(c, "gamma_nv_ghz_per_t", 28.03, "constants", "number", 1e9),
-        hyperfine_splitting=_get(c, "hyperfine_mhz", 2.2, "constants", "number", 1e6))
+        d_zfs=_get(c, "d_zfs_ghz", _LIBRARY, "constants", "number", 1e9),
+        gamma_nv=_get(c, "gamma_nv_ghz_per_t", _LIBRARY, "constants", "number", 1e9),
+        hyperfine_splitting=_get(c, "hyperfine_mhz", _LIBRARY, "constants", "number", 1e6))
 
     env_raw = _object(raw, "environment", "environment", required=True)
     wire_raw = _object(env_raw, "wire", "environment.wire", required=True)
@@ -137,9 +141,9 @@ def load_config(path) -> RegisterConfig:
         WireGeometry, wire_raw, "environment.wire",
         anchor=_get(wire_raw, "anchor_um", None, "environment.wire", "vector", 1e-6),
         direction=direction / norm,
-        num_filaments=_get(wire_raw, "num_filaments", 1, "environment.wire",
+        num_filaments=_get(wire_raw, "num_filaments", _LIBRARY, "environment.wire",
                            "integer", bounds=(1, MAX_FILAMENTS)),
-        width=_get(wire_raw, "width_um", 0.0, "environment.wire", "number", 1e-6))
+        width=_get(wire_raw, "width_um", _LIBRARY, "environment.wire", "number", 1e-6))
     environment = _build(
         FieldEnvironment, env_raw, "environment",
         b_ext=_get(env_raw, "b_ext_mt", None, "environment", "vector", 1e-3),
@@ -176,11 +180,11 @@ def load_config(path) -> RegisterConfig:
             position=_get(s, "position_um", None, path_k, "vector", 1e-6),
             orientation=_build(
                 DipoleOrientation, {}, path_k,
-                theta_w=_get(s, "theta_w_deg", 54.7, path_k, "number",
+                theta_w=_get(s, "theta_w_deg", _LIBRARY, path_k, "number",
                              bounds=(0.0, 180.0)),
-                theta_u=_get(s, "theta_u_deg", 41.0, path_k, "number",
+                theta_u=_get(s, "theta_u_deg", _LIBRARY, path_k, "number",
                              bounds=(-180.0, 180.0))),
-            t2_star=_get(s, "t2_star_us", 1.7, path_k, "number", 1e-6)))
+            t2_star=_get(s, "t2_star_us", _LIBRARY, path_k, "number", 1e-6)))
     _no_unknown_keys(raw, "")
 
     return RegisterConfig(environment=environment, sites=tuple(sites), drive=drive,

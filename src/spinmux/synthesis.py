@@ -11,7 +11,7 @@ exact analytic gradients through the closed-form step exponentials; R
 contributes a sign subgradient.
 
 The forward kernel and the gradient take (P, m) amplitude stacks, one pulse
-per row, and give per-pulse results (a 1-d pulse is a stack of one), so that
+per row, and give per-pulse results (`cost` passes a stack of one), so that
 `optimize` runs a group of restarts with one gradient call per iteration and
 one forward call per line-search round, which tries two trials per restart.
 """
@@ -220,39 +220,26 @@ def _regularization(i_amps, q_amps, lam: float):
 
 
 def _regularization_gradient(i_amps, q_amps, lam: float):
-    """Sign subgradient of the total-variation term (zero at ties)."""
-
-    def sub(a):
-        s = np.sign(np.diff(a))
-        g = np.zeros_like(a)
-        g[..., :-1] += s   # d|a_l - a_{l+1}|/da_l = sign(a_l - a_{l+1}) = -s
-        g[..., 1:] -= s
-        return -lam * g
-
-    return sub(np.asarray(i_amps, dtype=float)), sub(np.asarray(q_amps, dtype=float))
+    """Sign subgradient of the total-variation term (zero at ties), as the
+    (I, Q) pair of (..., m) arrays, from one diff as `_regularization` takes."""
+    s = np.sign(np.diff(np.stack((i_amps, q_amps), dtype=float)))
+    g = np.zeros(s.shape[:-1] + (s.shape[-1] + 1,))
+    g[..., :-1] += s   # d|a_l - a_{l+1}|/da_l = sign(a_l - a_{l+1}) = -s
+    g[..., 1:] -= s
+    return -lam * g
 
 
 def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record=None):
-    """f and its parts for amplitude arrays, one CostBreakdown per pulse of a
-    (P, m) stack (one for a 1-d pulse)."""
-    flips = ens.transfer_means(i_amps, q_amps, dt, record)
-    regs = np.atleast_1d(_regularization(i_amps, q_amps, lam)).tolist()
-    out = [CostBreakdown(f[0], f[1:], reg)
-           for f, reg in zip(np.atleast_2d(flips).tolist(), regs)]
-    return out if flips.ndim > 1 else out[0]
-
-
-def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record):
-    """df/dI_l and df/dQ_l (1/Hz), R subgradient included, from the arrays' `record`."""
-    g_i, g_q = _cost_gradient_arrays(ens, i_amps, q_amps, dt, record)
-    r_i, r_q = _regularization_gradient(i_amps, q_amps, lam)
-    return g_i + r_i, g_q + r_q
+    """f and its parts, one CostBreakdown per pulse of (P, m) amplitude stacks."""
+    flips = ens.transfer_means(i_amps, q_amps, dt, record).tolist()
+    regs = _regularization(i_amps, q_amps, lam).tolist()
+    return [CostBreakdown(f[0], f[1:], reg) for f, reg in zip(flips, regs)]
 
 
 def cost(pulse: PulseProgram, scenario: ControlScenario, lam: float) -> CostBreakdown:
     """Evaluate the full objective, manifold-averaged per spin."""
-    return _objective(_Ensemble.for_scenario(scenario), *pulse.amplitudes(),
-                      pulse.dt, lam)
+    ens = _Ensemble.for_scenario(scenario)
+    return _objective(ens, *(a[None] for a in pulse.amplitudes()), pulse.dt, lam)[0]
 
 
 def gradient(pulse: PulseProgram, scenario: ControlScenario, lam: float):
@@ -262,9 +249,10 @@ def gradient(pulse: PulseProgram, scenario: ControlScenario, lam: float):
     return _objective_gradient(ens, *pulse.amplitudes(), pulse.dt, lam, record)
 
 
-def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
-    """Gradient of the epsilon part of f with respect to I and Q, per pulse of
-    (..., m) amplitudes whose forward `record` holds the same pulse axes.
+def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record):
+    """df/dI_l and df/dQ_l (1/Hz) per pulse of (..., m) amplitudes whose
+    forward `record` holds the same pulse axes: GRAPE for the epsilon part,
+    plus R's `_regularization_gradient`.
 
     GRAPE-style (Khaneja et al., J. Magn. Reson. 172, 296, 2005), from one
     prefix scan P_l = U_l ... U_0 with U = P_{m-1}, the down-sweep of each
@@ -320,7 +308,8 @@ def _cost_gradient_arrays(ens: _Ensemble, i_amps, q_amps, dt, record):
     t, kx, ky = (term.sum(axis=-2) for term in terms)
     # 2 per member, manifold-weighted; 2*pi chains a_x, a_y to I, Q
     coeff = 2.0 * TWO_PI * ens.weight
-    return coeff * (ax[..., 0, :] * t + kx), coeff * (ay[..., 0, :] * t + ky)
+    r_i, r_q = _regularization_gradient(i_amps, q_amps, lam)
+    return coeff * (ax[..., 0, :] * t + kx) + r_i, coeff * (ay[..., 0, :] * t + ky) + r_q
 
 
 def _initial_amplitudes(config: OptimizerConfig, restart: int):
@@ -336,15 +325,15 @@ def _initial_amplitudes(config: OptimizerConfig, restart: int):
 def _group_record(parts):
     """The forward record of the stacked pulses `parts`, [(record, p)] in stack
     order: a record as it is when it holds exactly these pulses, else their
-    blocks stacked level by level (every call of a lockstep group runs in one
-    block, see `_descend`)."""
+    blocks stacked level by level.  The gradient's records run in one block
+    each (`_descend`); a gather's one record can span blocks in a one-restart group."""
     record = parts[0][0]
     if len(record[0][2]) == len(parts) and all(
             rec is record and p == n for n, (rec, p) in enumerate(parts)):
         return record
-    return [(rows, [tuple(np.stack([rec[j][1][n][s][p] for rec, p in parts]) for s in (0, 1))
+    return [(rows, [tuple(np.array([rec[j][1][n][s][p] for rec, p in parts]) for s in (0, 1))
                     for n in range(len(levels))],
-             np.stack([rec[j][2][p] for rec, p in parts]))
+             np.array([rec[j][2][p] for rec, p in parts]))
             for j, (rows, levels, _) in enumerate(record)]
 
 
@@ -399,10 +388,8 @@ def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts, width):
             if bd.f - bd.reg <= config.tol:
                 run.stop = "converged"
                 del runs[run.restart - runs[0].restart + 1:]
-        if 0 < len(taken) < len(bds):   # one gather: the taken pulses alone stay alive
-            index = [p for _, p in taken]
-            record = [(rows, [(a[index], b[index]) for a, b in levels], k[index])
-                      for rows, levels, k in record]
+        if taken:   # one gather: the taken pulses alone stay alive
+            record = _group_record([(record, p) for _, p in taken])
         for j, (run, _) in enumerate(taken):
             run.record = (record, j)
 

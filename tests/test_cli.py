@@ -642,6 +642,16 @@ def si_scale(action):
     return own.get("scale", 1.0)
 
 
+def si_factor(action):
+    """The factor to Hz or s of a rate or duration flag, whose SI magnitude
+    its type bounds by the ceiling: its own, or its bounds' for a `_range`;
+    None when it has no ceiling."""
+    own = rules(action)
+    if "bound" in own:
+        own = inspect.getclosurevars(own["bound"]).nonlocals
+    return own.get("si")
+
+
 class TestSIUnits:
     """A value finite in the flag's unit must stay finite in SI units, as a
     config value must; the walk covers every typed flag, as TestFlagRules does."""
@@ -661,6 +671,34 @@ class TestSIUnits:
         value = "1e308:0:1" if "bound" in rules(action) else "1e308"
         assert cli.main([*prefix, f"{name}={value}"]) == 2
         assert capsys.readouterr().err == f"error: {name}: too large to convert to SI units\n"
+
+    def test_every_rate_and_duration_flag_has_the_ceiling(self):
+        factors = {action.option_strings[0]: si_factor(action) for _, action in TYPED_FLAGS}
+        assert {flag: si for flag, si in factors.items() if si is not None} == {
+            "--rabi-mhz": 1e6, "--delta-mhz": 1e6, "--f-min-ghz": 1e9,
+            "--f-max-ghz": 1e9, "--probe-rabi-mhz": 1e6, "--linewidth-mhz": 1e6,
+            "--delta-range": 1e6, "--t-max-ns": 1e-9, "--tau-max-us": 1e-6,
+            "--duration": 1.0}
+
+    @pytest.mark.parametrize("flag", [f for f in TYPED_FLAGS if si_factor(f[1])],
+                             ids=flag_id)
+    def test_the_ceiling_in_si_units_names_the_flag(self, capsys, flag):
+        # the largest value whose SI magnitude is within the ceiling parses,
+        # and one a millionth above it exits 2 naming the flag
+        prefix, action = flag
+        name, si = action.option_strings[0], si_factor(action)
+        ranged = "bound" in rules(action)
+        ceiling = inspect.getclosurevars(
+            rules(action)["bound"] if ranged else action.type).nonlocals["ceiling"]
+        good = ceiling / si
+        while good * si > ceiling:
+            good = math.nextafter(good, 0.0)
+        text = f"{good!r}:{good!r}:1" if ranged else repr(good)
+        assert action.type(text) == ((good, good, 1) if ranged else good)
+        bad = repr(good * 1.000001)
+        assert cli.main([*prefix, f"{name}={bad}:0:1" if ranged else f"{name}={bad}"]) == 2
+        assert capsys.readouterr().err == (f"error: {name}: beyond {ceiling:g} "
+                                           "in SI units (Hz or s)\n")
 
     @pytest.mark.parametrize("flag", [f for f in TYPED_FLAGS
                                       if rules(f[1]).get("kind") is int], ids=flag_id)
@@ -728,10 +766,88 @@ class TestOverflowNamesItsSource:
         assert err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("command, argv, flag", [
+        (["simulate", "rabi"], ["--rabi-mhz", "1e300"], "--rabi-mhz"),
+        (["simulate", "rabi"], ["--delta-mhz", "1e290"], "--delta-mhz"),
+        (["simulate", "odmr"], ["--f-min-ghz", "1e290", "--f-max-ghz", "1e291"],
+         "--f-min-ghz"),
+        (["sweep"], ["--target-site", "nv-b", "--idle-site", "nv-c",
+                     "--delta-range=1e301:1e302:2", "--amp-range", "0.9:1.1:5"],
+         "--delta-range"),
+        (["optimize"], ["--steps", "2", "--duration", "1e300"], "--duration"),
+        (["optimize"], ["--steps", "2", "--duration", "1e200"], "--duration"),
+    ], ids=["rabi-rate", "rabi-detuning", "odmr", "sweep", "optimize", "optimize-1e200"])
+    def test_a_value_beyond_the_ceiling_names_its_flag(self, demo_config, close_pair_config,
+                                                       tmp_path, capsys, command, argv,
+                                                       flag):
+        # each used to print numpy RuntimeWarnings; the simulations then exited
+        # 2 blaming a CSV column holding NaN, and optimize exited 3 writing a
+        # pulse whose t_ns column was inf
+        out = tmp_path / "o"
+        if command == ["sweep"]:
+            pulse = tmp_path / "pulse.csv"
+            write_pulse(pulse, rect_pi_pulse(1e6, m=4))
+            given = ["--config", close_pair_config, "--pulse", str(pulse), "--out", str(out)]
+        elif command == ["optimize"]:
+            given = ["--config", close_pair_config, "--target-site", "nv-b",
+                     "--idle-site", "nv-c", "--out-pulse", f"{out}.csv",
+                     "--out-trace", f"{out}.jsonl"]
+        else:
+            given = ["--config", demo_config, "--out", str(out)]
+        err = self.run([*command, *given, *argv], out, capsys)
+        assert err == f"error: {flag}: beyond 1e+15 in SI units (Hz or s)\n"
+
+
+class TestValuesAtTheCeiling:
+    """Rates of 1e15 Hz and durations of 1e15 s, the ceiling of each, run
+    without a numpy warning and write finite numbers."""
+
+    @staticmethod
+    def run(argv, code=0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == code
+
+    def assert_finite(self, path):
+        rows = read_csv(path)
+        assert rows and all(math.isfinite(float(v)) for row in rows
+                            for k, v in row.items() if k not in ("site", "bound"))
+
+    def test_simulations(self, demo_config, tmp_path):
+        given = ["--config", demo_config, "--points", "7", "--out"]
+        for kind, argv in [
+            ("rabi", ["--rabi-mhz=-1e9", "--delta-mhz=1e9", "--t-max-ns", "1e24"]),
+            ("ramsey", ["--delta-mhz=-1e9", "--tau-max-us", "1e21"]),
+            ("odmr", ["--f-min-ghz=-1e6", "--f-max-ghz", "1e6",
+                      "--probe-rabi-mhz", "1e9", "--linewidth-mhz", "1e9"]),
+        ]:
+            self.run(["simulate", kind, *given, str(tmp_path / f"{kind}.csv"), *argv])
+            self.assert_finite(tmp_path / f"{kind}.csv")
+
+    def test_crosstalk_map(self, demo_config, tmp_path):
+        self.run(["crosstalk-map", "--config", demo_config, "--idc-ma", "150",
+                  "--target-u-um", "1.5", "--rabi-mhz", "1e9", "--u-min-um=-4",
+                  "--u-max-um", "4", "--nu", "5", "--out-prefix", str(tmp_path / "x")])
+        self.assert_finite(tmp_path / "x_idc150ma.csv")
+
+    def test_optimize_and_sweep(self, close_pair_config, tmp_path):
+        # so long a pulse cannot be descended (exit 3), but its files are finite
+        pulse = tmp_path / "pulse.csv"
+        sites = ["--config", close_pair_config, "--target-site", "nv-b", "--idle-site", "nv-c"]
+        self.run(["optimize", *sites, "--steps", "7", "--duration", "1e15",
+                  "--restarts", "2", "--out-pulse", str(pulse),
+                  "--out-trace", str(tmp_path / "trace.jsonl")], code=3)
+        self.assert_finite(pulse)
+        self.run(["sweep", *sites, "--pulse", str(pulse), "--delta-range=-1e9:1e9:3",
+                  "--amp-range", "0.9:1.1:2", "--out", str(tmp_path / "sweep.csv")])
+        self.assert_finite(tmp_path / "sweep.csv")
+
+
 class TestNaNIsNeverWritten:
-    """Finite inputs whose dynamics overflow to NaN: the one CSV writer
-    refuses the NaN, so each exits 2 naming the file and column, and writes
-    no file.  Each used to exit 0 writing nan."""
+    """Finite inputs whose dynamics overflow to NaN, beyond what the flags'
+    ceiling bounds (a pulse file's amplitudes, `--amp-range` products): the
+    one CSV writer refuses the NaN, so each exits 2 naming the file and
+    column, and writes no file.  Each used to exit 0 writing nan."""
 
     def run(self, argv, out, capsys):
         with warnings.catch_warnings():
@@ -740,26 +856,21 @@ class TestNaNIsNeverWritten:
         assert not out.exists()
         return capsys.readouterr().err
 
-    def test_rabi(self, demo_config, tmp_path, capsys):
-        out = tmp_path / "rabi.csv"
-        err = self.run(["simulate", "rabi", "--config", demo_config,
-                        "--rabi-mhz", "1e300"], out, capsys)
-        assert err == f"error: {out}: column 'p1' holds NaN\n"
-
-    def test_odmr(self, demo_config, tmp_path, capsys):
-        out = tmp_path / "odmr.csv"
-        err = self.run(["simulate", "odmr", "--config", demo_config,
-                        "--f-min-ghz", "1e290", "--f-max-ghz", "1e291"], out, capsys)
-        assert err == f"error: {out}: column 'contrast' holds NaN\n"
+    def test_simulate_pulse(self, close_pair_config, tmp_path, capsys):
+        pulse, out = tmp_path / "big.csv", tmp_path / "eps.csv"
+        pulse.write_text("t_ns,i_mhz,q_mhz\n50,1e300,0\n100,1e300,0\n")
+        err = self.run(["simulate", "pulse", "--config", close_pair_config,
+                        "--pulse", str(pulse)], out, capsys)
+        assert err == f"error: {out}: column 'eps' holds NaN\n"
 
     def test_sweep(self, close_pair_config, close_pair_run, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         err = self.run(["sweep", "--config", close_pair_config,
                         "--pulse", str(close_pair_run[0]),
                         "--target-site", "nv-b", "--idle-site", "nv-c",
-                        "--delta-range=1e301:1e302:2", "--amp-range", "0.9:1.1:5"],
+                        "--delta-range=-0.2:0.2:3", "--amp-range", "1e300:1e301:2"],
                        out, capsys)
-        # the offset moves the target too, so its column is the first with NaN
+        # the scale drives every spin, so the target's column is the first with NaN
         assert err == f"error: {out}: column 'eps_i' holds NaN\n"
 
 

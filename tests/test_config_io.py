@@ -16,7 +16,8 @@ from spinmux import (
     field_sample,
     load_config,
 )
-from spinmux.fields import MAX_FILAMENTS
+from spinmux.fields import MAX_FILAMENTS, WireGeometry
+from spinmux.spins import DipoleOrientation, PhysicalConstants, SpinSite
 
 MINIMAL = {
     "environment": {
@@ -48,6 +49,17 @@ class TestLoadConfig:
         assert cfg.drive.i_ac == 0.0
         assert cfg.carrier == pytest.approx(2.87e9)
         assert np.allclose(cfg.environment.b_ext, [0.0, 0.0, 3e-3])
+
+    def test_absent_optional_keys_give_exactly_the_library_defaults(self, tmp_path):
+        # the config used to restate each default in its own units, and
+        # 1.7 * 1e-6 is one ulp below the site's t2_star of 1.7e-6
+        cfg = load_config(write_config(tmp_path, MINIMAL))
+        wire, [site] = cfg.environment.wire, cfg.sites
+        assert cfg.environment.constants == PhysicalConstants()
+        assert (wire.num_filaments, wire.width) == (WireGeometry.num_filaments,
+                                                    WireGeometry.width)
+        assert site.orientation == DipoleOrientation()
+        assert site.t2_star == SpinSite("q", np.zeros(3)).t2_star == 1.7e-6
 
     def test_duplicate_site_id_names_the_id(self, tmp_path):
         doc = dict(MINIMAL)

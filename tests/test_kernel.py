@@ -15,7 +15,7 @@ from spinmux import (ControlScenario, HyperfineManifold, PulseProgram, evolve,
                      step_propagator)
 from spinmux.dynamics import (TWO_PI, _compose, _matrix, _pair, _product, _scan,
                               _su2_pairs, _su2_q, _tree)
-from spinmux.synthesis import _cost_gradient_arrays, _Ensemble
+from spinmux.synthesis import _Ensemble, _objective_gradient
 
 DT = 40e-9
 
@@ -380,8 +380,8 @@ def test_gradient_matches_two_scan_reference(m, triplet, spectators, random_sign
     i_amps, q_amps = random_pulse(rng, m)
     dt = 10e-6 / m
     want = np.concatenate(reference_gradient(ens, i_amps, q_amps, dt))
-    got = np.concatenate(_cost_gradient_arrays(ens, i_amps, q_amps, dt,
-                                               forward_record(ens, i_amps, q_amps, dt)))
+    got = np.concatenate(_objective_gradient(ens, i_amps, q_amps, dt, 0.0,
+                                             forward_record(ens, i_amps, q_amps, dt)))
     # float64 rounding over a log-depth scan, set before measuring
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -432,8 +432,8 @@ def test_record_fed_gradient_reproduces_one_pass_bit_for_bit(monkeypatch, m, bud
     i_amps, q_amps = random_pulse(rng, m)
     want = reference_one_pass_gradient(ens, i_amps, q_amps, DT)
     monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
-    got = _cost_gradient_arrays(ens, i_amps, q_amps, DT,
-                                forward_record(ens, i_amps, q_amps, DT))
+    got = _objective_gradient(ens, i_amps, q_amps, DT, 0.0,
+                              forward_record(ens, i_amps, q_amps, DT))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -448,7 +448,7 @@ def test_gradient_runs_one_scan(monkeypatch):
     rng = np.random.default_rng(5)
     ens = _Ensemble.for_scenario(ControlScenario(idle_detunings=(1.1e6, -0.7e6)))
     i_amps, q_amps = random_pulse(rng, 50)
-    _cost_gradient_arrays(ens, i_amps, q_amps, DT, forward_record(ens, i_amps, q_amps, DT))
+    _objective_gradient(ens, i_amps, q_amps, DT, 0.0, forward_record(ens, i_amps, q_amps, DT))
     assert calls == [(len(ens.deltas), 50)]
 
 
@@ -539,11 +539,11 @@ def test_stacked_pulses_equal_one_pulse_at_a_time(monkeypatch, m, budget, specta
     monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
     record = []
     transfers = ens.transfer_means(i_amps, q_amps, DT, record)
-    grads = _cost_gradient_arrays(ens, i_amps, q_amps, DT, record)
+    grads = _objective_gradient(ens, i_amps, q_amps, DT, 0.0, record)
     assert transfers.shape == (3, 1 + spectators) and grads[0].shape == (3, m)
     for p in range(3):
         record = []
         assert np.array_equal(transfers[p], ens.transfer_means(i_amps[p], q_amps[p],
                                                                DT, record))
-        want = _cost_gradient_arrays(ens, i_amps[p], q_amps[p], DT, record)
+        want = _objective_gradient(ens, i_amps[p], q_amps[p], DT, 0.0, record)
         assert np.array_equal(grads[0][p], want[0]) and np.array_equal(grads[1][p], want[1])

@@ -34,7 +34,7 @@ from spinmux import (
     state_error,
     write_pulse,
 )
-from spinmux.synthesis import _cost_gradient_arrays, _Ensemble
+from spinmux.synthesis import _Ensemble, _objective_gradient
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -124,7 +124,7 @@ def test_gradient_matches_central_differences_for_several_targets(pulse, targets
         return len(targets) + float(np.dot(signs, ens.transfer_means(iv, qv, pulse.dt)))
 
     assert_central_differences(
-        pulse, _cost_gradient_arrays(ens, i_amps, q_amps, pulse.dt, record), f)
+        pulse, _objective_gradient(ens, i_amps, q_amps, pulse.dt, 0.0, record), f)
 
 
 @pytest.fixture(scope="module")

@@ -64,6 +64,37 @@ class TestRegularization:
         with pytest.raises(ValueError, match="^lam must be finite"):
             cost(pulse, scen, lam=lam)
 
+    @staticmethod
+    def per_channel_subgradient(i_amps, q_amps, lam):
+        """The subgradient one channel at a time, each from its own diff."""
+
+        def sub(a):
+            s = np.sign(np.diff(a))
+            g = np.zeros_like(a)
+            g[..., :-1] += s   # d|a_l - a_{l+1}|/da_l = sign(a_l - a_{l+1}) = -s
+            g[..., 1:] -= s
+            return -lam * g
+
+        return sub(np.asarray(i_amps, dtype=float)), sub(np.asarray(q_amps, dtype=float))
+
+    @pytest.mark.parametrize("m", (1, 2, 7, 200))
+    @pytest.mark.parametrize("lam", (0.0, 1e-9))
+    def test_stacked_subgradient_equals_per_channel_bit_for_bit(self, m, lam):
+        # ties and signed zeros: each amplitude drawn from a few levels, +-0
+        # among them, so equal neighbours and zero signs are common
+        rng = np.random.default_rng([m, lam > 0])
+        levels = np.array([0.0, -0.0, 1e6, -1e6, 2.5e6])
+        i_amps, q_amps = rng.choice(levels, (2, 3, m))
+        got = synthesis._regularization_gradient(i_amps, q_amps, lam)
+        want = self.per_channel_subgradient(i_amps, q_amps, lam)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (3, m)
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        for p in range(3):   # a single pulse, 1-d, too
+            one = synthesis._regularization_gradient(i_amps[p], q_amps[p], lam)
+            assert all(np.array_equal(np.signbit(g), np.signbit(w[p])) and
+                       np.array_equal(g, w[p]) for g, w in zip(one, want))
+
 
 class TestEnsembleMembers:
     """Every spin expands into its `hyperfine_detunings`, spin-major, and each
@@ -577,7 +608,7 @@ def count_stacked_calls(monkeypatch, run_optimize, scenario, config):
     objective, objective_gradient = synthesis._objective, synthesis._objective_gradient
 
     def counting_objective(ens, i_amps, *args):
-        pulses.append(len(i_amps) if np.ndim(i_amps) == 2 else 1)
+        pulses.append(len(i_amps))
         return objective(ens, i_amps, *args)
 
     def counting_gradient(*args):
@@ -617,7 +648,7 @@ def reference_descend(ens, config, restart):
     clip = config.max_amp
     i_amps, q_amps = _initial_amplitudes(config, restart)
     record = []           # the forward record of the accepted iterate
-    bd = synthesis._objective(ens, i_amps, q_amps, dt, lam, record)
+    bd, = synthesis._objective(ens, i_amps[None], q_amps[None], dt, lam, record)
     rows = [TraceRow(0, bd.f, bd.eps_i, bd.eps_j, bd.reg, 0.0)]
     alpha = None
     converged = bd.f - bd.reg <= config.tol
@@ -626,7 +657,8 @@ def reference_descend(ens, config, restart):
     for it in range(1, config.max_iters + 1):
         if converged:
             break
-        g_i, g_q = synthesis._objective_gradient(ens, i_amps, q_amps, dt, lam, record)
+        (g_i,), (g_q,) = synthesis._objective_gradient(ens, i_amps[None], q_amps[None], dt,
+                                                       lam, record)
         gnorm2 = float(np.dot(g_i, g_i) + np.dot(g_q, g_q))
         if gnorm2 == 0.0:
             break
@@ -645,7 +677,8 @@ def reference_descend(ens, config, restart):
                 floor_hit = True
                 break
             cand_record = []
-            cand_bd = synthesis._objective(ens, cand_i, cand_q, dt, lam, cand_record)
+            cand_bd, = synthesis._objective(ens, cand_i[None], cand_q[None], dt, lam,
+                                            cand_record)
             if cand_bd.f <= bd.f - synthesis.ARMIJO_C * move:
                 i_amps, q_amps, bd, record = cand_i, cand_q, cand_bd, cand_record
                 rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, trial))
@@ -930,11 +963,22 @@ class TestLockstepRestarts:
 
     def test_runs_keep_the_records_of_their_taken_pulses_only(self, monkeypatch):
         # every record a run holds is made of pulses that runs took, and the
-        # gradient gets each pulse's own record
+        # gradient gets each pulse's own record; the gather of a call's taken
+        # pulses also runs through `_group_record`, on the record the call
+        # just filled, so the invariant is checked where the gradient takes
+        # the records the runs hold
         group_record, objective_gradient = synthesis._group_record, synthesis._objective_gradient
-        shapes = []
+        objective = synthesis._objective
+        filled, shapes = [], []
+
+        def tracking_objective(ens, i_amps, q_amps, dt, lam, record=None):
+            filled[:] = [record]
+            return objective(ens, i_amps, q_amps, dt, lam, record)
 
         def checking_group_record(parts):
+            if filled and all(record is filled[0] for record, _ in parts):
+                filled.clear()      # the gather, the first call after the objective's
+                return group_record(parts)
             records = {id(record): record for record, _ in parts}
             for key, record in records.items():
                 held = [p for rec, p in parts if id(rec) == key]
@@ -950,6 +994,7 @@ class TestLockstepRestarts:
                            for got, ref in zip(levels, want[1]))
             return objective_gradient(ens, i_amps, q_amps, dt, lam, record)
 
+        monkeypatch.setattr(synthesis, "_objective", tracking_objective)
         monkeypatch.setattr(synthesis, "_group_record", checking_group_record)
         monkeypatch.setattr(synthesis, "_objective_gradient", checking_gradient)
         config = self.config(tol=0.0, restarts=3, seed=9, max_iters=15)

@@ -55,7 +55,7 @@ def _profile(seed: int) -> dict:
 
     def counting_objective(ens, i_amps, *rest):
         counts["objective"] += 1
-        counts["pulses"] += len(i_amps) if getattr(i_amps, "ndim", 1) == 2 else 1
+        counts["pulses"] += len(i_amps)
         return objective(ens, i_amps, *rest)
 
     def counting_gradient(*args):
