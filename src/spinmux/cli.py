@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config_io import RegisterConfig, _is_number, load_config
+from .dynamics import SI_CEILING
 from .errors import Diverged, SpinmuxError, UsageError, ValidationError
 from .experiments import crosstalk_landscape, simulate_odmr, simulate_rabi, \
     simulate_ramsey
@@ -44,18 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(flag, kind=float, least=None, above=None, scale=1.0, si=None):
-    """An argparse type for `flag`: `kind` of the text, finite, finite still
-    times `scale`, its factor to SI units (only one above 1 can overflow), and
-    times `si`, a rate's or duration's factor to Hz or s, within the ceiling,
-    at least `least` and above `above`.  A bad value raises a ValidationError
-    naming the flag (exit 2); text that does not parse stays a usage error (exit 1)."""
-    ceiling = 1e15  # Hz or s: inside it no product the step builder forms overflows
+def _number(flag, kind=float, least=None, above=None, below=None, si=None):
+    """An argparse type for `flag`: `kind` of the text, finite; for a rate or
+    duration finite times `si`, its factor to Hz or s, and within the ceiling
+    there; at least `least`, above `above`, below `below`.  A bad value is a
+    ValidationError naming the flag (exit 2), text that does not parse a usage error (1)."""
+    ceiling = SI_CEILING
     def parse(text):
         value = kind(text)
         if not _is_number(value):
             raise ValidationError("must be a finite number", field=flag)
-        if not math.isfinite(value * scale):
+        if si is not None and not math.isfinite(value * si):
             raise ValidationError("too large to convert to SI units", field=flag)
         if si is not None and abs(value * si) > ceiling:
             raise ValidationError(f"beyond {ceiling:g} in SI units (Hz or s)", field=flag)
@@ -63,6 +63,8 @@ def _number(flag, kind=float, least=None, above=None, scale=1.0, si=None):
             raise ValidationError(f"must be >= {least}", field=flag)
         if above is not None and value <= above:
             raise ValidationError(f"must be > {above}", field=flag)
+        if below is not None and not value < below:
+            raise ValidationError(f"must be < {below}", field=flag)
         return value
 
     parse.__name__ = kind.__name__    # argparse's "invalid float value" message
@@ -175,6 +177,8 @@ def _write_trace(path, trace) -> None:
 
 def cmd_optimize(args, cfg: RegisterConfig) -> int:
     scenario = _scenario_from_config(cfg, args.target_site, args.idle_site)
+    if args.duration / args.steps == 0.0:
+        raise ValidationError("the step duration underflows to 0", field="--duration/--steps")
     opt = OptimizerConfig(
         m=args.steps,
         dt=args.duration / args.steps,
@@ -193,10 +197,10 @@ def cmd_optimize(args, cfg: RegisterConfig) -> int:
         print(f"error: {diverged}", file=sys.stderr)
         return 3
     if not trace.converged:
-        eps_i, eps_j = trace.rows[-1].eps_i, sum(trace.rows[-1].eps_j)
-        print(f"warning: tolerance missed: eps_i={eps_i:.6g}, sum(eps_j)={eps_j:.6g}, "
-              f"(1 - eps_i) + sum(eps_j) = {1.0 - eps_i + eps_j:.6g} > tol={opt.tol:g}, "
-              f"stopped: {trace.stop_reason}", file=sys.stderr)
+        row = trace.rows[-1]
+        print(f"warning: tolerance missed: eps_i={row.eps_i:.6g}, sum(eps_j)="
+              f"{sum(row.eps_j):.6g}, (1 - eps_i) + sum(eps_j) = {row.f - row.reg:.6g} "
+              f"> tol={opt.tol:g}, stopped: {trace.stop_reason}", file=sys.stderr)
         return 4
     return 0
 
@@ -220,8 +224,11 @@ def cmd_sweep(args, cfg: RegisterConfig) -> int:
     scenario = _scenario_from_config(cfg, args.target_site, args.idle_site)
     pulse = read_pulse(args.pulse)
     offsets = _grid(*args.delta_range, "--delta-range") * 1e6
-    points = sensitivity_sweep(pulse, scenario, offsets,
-                               _grid(*args.amp_range, "--amp-range"))
+    scales = _grid(*args.amp_range, "--amp-range")
+    # a product of Python floats overflows to inf without a numpy warning
+    if np.abs(scales).max().item() * np.abs(pulse.amplitudes()).max().item() > SI_CEILING:
+        raise ValidationError(f"scaled pulse beyond {SI_CEILING:g} Hz", field="--amp-range")
+    points = sensitivity_sweep(pulse, scenario, offsets, scales)
     write_csv(args.out, "offset_mhz,scale,eps_i,eps_j",
               ([p.delta_offset * 1e-6 for p in points], [p.amp_scale for p in points],
                [p.eps_i for p in points], [sum(p.eps_j) for p in points]))
@@ -233,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Frequency-addressed spin-register workbench")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    mhz = dict(scale=1e6, si=1e6)   # a MHz rate: checked for overflow and the ceiling
     config = argparse.ArgumentParser(add_help=False)    # `main` loads it, once
     config.add_argument("--config", required=True)
 
@@ -252,27 +258,27 @@ def build_parser() -> argparse.ArgumentParser:
         k.add_argument("--out", required=True)
     for k in (rabi, ramsey, odmr):
         k.add_argument("--points", type=_number("--points", int, least=1), default=601)
-    rabi.add_argument("--rabi-mhz", type=_number("--rabi-mhz", **mhz), default=7.5)
+    rabi.add_argument("--rabi-mhz", type=_number("--rabi-mhz", si=1e6), default=7.5)
     for k in (rabi, ramsey):
-        k.add_argument("--delta-mhz", type=_number("--delta-mhz", **mhz), default=0.0)
+        k.add_argument("--delta-mhz", type=_number("--delta-mhz", si=1e6), default=0.0)
     rabi.add_argument("--t-max-ns", type=_number("--t-max-ns", least=0, si=1e-9),
                       default=300.0)
     ramsey.add_argument("--tau-max-us", type=_number("--tau-max-us", least=0, si=1e-6),
                         default=8.0)
     ramsey.add_argument("--site", default=None, help="site id, default first")
     for flag in ("--f-min-ghz", "--f-max-ghz"):
-        odmr.add_argument(flag, type=_number(flag, scale=1e9, si=1e9), default=None)
+        odmr.add_argument(flag, type=_number(flag, si=1e9), default=None)
     odmr.add_argument("--probe-rabi-mhz", default=0.2,
-                      type=_number("--probe-rabi-mhz", above=0, **mhz))
+                      type=_number("--probe-rabi-mhz", least=5e-22, si=1e6))
     odmr.add_argument("--linewidth-mhz", default=0.2,
-                      type=_number("--linewidth-mhz", least=0, **mhz))
+                      type=_number("--linewidth-mhz", least=0, si=1e6))
     pulse.add_argument("--pulse", required=True, help="pulse CSV")
 
     p = sub.add_parser("optimize", parents=[config], help="synthesize a selective pulse")
     p.add_argument("--target-site", required=True)
     p.add_argument("--idle-site", action="append", default=[])
-    p.add_argument("--lambda", type=_number("--lambda"), default=1e-7,
-                   help="smoothness weight, 1/Hz")
+    p.add_argument("--lambda", type=_number("--lambda", least=0, below=1e-6),
+                   default=1e-7, help="smoothness weight, 1/Hz")
     p.add_argument("--steps", type=_number("--steps", int, least=1), default=200)
     p.add_argument("--duration", type=_number("--duration", above=0, si=1.0), default=10e-6,
                    help="total pulse duration in seconds")
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--idc-ma", type=_number("--idc-ma"), action="append", required=True,
                    help="repeatable; one CSV per value")
     p.add_argument("--target-u-um", type=_number("--target-u-um"), required=True)
-    p.add_argument("--rabi-mhz", type=_number("--rabi-mhz", above=0, **mhz), default=10.0)
+    p.add_argument("--rabi-mhz", default=10.0, type=_number("--rabi-mhz", least=5e-22, si=1e6))
     p.add_argument("--u-min-um", type=_number("--u-min-um"), required=True)
     p.add_argument("--u-max-um", type=_number("--u-max-um"), required=True)
     p.add_argument("--nu", type=_number("--nu", int, least=1), required=True)
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse", required=True)
     p.add_argument("--target-site", required=True)
     p.add_argument("--idle-site", action="append", default=[])
-    p.add_argument("--delta-range", type=_range("--delta-range", **mhz), required=True,
+    p.add_argument("--delta-range", type=_range("--delta-range", si=1e6), required=True,
                    help="lo:hi:n in MHz")
     p.add_argument("--amp-range", type=_range("--amp-range"), required=True,
                    help="lo:hi:n scale factors")

@@ -34,6 +34,8 @@ TWO_PI = 2.0 * math.pi
 # |z|^2 may stray past [0, 1] by accumulated rounding; clamp only that much.
 _BOUNDARY_SLACK = 1e-12
 
+SI_CEILING = 1e15  # Hz or s: inside it no product the step builder forms overflows
+
 
 @dataclass(frozen=True)
 class PulseStep:

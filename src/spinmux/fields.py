@@ -248,9 +248,9 @@ def zeeman_shift(
 # Depth search domain for wire calibration (m).
 CALIBRATION_DEPTH_RANGE = (1e-7, 1e-4)
 
-# A bracket from the 64-point geometric scan is at most 12% of its depth wide;
-# 46 halvings narrow it to a few float64 ulps of the depth.
-CALIBRATION_HALVINGS = 46
+# A 64-point geometric scan brackets the depth within 11.6% of it; each later
+# round of 64 even steps narrows that 63-fold, so 9 rounds leave a few ulps.
+CALIBRATION_ROUNDS = 9
 
 
 def calibrate_wire(
@@ -262,10 +262,11 @@ def calibrate_wire(
 ) -> WireGeometry:
     """Find the wire standoff depth that reproduces a measured Zeeman shift.
 
-    Scans depths in CALIBRATION_DEPTH_RANGE for a bracket, then bisects it
-    CALIBRATION_HALVINGS times; the shift at (at_u, 0, 0) must then match
-    `target_shift` within 1 kHz.  Depth d is tried as `with_depth(0.0)` at
-    (at_u, 0, d).  Raises NoSolution when no depth reaches the target.
+    Each of CALIBRATION_ROUNDS rounds brackets the first zero or sign change of
+    the residual over 64 depths, a geometric scan of CALIBRATION_DEPTH_RANGE, then
+    even steps over the last bracket; the shift at (at_u, 0, 0) of its midpoint
+    must match `target_shift` within 1 kHz.  Depth d is tried as
+    `with_depth(0.0)` at (at_u, 0, d).  Raises NoSolution when no depth reaches it.
     """
     if target_shift <= 0:
         raise NoSolution("target shift must be positive and reachable")
@@ -278,26 +279,19 @@ def calibrate_wire(
         b = wire_field(surface, i_dc, point + np.multiply.outer(depths, W_HAT))
         return env.constants.gamma_nv * _dot(b, axis) - target_shift
 
-    lo, hi = CALIBRATION_DEPTH_RANGE
-    grid = np.geomspace(lo, hi, 64)
-    values = residuals(*grid)
-    # the first grid depth with a zero residual or a sign change to the next
-    zero = values == 0.0
-    hits = np.flatnonzero(zero | np.append(values[:-1] * values[1:] < 0, False))
-    if not hits.size:
-        raise NoSolution(f"shift {target_shift:.6g} Hz unreachable for depths in "
-                         f"[{lo:g}, {hi:g}] m")
-    k = hits[0]
-    lo, hi = grid[k], grid[k] if zero[k] else grid[k + 1]
-    lo_negative = residuals(lo)[0] < 0.0
-    for _ in range(CALIBRATION_HALVINGS if lo != hi else 0):
-        mid = 0.5 * (lo + hi)
-        if (residuals(mid)[0] < 0.0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
+    grid = np.geomspace(*CALIBRATION_DEPTH_RANGE, 64)
+    for _ in range(CALIBRATION_ROUNDS):
+        values = residuals(*grid)
+        # the first depth with a zero residual or a sign change to the next
+        zero = values == 0.0
+        hits = np.flatnonzero(zero | np.append(values[:-1] * values[1:] < 0, False))
+        if not hits.size:
+            raise NoSolution(f"shift {target_shift:.6g} Hz unreachable for depths in "
+                             "[{:g}, {:g}] m".format(*CALIBRATION_DEPTH_RANGE))
+        k = hits[0]
+        lo, hi = grid[k], grid[k] if zero[k] else grid[k + 1]
+        grid = np.linspace(lo, hi, 64)
     depth = 0.5 * (lo + hi)
     if abs(residuals(depth)[0]) > 1e3:
-        raise NoSolution("bisection converged but missed the 1 kHz tolerance")
+        raise NoSolution("bracketing converged but missed the 1 kHz tolerance")
     return env.wire.with_depth(depth)
-

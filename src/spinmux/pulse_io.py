@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import PulseProgram
+from .dynamics import SI_CEILING, PulseProgram
 from .errors import ParseError
 
 PULSE_HEADER = "t_ns,i_mhz,q_mhz"
@@ -84,7 +84,7 @@ def _parse_rows(lines):
 
 
 def read_pulse(path) -> PulseProgram:
-    """Parse a pulse CSV, checking the header, finite values and the time grid."""
+    """Parse a pulse CSV, checking the header, finite values, the grid and SI_CEILING."""
     with open(path) as fh:
         lines = fh.read().split("\n")
     if lines[0].strip() != PULSE_HEADER:
@@ -93,6 +93,10 @@ def read_pulse(path) -> PulseProgram:
     bad = ~(np.isfinite(times) & np.isfinite(i_mhz) & np.isfinite(q_mhz))
     if bad.any():
         raise ParseError("non-finite value", line=_line_numbers(lines)[np.argmax(bad)])
+    bad = np.maximum(np.abs(i_mhz), np.abs(q_mhz)) > SI_CEILING * 1e-6
+    if bad.any():
+        raise ParseError(f"amplitude beyond {SI_CEILING * 1e-6:g} MHz",
+                         line=_line_numbers(lines)[np.argmax(bad)])
     bad = np.diff(times, prepend=-np.inf) <= 0
     if bad.any():
         raise ParseError("times must be strictly increasing",
@@ -102,5 +106,7 @@ def read_pulse(path) -> PulseProgram:
     if np.max(deviation) > _SPACING_TOL * times[-1]:
         raise ParseError("time grid is not uniformly spaced",
                          line=_line_numbers(lines)[np.argmax(deviation)])
+    if dt_ns * 1e-9 > SI_CEILING:
+        raise ParseError(f"step longer than {SI_CEILING:g} s", line=_line_numbers(lines)[0])
 
     return PulseProgram.from_arrays(i_mhz * 1e6, q_mhz * 1e6, dt_ns * 1e-9)

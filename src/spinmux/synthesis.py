@@ -360,31 +360,28 @@ def _descend(ens: _Ensemble, config: OptimizerConfig, restarts):
 def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts, width):
     """One `_descend` group in lockstep: one stacked gradient per iteration,
     and per line-search round one stacked objective call of the next `width`
-    trials (alpha, alpha/2) of every searching restart.  Each takes its first
+    trials alpha * 2**-j of every searching restart.  Each takes its first
     Armijo trial, the step of the one-trial loop (MAX_BACKTRACKS counts
     trials; the float floor is checked per trial, in order), and only taken
     pulses keep their record.  A converged restart drops the later ones."""
     dt, lam, clip = config.step_duration, config.lam, config.max_amp
-    runs = [SimpleNamespace(restart=r, rows=[], alpha=None, trial=None, stop=None)
+    runs = [SimpleNamespace(restart=r, rows=[], alpha=None, searching=False, stop=None)
             for r in restarts]
 
     def evaluate(candidates, it):
-        """One stacked objective call over (run, I, Q, move) candidates, each
-        run's in trial order (at iteration 0 one each, taken unconditionally)."""
+        """One stacked objective call over (run, I, Q, move, trial) candidates,
+        each run's in trial order (at iteration 0 one each, taken unconditionally)."""
         record, taken = [], []
         bds = _objective(ens, np.array([c[1] for c in candidates]),
                          np.array([c[2] for c in candidates]), dt, lam, record)
-        for p, ((run, i_amps, q_amps, move), bd) in enumerate(zip(candidates, bds)):
-            if it and run.trial is None:
-                continue    # took an earlier trial of this call
-            if it and not bd.f <= run.bd.f - ARMIJO_C * move:
-                run.trial *= BACKTRACK_FACTOR
-                continue
+        for p, ((run, i_amps, q_amps, move, trial), bd) in enumerate(zip(candidates, bds)):
+            if it and not (run.searching and bd.f <= run.bd.f - ARMIJO_C * move):
+                continue    # failed Armijo, or took an earlier trial of this call
             run.i_amps, run.q_amps, run.bd = i_amps, q_amps, bd
             taken.append((run, p))
-            run.rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, run.trial or 0.0))
+            run.rows.append(TraceRow(it, bd.f, bd.eps_i, bd.eps_j, bd.reg, trial))
             if it:
-                run.alpha, run.trial = run.trial * STEP_GROWTH, None
+                run.alpha, run.searching = trial * STEP_GROWTH, False
             if bd.f - bd.reg <= config.tol:
                 run.stop = "converged"
                 del runs[run.restart - runs[0].restart + 1:]
@@ -393,7 +390,7 @@ def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts, width):
         for j, (run, _) in enumerate(taken):
             run.record = (record, j)
 
-    evaluate([(run, *_initial_amplitudes(config, run.restart), 0.0) for run in runs], 0)
+    evaluate([(run, *_initial_amplitudes(config, run.restart), 0.0, 0.0) for run in runs], 0)
     for it in range(1, config.max_iters + 1):
         active = [run for run in runs if run.stop is None]
         if not active:
@@ -408,12 +405,12 @@ def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts, width):
                 continue
             if run.alpha is None:
                 run.alpha = 0.1 * clip / max(np.max(np.abs(g_i)), np.max(np.abs(g_q)))
-            run.g_i, run.g_q, run.trial = g_i, g_q, run.alpha
+            run.g_i, run.g_q, run.searching = g_i, g_q, True
         for first in range(0, MAX_BACKTRACKS, width):
             candidates, floored = [], []
-            for run in (run for run in runs if run.trial is not None):
-                trial = run.trial
-                for _ in range(min(width, MAX_BACKTRACKS - first)):
+            for run in (run for run in runs if run.searching):
+                for j in range(first, min(first + width, MAX_BACKTRACKS)):
+                    trial = run.alpha * BACKTRACK_FACTOR ** j
                     cand_i = np.clip(run.i_amps - trial * run.g_i, -clip, clip)
                     cand_q = np.clip(run.q_amps - trial * run.g_q, -clip, clip)
                     # projected Armijo: decrease measured against the realized move
@@ -422,16 +419,15 @@ def _lockstep(ens: _Ensemble, config: OptimizerConfig, restarts, width):
                     if ARMIJO_C * move < _DECREASE_FLOOR * max(1.0, abs(run.bd.f)):
                         floored.append(run)     # float resolution, if this trial is reached
                         break
-                    candidates.append((run, cand_i, cand_q, move))
-                    trial *= BACKTRACK_FACTOR
+                    candidates.append((run, cand_i, cand_q, move, trial))
             if candidates:
                 evaluate(candidates, it)
-            for run in (run for run in floored if run.trial is not None):
-                run.stop, run.trial = "stationary", None
+            for run in (run for run in floored if run.searching):
+                run.stop, run.searching = "stationary", False
             if not candidates:
                 break
-        for run in (run for run in runs if run.trial is not None):
-            run.stop, run.trial = "diverged", None
+        for run in (run for run in runs if run.searching):
+            run.stop, run.searching = "diverged", False
     return runs
 
 

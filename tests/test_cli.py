@@ -483,7 +483,7 @@ class TestExitCodes:
                          "--u-max-um", "4", "--nu", "3",
                          "--out-prefix", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: --rabi-mhz: must be > 0")
+        assert capsys.readouterr().err.startswith("error: --rabi-mhz: must be >= 5e-22")
         assert not list(tmp_path.glob("o*"))
 
     @pytest.mark.parametrize("rabi", ["0", "-5"])
@@ -528,6 +528,33 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "lam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambda", "1"], "--lambda: must be < 1e-06"),
+        (["--lambda=-1"], "--lambda: must be >= 0"),
+        (["--lambda", "1e-6"], "--lambda: must be < 1e-06"),
+        (["--steps", "2", "--duration", "5e-324"],
+         "--duration/--steps: the step duration underflows to 0"),
+    ], ids=["lambda-1", "lambda-negative", "lambda-1e-6", "duration-underflow"])
+    def test_optimizer_rules_name_their_flags(self, close_pair_config, tmp_path, capsys,
+                                              argv, message):
+        # each used to exit 2 naming the library's `lam` or `dt`
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["optimize", "--config", close_pair_config,
+                             "--target-site", "nv-b", "--idle-site", "nv-c", *argv,
+                             "--out-pulse", str(tmp_path / "o.csv"),
+                             "--out-trace", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("lam", ["0", repr(math.nextafter(1e-6, 0.0))])
+    def test_lambda_parses_up_to_its_bound(self, lam):
+        args = cli.build_parser().parse_args([
+            "optimize", "--config", "c.json", "--target-site", "a", "--lambda", lam,
+            "--out-pulse", "p.csv", "--out-trace", "t.jsonl"])
+        assert getattr(args, "lambda") == float(lam)
 
     def test_missing_config_is_2(self, tmp_path):
         code = cli.main(["address-map", "--config", str(tmp_path / "none.json"),
@@ -598,7 +625,7 @@ class TestFlagRules:
         assert {prefix[0] for prefix, _ in TYPED_FLAGS} == {
             "address-map", "simulate", "optimize", "crosstalk-map", "sweep"}
         bounded = {flag_id(f) for f in BOUNDED_FLAGS}
-        assert {"crosstalk-map --rabi-mhz above", "optimize --steps least"} <= bounded
+        assert {"crosstalk-map --rabi-mhz least", "optimize --steps least"} <= bounded
         assert not {"simulate --rabi-mhz least", "simulate --rabi-mhz above"} & bounded
 
     @pytest.mark.parametrize("flag", TYPED_FLAGS, ids=flag_id)
@@ -635,11 +662,11 @@ class TestFlagRules:
 
 def si_scale(action):
     """The factor to SI units that a flag's type checks its values against:
-    its own, or its bounds' for a `_range`; 1.0 when it checks none."""
+    its own `si`, or its bounds' for a `_range`; 1.0 when it checks none."""
     own = rules(action)
     if "bound" in own:
         own = inspect.getclosurevars(own["bound"]).nonlocals
-    return own.get("scale", 1.0)
+    return own.get("si") or 1.0
 
 
 def si_factor(action):
@@ -658,7 +685,7 @@ class TestSIUnits:
 
     def test_every_mhz_and_ghz_flag_checks_its_conversion(self):
         scales = {action.option_strings[0]: si_scale(action) for _, action in TYPED_FLAGS}
-        assert {flag: scale for flag, scale in scales.items() if scale != 1.0} == {
+        assert {flag: scale for flag, scale in scales.items() if scale > 1.0} == {
             "--rabi-mhz": 1e6, "--delta-mhz": 1e6, "--f-min-ghz": 1e9,
             "--f-max-ghz": 1e9, "--probe-rabi-mhz": 1e6, "--linewidth-mhz": 1e6,
             "--delta-range": 1e6}
@@ -797,6 +824,22 @@ class TestOverflowNamesItsSource:
         err = self.run([*command, *given, *argv], out, capsys)
         assert err == f"error: {flag}: beyond 1e+15 in SI units (Hz or s)\n"
 
+    @pytest.mark.parametrize("command, argv", [
+        (["simulate", "odmr"], ["--f-min-ghz=-1e6", "--f-max-ghz", "1e6",
+                                "--probe-rabi-mhz", "1e-300"]),
+        (["crosstalk-map"], ["--idc-ma", "0", "--target-u-um", "1.5", "--u-min-um=-4",
+                             "--u-max-um", "4", "--nu", "3", "--rabi-mhz", "1e-300"]),
+    ], ids=["odmr", "crosstalk-map"])
+    def test_a_rate_whose_pi_pulse_passes_the_ceiling_names_its_flag(
+            self, demo_config, tmp_path, capsys, command, argv):
+        # a pi pulse lasts 1/(2 rate), 5e293 s at 1e-300 MHz: both used to
+        # print numpy RuntimeWarnings, then blame a CSV column or an epsilon
+        out = tmp_path / "o"
+        given = ["--config", demo_config,
+                 "--out-prefix" if command == ["crosstalk-map"] else "--out", str(out)]
+        err = self.run([*command, *given, *argv], out, capsys)
+        assert err == f"error: {argv[-2]}: must be >= 5e-22\n"
+
 
 class TestValuesAtTheCeiling:
     """Rates of 1e15 Hz and durations of 1e15 s, the ceiling of each, run
@@ -842,36 +885,74 @@ class TestValuesAtTheCeiling:
                   "--amp-range", "0.9:1.1:2", "--out", str(tmp_path / "sweep.csv")])
         self.assert_finite(tmp_path / "sweep.csv")
 
+    def test_least_rates(self, demo_config, tmp_path):
+        # 5e-22 MHz gives a pi pulse of 1e15 s, the ceiling of a duration
+        self.run(["simulate", "odmr", "--config", demo_config, "--points", "7",
+                  "--f-min-ghz=-1e6", "--f-max-ghz", "1e6", "--probe-rabi-mhz", "5e-22",
+                  "--out", str(tmp_path / "odmr.csv")])
+        self.assert_finite(tmp_path / "odmr.csv")
+        self.run(["crosstalk-map", "--config", demo_config, "--idc-ma", "0",
+                  "--target-u-um", "1.5", "--rabi-mhz", "5e-22", "--u-min-um=-4",
+                  "--u-max-um", "4", "--nu", "3", "--out-prefix", str(tmp_path / "x")])
+        self.assert_finite(tmp_path / "x_idc0ma.csv")
+
+    def test_pulse_file_at_the_ceiling(self, close_pair_config, tmp_path):
+        # amplitudes of 1e9 MHz and steps of 1e15 s, swept at scales up to 1
+        pulse = tmp_path / "pulse.csv"
+        pulse.write_text("t_ns,i_mhz,q_mhz\n1e24,1e9,-1e9\n2e24,-1e9,1e9\n3e24,1e9,1e9\n")
+        sites = ["--config", close_pair_config, "--pulse", str(pulse)]
+        self.run(["simulate", "pulse", *sites, "--out", str(tmp_path / "eps.csv")])
+        self.assert_finite(tmp_path / "eps.csv")
+        self.run(["sweep", *sites, "--target-site", "nv-b", "--idle-site", "nv-c",
+                  "--delta-range=-1e9:1e9:3", "--amp-range=-1:1:3",
+                  "--out", str(tmp_path / "sweep.csv")])
+        self.assert_finite(tmp_path / "sweep.csv")
+
 
 class TestNaNIsNeverWritten:
-    """Finite inputs whose dynamics overflow to NaN, beyond what the flags'
-    ceiling bounds (a pulse file's amplitudes, `--amp-range` products): the
-    one CSV writer refuses the NaN, so each exits 2 naming the file and
-    column, and writes no file.  Each used to exit 0 writing nan."""
+    """Finite inputs whose dynamics would overflow to NaN.  A pulse file's
+    amplitudes and `--amp-range` products beyond the ceiling exit 2 naming
+    their line or flag before any simulation, with no numpy warning; where no
+    ceiling applies, the one CSV writer refuses the NaN, naming the file and
+    column.  None writes a file.  Each used to exit 0 writing nan."""
 
     def run(self, argv, out, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # numpy's overflow
+        """stderr and the warning categories of a command that exits 2."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli.main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
-        return capsys.readouterr().err
+        return capsys.readouterr().err, [w.category for w in caught]
 
     def test_simulate_pulse(self, close_pair_config, tmp_path, capsys):
         pulse, out = tmp_path / "big.csv", tmp_path / "eps.csv"
         pulse.write_text("t_ns,i_mhz,q_mhz\n50,1e300,0\n100,1e300,0\n")
-        err = self.run(["simulate", "pulse", "--config", close_pair_config,
-                        "--pulse", str(pulse)], out, capsys)
-        assert err == f"error: {out}: column 'eps' holds NaN\n"
+        err, warned = self.run(["simulate", "pulse", "--config", close_pair_config,
+                                "--pulse", str(pulse)], out, capsys)
+        assert (err, warned) == ("error: line 2: amplitude beyond 1e+09 MHz\n", [])
 
     def test_sweep(self, close_pair_config, close_pair_run, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        err = self.run(["sweep", "--config", close_pair_config,
-                        "--pulse", str(close_pair_run[0]),
-                        "--target-site", "nv-b", "--idle-site", "nv-c",
-                        "--delta-range=-0.2:0.2:3", "--amp-range", "1e300:1e301:2"],
-                       out, capsys)
-        # the scale drives every spin, so the target's column is the first with NaN
-        assert err == f"error: {out}: column 'eps_i' holds NaN\n"
+        err, warned = self.run(["sweep", "--config", close_pair_config,
+                                "--pulse", str(close_pair_run[0]),
+                                "--target-site", "nv-b", "--idle-site", "nv-c",
+                                "--delta-range=-0.2:0.2:3", "--amp-range", "1e300:1e301:2"],
+                               out, capsys)
+        assert (err, warned) == ("error: --amp-range: scaled pulse beyond 1e+15 Hz\n", [])
+
+    def test_config_carrier_far_from_every_address(self, close_pair_config, tmp_path,
+                                                    capsys):
+        # no ceiling bounds a config's carrier: the detunings overflow where
+        # the steps are built, numpy warns, and the writer refuses the NaN
+        doc = json.loads(Path(close_pair_config).read_text())
+        doc["drive"]["carrier_ghz"] = 1e299
+        config, pulse, out = tmp_path / "far.json", tmp_path / "p.csv", tmp_path / "eps.csv"
+        config.write_text(json.dumps(doc))
+        write_pulse(pulse, rect_pi_pulse(1e6, m=4))
+        err, warned = self.run(["simulate", "pulse", "--config", str(config),
+                                "--pulse", str(pulse)], out, capsys)
+        assert err == f"error: {out}: column 'eps' holds NaN\n"
+        assert RuntimeWarning in warned
 
 
 class TestFlagErrors:

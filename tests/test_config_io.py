@@ -269,7 +269,7 @@ class TestDemoConfigs:
 
     def test_demos_match_their_generator(self, demo_config, close_pair_config):
         # the bundled files are what tools/regen_demo_configs.py writes, up to
-        # the last bits of the wire-depth bisection
+        # the last bits of the wire-depth search
         tool = Path(__file__).resolve().parents[1] / "tools" / "regen_demo_configs.py"
         spec = importlib.util.spec_from_file_location("regen_demo_configs", tool)
         regen = importlib.util.module_from_spec(spec)

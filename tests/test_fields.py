@@ -24,7 +24,7 @@ from spinmux import (
     zeeman_shift,
 )
 import spinmux.fields as fields
-from spinmux.fields import (CALIBRATION_DEPTH_RANGE, CALIBRATION_HALVINGS,
+from spinmux.fields import (CALIBRATION_DEPTH_RANGE, CALIBRATION_ROUNDS,
                             MIN_FILAMENT_DISTANCE, MU0)
 from spinmux.spins import _dot
 
@@ -104,8 +104,9 @@ def reference_address_map(env, drive, sites):
             for site in sorted(sites, key=lambda s: s.id)]
 
 
-def reference_calibrate_wire(env, target_shift, at_u, i_dc):
-    """calibrate_wire with one FieldEnvironment and one field evaluation per depth."""
+def reference_residual(env, target_shift, at_u, i_dc):
+    """zeeman_shift - target_shift at one depth, from a FieldEnvironment whose
+    wire is moved there."""
     axis = dipole_axis(DipoleOrientation())
     point = np.array([at_u, 0.0, 0.0])
 
@@ -114,34 +115,49 @@ def reference_calibrate_wire(env, target_shift, at_u, i_dc):
         b_z, _ = project_field(reference_wire_field(trial.wire, i_dc, point), axis)
         return trial.constants.gamma_nv * b_z - target_shift
 
-    lo, hi = CALIBRATION_DEPTH_RANGE
-    grid = np.geomspace(lo, hi, 64)
+    return residual
+
+
+def reference_bracket(residual, grid):
+    """(lo, hi) at the first grid depth with a zero residual (lo == hi) or a
+    sign change to the next, one depth at a time."""
     values = [residual(d) for d in grid]
-    bracket = None
     for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if fa == 0.0:
-            bracket = (a, a)
-            break
+            return a, a
         if fa * fb < 0:
-            bracket = (a, b)
-            break
-    if bracket is None:
-        if values[-1] == 0.0:
-            bracket = (grid[-1], grid[-1])
-        else:
-            raise NoSolution("unreachable")
-    lo, hi = bracket
+            return a, b
+    if values[-1] == 0.0:
+        return grid[-1], grid[-1]
+    raise NoSolution("unreachable")
+
+
+def reference_calibrate_wire(env, target_shift, at_u, i_dc):
+    """calibrate_wire with one FieldEnvironment and one field evaluation per depth."""
+    residual = reference_residual(env, target_shift, at_u, i_dc)
+    grid = np.geomspace(*CALIBRATION_DEPTH_RANGE, 64)
+    for _ in range(CALIBRATION_ROUNDS):
+        lo, hi = reference_bracket(residual, grid)
+        grid = np.linspace(lo, hi, 64)
+    depth = 0.5 * (lo + hi)
+    if abs(residual(depth)) > 1e3:
+        raise NoSolution("missed the 1 kHz tolerance")
+    return env.wire.with_depth(depth)
+
+
+def reference_bisection(env, target_shift, at_u, i_dc, halvings=46):
+    """The depth search the rounds replaced: the 64-point geometric scan's
+    bracket, then bisected `halvings` times on the sign of its low end."""
+    residual = reference_residual(env, target_shift, at_u, i_dc)
+    lo, hi = reference_bracket(residual, np.geomspace(*CALIBRATION_DEPTH_RANGE, 64))
     lo_negative = residual(lo) < 0.0
-    for _ in range(CALIBRATION_HALVINGS if lo != hi else 0):
+    for _ in range(halvings if lo != hi else 0):
         mid = 0.5 * (lo + hi)
         if (residual(mid) < 0.0) == lo_negative:
             lo = mid
         else:
             hi = mid
-    depth = 0.5 * (lo + hi)
-    if abs(residual(depth)) > 1e3:
-        raise NoSolution("missed the 1 kHz tolerance")
-    return env.wire.with_depth(depth)
+    return env.wire.with_depth(0.5 * (lo + hi))
 
 
 def assert_same_bits(got, want):
@@ -381,8 +397,8 @@ class TestCalibrateWire:
             calibrate_wire(env, rng.uniform(30e6, 150e6), rng.uniform(2e-6, 3e-6),
                            rng.uniform(0.12, 0.2))
         monkeypatch.undo()
-        # per calibration: the scan, the bracket's low end, the halvings, the check
-        assert len(calls) == 3 * (CALIBRATION_HALVINGS + 3)
+        # per calibration: one call per round of 64 depths, and the check
+        assert len(calls) == 3 * (CALIBRATION_ROUNDS + 1)
         depths = np.exp(rng.uniform(*np.log(CALIBRATION_DEPTH_RANGE), 40))
         points = np.array([[rng.uniform(2e-6, 3e-6), 0.0, d] for d in depths])
         calls.append((0.15, points, wire_field(surface, 0.15, points)))
@@ -394,6 +410,20 @@ class TestCalibrateWire:
                 want = zeeman_shift(moved, i_dc, np.array([point[0], 0.0, 0.0]))
                 assert point[1] == 0.0
                 assert env.constants.gamma_nv * float(_dot(b_point, axis)) == want
+
+
+    @pytest.mark.parametrize("make_env", (demo_environment, strip_environment),
+                             ids=["thin", "strip"])
+    def test_depth_is_within_16_ulps_of_the_bisection(self, make_env):
+        # the rounds replaced 46 halvings of the scan's bracket, whose last
+        # bracket was about 1.6e-15 of the depth wide
+        env, rng = make_env(), np.random.default_rng(21)
+        for _ in range(25):
+            target = rng.uniform(30e6, 150e6)
+            at_u, i_dc = rng.uniform(2e-6, 3e-6), rng.uniform(0.12, 0.2)
+            want = -reference_bisection(env, target, at_u, i_dc).anchor[2]
+            got = -calibrate_wire(env, target, at_u, i_dc).anchor[2]
+            assert abs(got - want) <= 16 * np.spacing(want)
 
 
 class TestZeemanShift:

@@ -188,6 +188,26 @@ class TestParseErrors:
             read_pulse(path)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("body, line, message", [
+        ("10,1,0\n20,-1.000001e9,0\n30,1,0\n", 3, "amplitude beyond 1e+09 MHz"),
+        ("10,1,0\n\n20,1,1e300\n", 4, "amplitude beyond 1e+09 MHz"),
+        ("2e24,1,0\n4e24,1,0\n", 2, "step longer than 1e+15 s"),
+    ], ids=["i", "q", "step"])
+    def test_beyond_the_ceiling_reports_line(self, tmp_path, body, line, message):
+        # such files used to overflow in the step builder, with numpy warnings
+        path = tmp_path / "p.csv"
+        path.write_text("t_ns,i_mhz,q_mhz\n" + body)
+        with pytest.raises(ParseError) as err:
+            read_pulse(path)
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_a_pulse_at_the_ceiling_reads(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("t_ns,i_mhz,q_mhz\n1e24,1e9,-1e9\n2e24,-1e9,1e9\n")
+        pulse = read_pulse(path)
+        assert pulse.dt == 1e15
+        assert np.abs(pulse.amplitudes()).max() == 1e15
+
     def test_values_match_float_per_field(self, tmp_path):
         # padding, signs, exponents and underscores parse as float() does
         rows = [" 10 ,+1.5e0, -0", "20,1_000.25,\t3e-7 ", "30.0,-0.0,1E2\r"]
