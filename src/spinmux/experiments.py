@@ -1,11 +1,16 @@
 """Simulated register measurements: Rabi, Ramsey, swept-frequency spectra,
 and spatial crosstalk maps for a pi-pulse aimed at one spin.
+
+A crosstalk map's one field pass yields its columns, and each grid point's
+`CrosstalkEntry` is a NamedTuple built from one row of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +20,11 @@ from .spins import DipoleOrientation, HyperfineManifold, dipole_axis, \
     hyperfine_detunings, transition_frequencies
 
 
-@dataclass(frozen=True)
-class CrosstalkEntry:
+class CrosstalkEntry(NamedTuple):
+    """One grid point of a crosstalk map.  A NamedTuple, not a frozen
+    dataclass: a map builds one per point, and a frozen dataclass's __init__
+    costs about three times as much as building a tuple."""
+
     site_id: str
     detuning: float    # Hz, relative to the pulse carrier
     epsilon: float     # simulated flip error on |0>
@@ -34,6 +42,13 @@ class CrosstalkReport:
             if not 0.0 <= e.epsilon <= 1.0:
                 raise ValueError(f"epsilon out of [0, 1] at {e.site_id}")
         object.__setattr__(self, "entries", tuple(self.entries))
+
+
+@functools.lru_cache(maxsize=4)
+def _point_ids(n: int) -> tuple:
+    """The ids g0000, g0001, ... of a map's n grid points.  Formatting them
+    took a fifth of a 40 x 25 map's time, so each size is formatted once."""
+    return tuple(f"g{k:04d}" for k in range(n))
 
 
 def _flip_populations(rabi, delta, duration) -> np.ndarray:
@@ -157,6 +172,6 @@ def crosstalk_landscape(
     rabis, deltas = rabis.tolist(), deltas.tolist()
     # scalar (rabi/delta)**2: numpy's array power can round it one ulp apart
     bounds = [math.inf if d == 0.0 else (r / d) ** 2 for r, d in zip(rabis, deltas)]
-    ids = [f"g{k:04d}" for k in range(len(deltas))]
-    return CrosstalkReport(entries=tuple(map(CrosstalkEntry, ids, deltas, eps.tolist(),
-                                             bounds)))
+    return CrosstalkReport(entries=tuple(map(CrosstalkEntry._make,
+                                             zip(_point_ids(len(deltas)), deltas,
+                                                 eps.tolist(), bounds))))

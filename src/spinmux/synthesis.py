@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import (TWO_PI, PulseProgram, _clamp_unit, _compose, _scan,
+from .dynamics import (TWO_PI, PulseProgram, _clamp_unit, _compose, _product, _scan,
                        _su2_pairs, _su2_q, _tree)
 from .errors import Diverged
 from .spins import HyperfineManifold, hyperfine_detunings
@@ -175,29 +175,38 @@ class _Ensemble:
         return cls((scenario.target_detuning, *idle), scenario.manifold,
                    [-1.0] + [1.0] * len(idle))
 
+    def _steps(self, i_amps, q_amps, dt, rows, coefficient=False):
+        """`_su2_pairs` of the members in `rows` per pulse of the (..., m)
+        amplitudes, members and steps the last two axes."""
+        return _su2_pairs(TWO_PI * np.asarray(i_amps)[..., None, :],
+                          TWO_PI * np.asarray(q_amps)[..., None, :],
+                          TWO_PI * self.deltas[rows, None], dt, coefficient)
+
     def forward(self, i_amps, q_amps, dt, rows):
         """z = <1|U|0> of the members in `rows` per pulse of the (..., m)
         amplitudes, and the record the gradient reads: (rows, the levels of
         the steps' `_tree`, `_su2_pairs`'s k), each with the pulse axes first."""
-        steps, k = _su2_pairs(TWO_PI * np.asarray(i_amps)[..., None, :],
-                              TWO_PI * np.asarray(q_amps)[..., None, :],
-                              TWO_PI * self.deltas[rows, None], dt, coefficient=True)
+        steps, k = self._steps(i_amps, q_amps, dt, rows, coefficient=True)
         levels = _tree(*steps)
         return levels[-1][1][..., 0], (rows, levels, k)
 
     def transfer_means(self, i_amps, q_amps, dt, record=None) -> np.ndarray:
         """Mean |<1|U|0>|^2 per pulse and spin, in spin order, evaluated in row
         blocks of at most _BLOCK_MEMBER_STEPS member-steps over all pulses (one
-        member per block when the pulses alone are longer).  Each block's
-        `forward` record is appended to the list `record` when one is given."""
+        member per block when the pulses alone are longer).  With a list
+        `record`, each block runs `forward` and its record is appended; without
+        one, a block's steps go into the streamed `_product`, so that neither
+        the tree's lower levels nor k outlive their use."""
         n, rows = len(self.deltas), max(1, _BLOCK_MEMBER_STEPS // np.size(i_amps))
         members = np.empty(np.shape(i_amps)[:-1] + (n,))
         for start in range(0, n, rows):
-            z, block_record = self.forward(i_amps, q_amps, dt, slice(start, start + rows))
-            members[..., block_record[0]] = np.abs(z) ** 2
-            if record is not None:
+            block = slice(start, start + rows)
+            if record is None:
+                z = _product(*self._steps(i_amps, q_amps, dt, block))[1]
+            else:
+                z, block_record = self.forward(i_amps, q_amps, dt, block)
                 record.append(block_record)
-            del z, block_record     # not alive while the next block is built
+            members[..., block] = np.abs(z) ** 2
         return _clamp_unit(self._per_spin(members))
 
     def _per_spin(self, member_values: np.ndarray) -> np.ndarray:

@@ -911,10 +911,11 @@ class TestValuesAtTheCeiling:
 
 class TestNaNIsNeverWritten:
     """Finite inputs whose dynamics would overflow to NaN.  A pulse file's
-    amplitudes and `--amp-range` products beyond the ceiling exit 2 naming
-    their line or flag before any simulation, with no numpy warning; where no
-    ceiling applies, the one CSV writer refuses the NaN, naming the file and
-    column.  None writes a file.  Each used to exit 0 writing nan."""
+    amplitudes, `--amp-range` products, a config's carrier and every detuning
+    the pulse commands form beyond the ceiling exit 2 naming their line, flag,
+    field or site before any simulation, with no numpy warning; the one CSV
+    writer's NaN check stays behind them.  None writes a file.  Each used to
+    exit 0 writing nan."""
 
     def run(self, argv, out, capsys):
         """stderr and the warning categories of a command that exits 2."""
@@ -940,19 +941,49 @@ class TestNaNIsNeverWritten:
                                out, capsys)
         assert (err, warned) == ("error: --amp-range: scaled pulse beyond 1e+15 Hz\n", [])
 
-    def test_config_carrier_far_from_every_address(self, close_pair_config, tmp_path,
-                                                    capsys):
-        # no ceiling bounds a config's carrier: the detunings overflow where
-        # the steps are built, numpy warns, and the writer refuses the NaN
+    @staticmethod
+    def pulse_commands(close_pair_config, drive, tmp_path, capsys):
+        """(stderr, warning categories) of `simulate pulse`, `sweep` and
+        `optimize` on the close pair with `drive` merged into its config; each
+        must exit 2 and write no file."""
         doc = json.loads(Path(close_pair_config).read_text())
-        doc["drive"]["carrier_ghz"] = 1e299
-        config, pulse, out = tmp_path / "far.json", tmp_path / "p.csv", tmp_path / "eps.csv"
+        doc["drive"].update(drive)
+        config, pulse = tmp_path / "far.json", tmp_path / "p.csv"
         config.write_text(json.dumps(doc))
         write_pulse(pulse, rect_pi_pulse(1e6, m=4))
-        err, warned = self.run(["simulate", "pulse", "--config", str(config),
-                                "--pulse", str(pulse)], out, capsys)
-        assert err == f"error: {out}: column 'eps' holds NaN\n"
-        assert RuntimeWarning in warned
+        sites = ["--target-site", "nv-b", "--idle-site", "nv-c"]
+        out = str(tmp_path / "out.csv")
+        results = []
+        for argv in (["simulate", "pulse", "--pulse", str(pulse), "--out", out],
+                     ["sweep", "--pulse", str(pulse), *sites, "--delta-range", "0:0:1",
+                      "--amp-range", "1:1:1", "--out", out],
+                     ["optimize", *sites, "--steps", "4", "--out-pulse", out,
+                      "--out-trace", str(tmp_path / "out.jsonl")]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main([*argv, "--config", str(config)]) == 2
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json", "p.csv"]
+            results.append((capsys.readouterr().err, [w.category for w in caught]))
+        return results
+
+    def test_config_carrier_far_from_every_address(self, close_pair_config, tmp_path,
+                                                    capsys):
+        # used to overflow where the steps are built: numpy warned, `simulate
+        # pulse` refused a NaN column, and `sweep` and `optimize` blamed
+        # --idle-site, as both detunings rounded to the same -1e308 Hz
+        results = self.pulse_commands(close_pair_config, {"carrier_ghz": 1e299},
+                                      tmp_path, capsys)
+        assert results == [("error: drive.carrier_ghz: 1e+299 GHz, beyond 1e+06 GHz\n",
+                            [])] * 3
+
+    def test_address_far_from_the_carrier_names_its_site(self, close_pair_config,
+                                                          tmp_path, capsys):
+        # a finite address 4e295 Hz away: `optimize` used to exit 3 writing
+        # its files, the other two refused a NaN column after numpy warnings
+        results = self.pulse_commands(close_pair_config, {"i_dc_ma": 1e290}, tmp_path,
+                                      capsys)
+        assert results == [("error: site 'nv-b': 4.05257e+295 Hz from the carrier, "
+                            "beyond 1e+15 Hz\n", [])] * 3
 
 
 class TestFlagErrors:

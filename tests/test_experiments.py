@@ -23,7 +23,8 @@ from spinmux import (
     step_propagator,
 )
 from spinmux.dynamics import TWO_PI, _clamp_unit, _su2_pairs
-from spinmux.experiments import CrosstalkEntry, _flip_populations, _lorentzian_smooth
+from spinmux.experiments import CrosstalkEntry, CrosstalkReport, _flip_populations, \
+    _lorentzian_smooth
 from spinmux.fields import _field_arrays
 from spinmux.spins import dipole_axis, hyperfine_detunings, transition_frequencies
 
@@ -487,3 +488,14 @@ class TestStackedPathsMatchReferences:
                 assert got_ids == want_ids
                 assert_same_bits(got_values, want_values)
                 assert got[7].bound == math.inf
+
+
+@pytest.mark.parametrize("epsilons, first", [
+    ((0.5, 1.5, -0.1), "g0001"),
+    ((0.0, 1.0, -1e-300), "g0002"),
+    ((math.nan, 0.5, 2.0), "g0000"),
+], ids=["above", "below", "nan"])
+def test_crosstalk_epsilon_out_of_range_names_the_first_bad_point(epsilons, first):
+    entries = [CrosstalkEntry(f"g{k:04d}", 1e6, eps, 1.0) for k, eps in enumerate(epsilons)]
+    with pytest.raises(ValueError, match=rf"^epsilon out of \[0, 1\] at {first}$"):
+        CrosstalkReport(entries=tuple(entries))

@@ -1,8 +1,9 @@
 """The pair kernel (tree product and prefix scan) against a stepwise 2x2 loop,
 the scan as the tree's down-sweep against the recursive scan, the step pairs
 and q against their always-guarded build, and the one-scan gradient against
-the two-scan, derivative-pair gradient; blocked forward evaluation against one
-block; pulse stacks against one pulse at a time."""
+the two-scan, derivative-pair gradient; the streamed product against the top of
+the kept tree; blocked forward evaluation against one block, and with a record
+against without; pulse stacks against one pulse at a time."""
 
 import tracemalloc
 
@@ -161,6 +162,19 @@ def test_last_prefix_is_the_product_bit_for_bit(m):
     sa, sb = _scan(_tree(a, b))
     pa, pb = _product(a, b)
     assert same_bits(sa[:, -1], pa) and same_bits(sb[:, -1], pb)
+
+
+@pytest.mark.parametrize("m", range(1, 71))
+def test_streamed_product_is_the_top_of_the_kept_tree(m):
+    # pulses x members x steps, as the forward-only path stacks them
+    rng = np.random.default_rng([m, 71])
+    a, b = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (2, 1, m)),
+                      TWO_PI * rng.uniform(-5e6, 5e6, (2, 1, m)),
+                      TWO_PI * rng.uniform(-3e6, 3e6, (4, 1)), DT)
+    top_a, top_b = _tree(a, b)[-1]
+    pa, pb = _product(a, b)
+    assert pa.shape == pb.shape == (2, 4)
+    assert same_bits(pa, top_a[..., 0]) and same_bits(pb, top_b[..., 0])
 
 
 def test_scan_of_an_empty_axis_is_empty():
@@ -453,16 +467,16 @@ def test_gradient_runs_one_scan(monkeypatch):
 
 
 def blocked_transfer_means(monkeypatch, ens, i_amps, q_amps, budget):
-    """transfer_means under a member-step budget, with the number of blocks
-    (product trees) it ran."""
+    """transfer_means under a member-step budget, with the shapes of the blocks
+    (streamed products) its forward-only path ran."""
     calls = []
 
-    def counting_tree(a, b):
+    def counting_product(a, b):
         calls.append(a.shape)
-        return _tree(a, b)
+        return _product(a, b)
 
     monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
-    monkeypatch.setattr(synthesis, "_tree", counting_tree)
+    monkeypatch.setattr(synthesis, "_product", counting_product)
     got = ens.transfer_means(i_amps, q_amps, DT)
     monkeypatch.undo()
     return got, calls
@@ -506,6 +520,19 @@ def test_long_pulse_transfer_means_equal_one_block(monkeypatch):
                                         synthesis._BLOCK_MEMBER_STEPS)
     assert len(calls) > 1
     assert np.array_equal(got, whole)
+
+
+@pytest.mark.parametrize("m", (1, 2, 7, 200, 2000))
+@pytest.mark.parametrize("budget", (2 ** 14, 1000, 1))
+def test_transfer_means_with_and_without_a_record_agree(monkeypatch, m, budget):
+    # the descent's kept tree and the streamed product give the same bits
+    rng = np.random.default_rng([m, budget, 3])
+    ens = mixed_ensemble(rng, 3)
+    i_amps, q_amps = rng.uniform(-5e6, 5e6, (2, 3, m))
+    monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
+    record = []
+    kept = ens.transfer_means(i_amps, q_amps, DT, record)
+    assert record and np.array_equal(ens.transfer_means(i_amps, q_amps, DT), kept)
 
 
 def test_transfer_means_memory_stays_flat():

@@ -1,6 +1,7 @@
 """The two tools that gate a change, imported by path: `compare_outputs.py`
 (CLI outputs of two trees) and `bench_pairs.py` (paired benchmark
-statistics).  Nothing here runs the CLI or a benchmark."""
+statistics); and the paired ratios of the profile tools' shared driver,
+`profile_pairs.py`.  Nothing here runs the CLI or a benchmark."""
 
 import importlib.util
 import json
@@ -26,6 +27,7 @@ def load_tool(name):
 
 compare_outputs = load_tool("compare_outputs")
 bench_pairs = load_tool("bench_pairs")
+profile_pairs = load_tool("profile_pairs")
 
 
 def write_outputs(out):
@@ -207,3 +209,23 @@ class TestBenchPairsStatistics:
         wall = bench_pairs.summarize(runs, SPEC)["metrics"]["wall_s"]
         assert wall["change_better_pairs"] == 5
         assert wall["gain_exceeds_parent_iqr"] is False    # 0.05 against 0.4
+
+
+class TestProfilePairsRatios:
+    def test_ratios_are_paired_per_timing(self, capsys):
+        pairs = [({"timings": {"cost[0]": 1.0, "wall_s": 2.0}},
+                  {"timings": {"cost[0]": 2.0, "wall_s": 2.0}}),
+                 ({"timings": {"cost[0]": 3.0, "wall_s": 1.0}},
+                  {"timings": {"cost[0]": 2.0, "wall_s": 2.0}})]
+        profile_pairs.print_ratios(Path("a"), Path("b"), pairs)
+        lines = capsys.readouterr().out.splitlines()
+        assert "| cost[0] | 1.000 | 0.750 | 1.250 |" in lines     # ratios 0.5 and 1.5
+        assert "| wall_s | 0.750 | 0.625 | 0.875 |" in lines      # ratios 1.0 and 0.5
+
+    @pytest.mark.parametrize("argv", (["src", "--pairs", "0"], ["src", "--passes", "0"]))
+    def test_counts_below_one_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            profile_pairs.main("tool.py", "A tool.", None, None, "seed",
+                               counts={"passes": (20, "passes")}, argv=argv)
+        assert exit_.value.code == 2
+        assert "--pairs, --passes must be >= 1" in capsys.readouterr().err

@@ -19,23 +19,22 @@ one `optimize` of 2 restarts x 20 iterations, tol 0, m = 200, as the best of
 With `--against`, each of the N pairs runs one worker per tree, alternating
 which runs first, and the script also prints the median and quartiles of the
 paired ratios SRC / SRC2 of the synth pass (the 6 tasks, best of 3) and of
-each table row; a ratio below 1 means SRC is faster.
+each table row; a ratio below 1 means SRC is faster.  The workers, pairs and
+ratios are `profile_pairs.py`'s, shared with `survey_profile.py`.
 
 Needs only the standard library and numpy (and what the measured trees need).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+import profile_pairs
+
 MEMBERS = (6, 12, 30, 90)
 ITERS, RESTARTS, M = 20, 2, 200
 REPEATS = 3
@@ -96,14 +95,6 @@ def _profile(seed: int) -> dict:
     return {"tasks": rows, "timings": timings}
 
 
-def run_worker(src: Path, seed: int) -> dict:
-    proc = subprocess.run([sys.executable, __file__, str(src), "--seed", str(seed),
-                           "--worker"], capture_output=True, text=True, cwd=REPO)
-    if proc.returncode:
-        raise SystemExit(f"worker for {src} failed:\n{proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def print_profile(src: Path, result: dict) -> None:
     print(f"## {src}\n")
     print("| task | objective calls | pulses | gradients | tracemalloc peak (MB) |")
@@ -124,50 +115,5 @@ def print_profile(src: Path, result: dict) -> None:
     print()
 
 
-def print_ratios(src: Path, against: Path, pairs: list) -> None:
-    print(f"## paired ratios {src} / {against}, {len(pairs)} alternated pairs\n")
-    print("| timing | median | q1 | q3 |")
-    print("|---|---|---|---|")
-    for key in pairs[0][0]["timings"]:
-        ratios = [mine["timings"][key] / theirs["timings"][key] for mine, theirs in pairs]
-        if len(ratios) > 1:
-            q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-        else:
-            q1 = median = q3 = ratios[0]
-        print(f"| {key} | {median:.3f} | {q1:.3f} | {q3:.3f} |")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", type=Path, help="directory holding the spinmux package")
-    parser.add_argument("--against", type=Path, default=None,
-                        help="a second such directory to pair against")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1, help="synth task seed")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    src = args.src.resolve()
-    if args.worker:
-        sys.path[:0] = [str(src), str(REPO)]
-        print(json.dumps(_profile(args.seed)))
-        return 0
-    if args.against is None:
-        print_profile(src, run_worker(src, args.seed))
-        return 0
-    against = args.against.resolve()
-    pairs = []
-    for n in range(args.pairs):
-        order = (src, against) if n % 2 == 0 else (against, src)
-        result = {tree: run_worker(tree, args.seed) for tree in order}
-        pairs.append((result[src], result[against]))
-        print(f"pair {n + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print_profile(src, pairs[0][0])
-    print_profile(against, pairs[0][1])
-    print_ratios(src, against, pairs)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(profile_pairs.main(__file__, __doc__, _profile, print_profile, "synth task seed"))
