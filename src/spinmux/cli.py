@@ -126,8 +126,10 @@ def _scenario_from_config(cfg: RegisterConfig, target_id: str, idle_ids):
     detuning = _detunings(cfg)
     target = _site(detuning, target_id, "--target-site")
     idle = []
-    for site_id in idle_ids:
+    for n, site_id in enumerate(idle_ids):
         idle.append(_site(detuning, site_id, "--idle-site"))
+        if site_id in idle_ids[:n]:     # it would count twice in f and in tol
+            raise ValidationError(f"site {site_id!r} given twice", field="--idle-site")
         if idle[-1] == target:
             raise ValidationError(f"site {site_id!r} has the target's address",
                                   field="--idle-site")

@@ -14,12 +14,11 @@ Pairs compose element-wise, U2 U1 = (a2 a1 - b2* b1, b2 a1 + a2* b1), and the
 same formula applied to a ket (x, y) in place of (a1, b1) gives U2 (x, y).
 U^H is the pair (a*, -b).  The exact derivative dU/da_j is never formed:
 the gradient contracts it in closed form from two real coefficients per step.
-Ordered products over the step axis run as a pairwise tree whose top is the
-final propagator; one generator (`_levels`) builds its levels.  The descent
-keeps every level (`_tree`), because the gradient's log-depth prefix scan
-(every intermediate propagator) is that tree's down-sweep, so a kept tree is
-never composed twice.  A forward-only evaluation (`_product`) keeps only the
-current level.  2x2 matrices are built only for `Propagator` at the API boundary.
+Ordered products over the step axis run as one pairwise tree (`_tree`) whose
+top is the final propagator (`_product`).  Every level is kept, because the
+gradient's log-depth prefix scan (every intermediate propagator) is that
+tree's down-sweep, so a kept tree is never composed twice.  2x2 matrices are
+built only for `Propagator` at the API boundary.
 """
 
 from __future__ import annotations
@@ -222,12 +221,11 @@ def _compose(a2, b2, a1, b1):
     return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
 
 
-def _levels(a, b):
+def _tree(a, b):
     """The levels of the pairwise product tree along the last axis, steps
-    first, one at a time: each composes the (odd, even) neighbours below; an
-    odd leftover rides up.  Only the level being built and the one below it
-    are held here."""
-    yield a, b
+    first: each composes the (odd, even) neighbours below, and an odd leftover
+    rides up.  The top is `_product`; the gradient's `_scan` reads every level."""
+    levels = [(a, b)]
     while a.shape[-1] > 1:
         n = a.shape[-1]
         pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
@@ -235,19 +233,13 @@ def _levels(a, b):
             pa = np.concatenate([pa, a[..., -1:]], axis=-1)
             pb = np.concatenate([pb, b[..., -1:]], axis=-1)
         a, b = pa, pb
-        yield a, b
-
-
-def _tree(a, b):
-    """Every level of `_levels`, kept for the gradient's down-sweep (`_scan`)."""
-    return list(_levels(a, b))
+        levels.append((a, b))
+    return levels
 
 
 def _product(a, b):
-    """Ordered product U[..., n-1] ... U[..., 0] along the last axis: the top of
-    `_tree`, streamed, so that a level is freed once the next one is built."""
-    for a, b in _levels(a, b):
-        pass
+    """Ordered product U[..., n-1] ... U[..., 0] along the last axis: the top of `_tree`."""
+    a, b = _tree(a, b)[-1]
     return a[..., 0], b[..., 0]
 
 

@@ -1,7 +1,8 @@
 """Simulated register measurements: Rabi, Ramsey, swept-frequency spectra,
 and spatial crosstalk maps for a pi-pulse aimed at one spin.
 
-A crosstalk map's one field pass yields its columns, and each grid point's
+Ramsey fringes and spectra average hyperfine members with `_member_mean`.  A
+crosstalk map's one field pass yields its columns, and each grid point's
 `CrosstalkEntry` is a NamedTuple built from one row of them.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dynamics import TWO_PI, _check_finite, _clamp_unit, _su2_pairs
 from .fields import FieldEnvironment, WireDrive, _field_arrays, _site_arrays, rabi_frequency
-from .spins import DipoleOrientation, HyperfineManifold, dipole_axis, \
+from .spins import DipoleOrientation, HyperfineManifold, _member_mean, dipole_axis, \
     hyperfine_detunings, transition_frequencies
 
 
@@ -80,7 +81,7 @@ def simulate_ramsey(
         raise ValueError("delta and taus must be finite, taus >= 0")
     detunings = hyperfine_detunings(delta, manifold)
     phases = 2.0 * math.pi * np.outer(taus, detunings)
-    return np.mean(np.cos(phases), axis=1) * np.exp(-taus / t2_star)
+    return _member_mean(np.cos(phases)) * np.exp(-taus / t2_star)
 
 
 def _lorentzian_smooth(scan: np.ndarray, values: np.ndarray, fwhm: float) -> np.ndarray:
@@ -126,10 +127,10 @@ def simulate_odmr(
                                         *_site_arrays(sites))
     # per site: upper then lower transition, each split by the manifold
     omegas = np.stack(transition_frequencies(env.constants, b_ext_z + b_dc_z), axis=1)
-    lines = hyperfine_detunings(omegas[..., None], manifold).ravel()
-
-    contrast = np.mean(
-        _flip_populations(probe_rabi, lines[None, :] - scan[:, None], duration), axis=1)
+    members = hyperfine_detunings(omegas.ravel()[:, None], manifold)
+    # one flat (points, lines x members) evaluation, then the members' mean
+    flips = _flip_populations(probe_rabi, members.ravel() - scan[:, None], duration)
+    contrast = np.mean(_member_mean(flips.reshape(len(scan), *members.shape)), axis=1)
     if linewidth_floor > 0:
         contrast = _lorentzian_smooth(scan, contrast, linewidth_floor)
     return contrast

@@ -146,3 +146,9 @@ def hyperfine_detunings(delta: float, manifold: HyperfineManifold) -> np.ndarray
     offset, so a zero splitting leaves one member, at the first offset (-0.0 in
     `triplet(0.0)`, which keeps the sign of a -0.0 delta)."""
     return delta + np.asarray(manifold.detuning_offsets[:3 if manifold.splitting else 1])
+
+
+def _member_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, one spin's `hyperfine_detunings` members, as
+    sum * (1/n): the one average over the manifold, wherever it is taken."""
+    return values.sum(axis=-1) * (1.0 / values.shape[-1])

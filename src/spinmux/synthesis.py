@@ -10,7 +10,8 @@ penalty that keeps the waveform generator-friendly.  The epsilon terms carry
 exact analytic gradients through the closed-form step exponentials; R
 contributes a sign subgradient.
 
-The forward kernel and the gradient take (P, m) amplitude stacks, one pulse
+Every evaluation runs one forward path, `_Ensemble.forward`, and the gradient
+reads the product trees it keeps.  Both take (P, m) amplitude stacks, one pulse
 per row, and give per-pulse results (`cost` passes a stack of one), so that
 `optimize` runs a group of restarts with one gradient call per iteration and
 one forward call per line-search round, which tries two trials per restart.
@@ -24,10 +25,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import (TWO_PI, PulseProgram, _clamp_unit, _compose, _product, _scan,
-                       _su2_pairs, _su2_q, _tree)
+from .dynamics import (TWO_PI, PulseProgram, _clamp_unit, _compose, _scan, _su2_pairs,
+                       _su2_q, _tree)
 from .errors import Diverged
-from .spins import HyperfineManifold, hyperfine_detunings
+from .spins import HyperfineManifold, _member_mean, hyperfine_detunings
 
 # Line-search constants: Armijo sufficient decrease with halving backtracks.
 ARMIJO_C = 1e-4
@@ -155,10 +156,10 @@ class _Ensemble:
 
     Each spin expands, spin-major, into its `hyperfine_detunings` members, and
     every member reads its flip amplitude z = <1|U|0>, the `b` of its
-    propagator; `transfer_means` averages |z|^2 back per spin.  A spin's goal
-    is a sign that only the gradient reads: -1 for a target (1 - |z|^2 in f),
-    +1 for a spectator (|z|^2).  This is the only place pulses are averaged
-    over the manifold.
+    propagator; `transfer_means` averages |z|^2 back per spin with
+    `_member_mean`, as every pulse evaluation does.  A spin's goal is a sign
+    that only the gradient reads: -1 for a target (1 - |z|^2 in f), +1 for a
+    spectator (|z|^2).
     """
 
     def __init__(self, detunings, manifold: HyperfineManifold, signs=1.0):
@@ -175,44 +176,35 @@ class _Ensemble:
         return cls((scenario.target_detuning, *idle), scenario.manifold,
                    [-1.0] + [1.0] * len(idle))
 
-    def _steps(self, i_amps, q_amps, dt, rows, coefficient=False):
-        """`_su2_pairs` of the members in `rows` per pulse of the (..., m)
-        amplitudes, members and steps the last two axes."""
-        return _su2_pairs(TWO_PI * np.asarray(i_amps)[..., None, :],
-                          TWO_PI * np.asarray(q_amps)[..., None, :],
-                          TWO_PI * self.deltas[rows, None], dt, coefficient)
-
     def forward(self, i_amps, q_amps, dt, rows):
         """z = <1|U|0> of the members in `rows` per pulse of the (..., m)
         amplitudes, and the record the gradient reads: (rows, the levels of
         the steps' `_tree`, `_su2_pairs`'s k), each with the pulse axes first."""
-        steps, k = self._steps(i_amps, q_amps, dt, rows, coefficient=True)
+        steps, k = _su2_pairs(TWO_PI * np.asarray(i_amps)[..., None, :],
+                              TWO_PI * np.asarray(q_amps)[..., None, :],
+                              TWO_PI * self.deltas[rows, None], dt, coefficient=True)
         levels = _tree(*steps)
         return levels[-1][1][..., 0], (rows, levels, k)
 
     def transfer_means(self, i_amps, q_amps, dt, record=None) -> np.ndarray:
-        """Mean |<1|U|0>|^2 per pulse and spin, in spin order, evaluated in row
-        blocks of at most _BLOCK_MEMBER_STEPS member-steps over all pulses (one
-        member per block when the pulses alone are longer).  With a list
-        `record`, each block runs `forward` and its record is appended; without
-        one, a block's steps go into the streamed `_product`, so that neither
-        the tree's lower levels nor k outlive their use."""
+        """Mean |<1|U|0>|^2 per pulse and spin, in spin order, from `forward`
+        in row blocks of at most _BLOCK_MEMBER_STEPS member-steps over all
+        pulses (one member per block when the pulses alone are longer).  Each
+        block's record is appended to the list `record` when one is given."""
         n, rows = len(self.deltas), max(1, _BLOCK_MEMBER_STEPS // np.size(i_amps))
         members = np.empty(np.shape(i_amps)[:-1] + (n,))
         for start in range(0, n, rows):
-            block = slice(start, start + rows)
-            if record is None:
-                z = _product(*self._steps(i_amps, q_amps, dt, block))[1]
-            else:
-                z, block_record = self.forward(i_amps, q_amps, dt, block)
+            z, block_record = self.forward(i_amps, q_amps, dt, slice(start, start + rows))
+            members[..., block_record[0]] = np.abs(z) ** 2
+            if record is not None:
                 record.append(block_record)
-            members[..., block] = np.abs(z) ** 2
+            del z, block_record     # not alive while the next block is built
         return _clamp_unit(self._per_spin(members))
 
     def _per_spin(self, member_values: np.ndarray) -> np.ndarray:
-        """Mean over each spin's members, which are laid out spin-major."""
+        """`_member_mean` of each spin's members, which are laid out spin-major."""
         shape = member_values.shape[:-1] + (self.num_spins, self.per_spin)
-        return member_values.reshape(shape).sum(axis=-1) * self.weight
+        return _member_mean(member_values.reshape(shape))
 
 
 def regularization(pulse: PulseProgram, lam: float) -> float:

@@ -1031,6 +1031,15 @@ class TestFlagErrors:
         assert not list(tmp_path.glob("o*"))
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_repeated_idle_site_names_the_flag_and_the_site(
+            self, close_pair_config, tmp_path, capsys, command):
+        # used to count nv-c twice: two equal eps_j, sum(eps_j) doubled in f and tol
+        argv = self.site_argv(command, close_pair_config, tmp_path, "nv-b", "nv-c")
+        assert cli.main([*argv, "--idle-site", "nv-c"]) == 2
+        assert capsys.readouterr().err == "error: --idle-site: site 'nv-c' given twice\n"
+        assert not list(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
     @pytest.mark.parametrize("target, idle, flag", [
         ("nope", "nv-c", "--target-site"),
         ("nv-b", "nope", "--idle-site"),

@@ -26,7 +26,8 @@ from spinmux.dynamics import TWO_PI, _clamp_unit, _su2_pairs
 from spinmux.experiments import CrosstalkEntry, CrosstalkReport, _flip_populations, \
     _lorentzian_smooth
 from spinmux.fields import _field_arrays
-from spinmux.spins import dipole_axis, hyperfine_detunings, transition_frequencies
+from spinmux.spins import _member_mean, dipole_axis, hyperfine_detunings, \
+    transition_frequencies
 
 from test_fields import (assert_same_bits, demo_environment, mixed_sites,
                          reference_omega_plus, strip_environment)
@@ -106,6 +107,14 @@ class TestSimulateRamsey:
         taus = np.linspace(0.0, 8e-6, 601)
         sig = simulate_ramsey(3e6, HyperfineManifold.triplet(0.0), 1.7e-6, taus)
         assert_same_bits(sig, np.cos(2.0 * math.pi * (taus * 3e6)) * np.exp(-taus / 1.7e-6))
+
+    def test_triplet_is_the_member_mean_of_its_cosines_bit_for_bit(self):
+        # the one member average of every pulse evaluation, not np.mean's sum / 3
+        taus = np.linspace(0.0, 8e-6, 601)
+        manifold = HyperfineManifold.triplet()
+        sig = simulate_ramsey(3e6, manifold, 1.7e-6, taus)
+        cosines = np.cos(2.0 * math.pi * np.outer(taus, hyperfine_detunings(3e6, manifold)))
+        assert_same_bits(sig, _member_mean(cosines) * np.exp(-taus / 1.7e-6))
 
     def test_triplet_beat_spectrum(self):
         # oracle: DFT of the generated signal; peaks at |3 -+ 2.2| and 3+2.2 MHz
@@ -412,17 +421,18 @@ class TestNonFiniteInput:
 
 
 def reference_odmr(env, drive, sites, probe_rabi, scan, linewidth_floor):
-    """simulate_odmr with its lines collected site by site."""
+    """simulate_odmr with its lines collected site by site: each line's members
+    averaged by `_member_mean`, then the lines (sites and transitions) by np.mean."""
     manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)
     lines = []
     for site in sites:
         omega_plus = reference_omega_plus(env, drive.i_dc, site)
         omega_minus = 2.0 * env.constants.d_zfs - omega_plus
         for omega in (omega_plus, omega_minus):
-            lines.extend(hyperfine_detunings(omega, manifold))
-    lines = np.asarray(lines)
-    contrast = np.mean(_flip_populations(probe_rabi, lines[None, :] - scan[:, None],
-                                         1.0 / (2.0 * probe_rabi)), axis=1)
+            members = hyperfine_detunings(omega, manifold)
+            lines.append(_member_mean(_flip_populations(
+                probe_rabi, members[None, :] - scan[:, None], 1.0 / (2.0 * probe_rabi))))
+    contrast = np.mean(np.stack(lines, axis=1), axis=1)
     if linewidth_floor > 0:
         contrast = _lorentzian_smooth(scan, contrast, linewidth_floor)
     return contrast

@@ -1,9 +1,9 @@
 """The pair kernel (tree product and prefix scan) against a stepwise 2x2 loop,
 the scan as the tree's down-sweep against the recursive scan, the step pairs
 and q against their always-guarded build, and the one-scan gradient against
-the two-scan, derivative-pair gradient; the streamed product against the top of
-the kept tree; blocked forward evaluation against one block, and with a record
-against without; pulse stacks against one pulse at a time."""
+the two-scan, derivative-pair gradient; the product against the top of the
+tree; blocked forward evaluation against one block, and with a record against
+without; pulse stacks against one pulse at a time."""
 
 import tracemalloc
 
@@ -166,7 +166,7 @@ def test_last_prefix_is_the_product_bit_for_bit(m):
 
 @pytest.mark.parametrize("m", range(1, 71))
 def test_streamed_product_is_the_top_of_the_kept_tree(m):
-    # pulses x members x steps, as the forward-only path stacks them
+    # pulses x members x steps, as `forward` stacks them
     rng = np.random.default_rng([m, 71])
     a, b = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (2, 1, m)),
                       TWO_PI * rng.uniform(-5e6, 5e6, (2, 1, m)),
@@ -467,16 +467,18 @@ def test_gradient_runs_one_scan(monkeypatch):
 
 
 def blocked_transfer_means(monkeypatch, ens, i_amps, q_amps, budget):
-    """transfer_means under a member-step budget, with the shapes of the blocks
-    (streamed products) its forward-only path ran."""
+    """transfer_means under a member-step budget, with the (members, steps)
+    shape of each block (`forward` call) it ran."""
     calls = []
+    forward = _Ensemble.forward
 
-    def counting_product(a, b):
-        calls.append(a.shape)
-        return _product(a, b)
+    def counting_forward(self, *args):
+        z, record = forward(self, *args)
+        calls.append(record[1][0][0].shape)
+        return z, record
 
     monkeypatch.setattr(synthesis, "_BLOCK_MEMBER_STEPS", budget)
-    monkeypatch.setattr(synthesis, "_product", counting_product)
+    monkeypatch.setattr(_Ensemble, "forward", counting_forward)
     got = ens.transfer_means(i_amps, q_amps, DT)
     monkeypatch.undo()
     return got, calls
@@ -525,7 +527,7 @@ def test_long_pulse_transfer_means_equal_one_block(monkeypatch):
 @pytest.mark.parametrize("m", (1, 2, 7, 200, 2000))
 @pytest.mark.parametrize("budget", (2 ** 14, 1000, 1))
 def test_transfer_means_with_and_without_a_record_agree(monkeypatch, m, budget):
-    # the descent's kept tree and the streamed product give the same bits
+    # a block gives the same bits whether or not its record is kept
     rng = np.random.default_rng([m, budget, 3])
     ens = mixed_ensemble(rng, 3)
     i_amps, q_amps = rng.uniform(-5e6, 5e6, (2, 3, m))

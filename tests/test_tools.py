@@ -1,7 +1,8 @@
 """The two tools that gate a change, imported by path: `compare_outputs.py`
 (CLI outputs of two trees) and `bench_pairs.py` (paired benchmark
-statistics); and the paired ratios of the profile tools' shared driver,
-`profile_pairs.py`.  Nothing here runs the CLI or a benchmark."""
+statistics, and the copy of the working tree it measures); and the paired
+ratios of `profile_pairs.py`, which both profile tools share.  Nothing here
+runs the CLI or a benchmark."""
 
 import importlib.util
 import json
@@ -209,6 +210,32 @@ class TestBenchPairsStatistics:
         wall = bench_pairs.summarize(runs, SPEC)["metrics"]["wall_s"]
         assert wall["change_better_pairs"] == 5
         assert wall["gain_exceeds_parent_iqr"] is False    # 0.05 against 0.4
+
+
+class TestBenchPairsCopy:
+    def test_the_change_side_is_the_tracked_files_as_on_disk(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "sub").mkdir(parents=True)
+        (repo / ".gitignore").write_text(".perfbench/\n")
+        (repo / "edited.py").write_text("committed\n")
+        (repo / "sub" / "kept.py").write_text("kept\n")
+        (repo / "deleted.py").write_text("gone\n")
+        bench_pairs.git("init", "-q", repo=repo)
+        bench_pairs.git("add", "-A", repo=repo)
+        bench_pairs.git("-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", "commit", "-q",
+                        "-m", "base", repo=repo)
+        (repo / "edited.py").write_text("edited\n")
+        (repo / "deleted.py").unlink()
+        (repo / "untracked.py").write_text("untracked\n")
+        (repo / ".perfbench").mkdir()
+        (repo / ".perfbench" / "ignored.json").write_text("{}\n")
+
+        copy = bench_pairs.copy_worktree(repo, tmp_path / "change")
+        assert copy == tmp_path / "change"
+        assert sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()) \
+            == [".gitignore", "edited.py", "sub/kept.py"]
+        assert (copy / "edited.py").read_text() == "edited\n"
 
 
 class TestProfilePairsRatios:

@@ -5,7 +5,9 @@
 
 The parent (and the change, when `--change` names a revision) is exported
 with `git archive` into a temporary directory; without `--change` the change
-is this checkout's working tree.  For each workload and each of N pairs,
+is a copy, beside it, of this checkout's tracked files with their uncommitted
+contents, so that neither side runs among untracked or ignored files such as
+`.perfbench/`.  For each workload and each of N pairs,
 `perfbench/run.py --trace 0` runs once on each tree with the same fresh seed
 (seed0, seed0 + 1, ...; the workloads use disjoint seed ranges), and the
 side that runs first alternates from pair to pair.  Runs go one at a time.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,8 +42,8 @@ SIDES = ("parent", "change")
 SEED_STRIDE = 100
 
 
-def git(*args) -> str:
-    proc = subprocess.run(["git", "-C", str(REPO), *args], capture_output=True,
+def git(*args, repo: Path = REPO) -> str:
+    proc = subprocess.run(["git", "-C", str(repo), *args], capture_output=True,
                           text=True, check=True)
     return proc.stdout.strip()
 
@@ -53,6 +56,17 @@ def export(rev: str, dest: Path) -> Path:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+    return dest
+
+
+def copy_worktree(repo: Path, dest: Path) -> Path:
+    """The tracked files of `repo`'s working tree, as they are on disk, under
+    dest.  A tracked file deleted from the working tree is skipped."""
+    for name in git("ls-files", "-z", repo=repo).split("\0"):
+        source = repo / name
+        if name and source.exists():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
     return dest
 
 
@@ -129,7 +143,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, help="label of the output file")
     parser.add_argument("--parent", default="HEAD", help="git revision (default HEAD)")
     parser.add_argument("--change", default=None,
-                        help="git revision; default: this checkout's working tree")
+                        help="git revision; default: this checkout's tracked files as on disk")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=7000)
     parser.add_argument("--seconds", type=int, default=None,
@@ -154,7 +168,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": export(args.parent, Path(tmp) / "parent"),
                  "change": (export(args.change, Path(tmp) / "change") if args.change
-                            else REPO)}
+                            else copy_worktree(REPO, Path(tmp) / "change"))}
         bench = {
             "pr": args.pr,
             "source": "tools/bench_pairs.py",
