@@ -10,7 +10,8 @@ calibrated against a measured Zeeman shift instead.
 depth by moving the point, not the wire.  Every address, Zeeman shift and
 drive field (`field_sample`, `address_map`, `zeeman_shift`, the ODMR and
 crosstalk simulators) comes from one field pass, `_field_arrays`, over
-stacked positions, each with its own dipole axis.
+stacked positions, each with its own dipole axis; it is also the one place
+that checks an address's range, at most SI_CEILING in magnitude.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import SI_CEILING
 from .errors import DegeneratePoint, NoSolution
 from .spins import (
     DipoleOrientation,
@@ -195,16 +197,17 @@ def rabi_frequency(constants: PhysicalConstants, b_ac_xy):
 def _field_arrays(env: FieldEnvironment, drive: WireDrive, positions, axes):
     """(b_dc_z, b_ext_z, b_ac_xy, omega_plus) at stacked positions (..., 3),
     each resolved along its own dipole axis (..., 3); one axis broadcasts.
-    The one field pass behind every site address and drive: the DC call
-    checks the positions, so zero AC current skips its field."""
+    The one field pass behind every site address and drive, and the one check of
+    an address's range: beyond SI_CEILING, or NaN, is a ValueError naming i_dc.
+    The DC call checks the positions, so zero AC current skips its field."""
     b_ext_z = _dot(env.b_ext, axes)
     with np.errstate(over="ignore", invalid="ignore"):     # omega checked below
         b_dc_z = _dot(wire_field(env.wire, drive.i_dc, positions), axes)
         omega_plus, _ = transition_frequencies(env.constants, b_ext_z + b_dc_z)
         b_ac_xy = (project_field(wire_field(env.wire, drive.i_ac, positions), axes)[1]
                    if drive.i_ac != 0.0 else np.zeros_like(b_dc_z))
-    if not np.isfinite(omega_plus).all():
-        raise ValueError(f"transition frequency not finite at i_dc={drive.i_dc:g} A")
+    if not (np.abs(omega_plus) <= SI_CEILING).all():
+        raise ValueError(f"address beyond {SI_CEILING:g} Hz at i_dc={drive.i_dc:g} A")
     return b_dc_z, b_ext_z, b_ac_xy, omega_plus
 
 

@@ -8,6 +8,7 @@ out-of-plane.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,6 +150,7 @@ def hyperfine_detunings(delta: float, manifold: HyperfineManifold) -> np.ndarray
 
 
 def _member_mean(values: np.ndarray) -> np.ndarray:
-    """Mean over the last axis, one spin's `hyperfine_detunings` members, as
-    sum * (1/n): the one average over the manifold, wherever it is taken."""
-    return values.sum(axis=-1) * (1.0 / values.shape[-1])
+    """Mean over the last axis, one spin's `hyperfine_detunings` members, as the
+    left-to-right sum (v0 + v1) + v2 times 1/n: the one average over the manifold."""
+    n = values.shape[-1]
+    return functools.reduce(np.add, (values[..., k] for k in range(n))) * (1.0 / n)

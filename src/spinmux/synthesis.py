@@ -472,8 +472,9 @@ def sensitivity_sweep(
     order.  One ensemble holds every site at every offset, so each scale is
     one forward evaluation."""
     offsets, scales = list(delta_offsets), list(amp_scales)
-    if not np.isfinite(scales).all():
-        raise ValueError("amp_scales must be finite")
+    for name, values in (("delta_offsets", offsets), ("amp_scales", scales)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
     sites = np.add.outer(offsets, (scenario.target_detuning, *scenario.idle_detunings))
     ens = _Ensemble(sites.ravel(), scenario.manifold)
     i_amps, q_amps = pulse.amplitudes()

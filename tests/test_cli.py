@@ -741,7 +741,8 @@ class TestOverflowNamesItsSource:
     """Values finite as given whose address, SI value or grid span overflows:
     each exits 2 naming its flag, or i_dc, before numpy warns, and writes no
     file.  All used to print a numpy RuntimeWarning first, and the current
-    cases to exit 0 writing inf or nan."""
+    cases to exit 0 writing inf or nan.  The one field pass refuses an address
+    beyond 1e15 Hz, so an overflowing one is refused by that rule."""
 
     def run(self, argv, out, capsys):
         with warnings.catch_warnings():
@@ -755,7 +756,7 @@ class TestOverflowNamesItsSource:
         out = tmp_path / "a.csv"
         err = self.run(["address-map", "--config", demo_config, "--idc-ma", "1e306",
                         "--out", str(out)], out, capsys)
-        assert err == "error: transition frequency not finite at i_dc=1e+303 A\n"
+        assert err == "error: address beyond 1e+15 Hz at i_dc=1e+303 A\n"
 
     @pytest.mark.parametrize("window", [[], ["--f-min-ghz", "2.99", "--f-max-ghz", "3.01"]],
                              ids=["default-window", "given-window"])
@@ -767,7 +768,7 @@ class TestOverflowNamesItsSource:
         config.write_text(json.dumps(doc))
         err = self.run(["simulate", "odmr", "--config", str(config), *window,
                         "--out", str(out)], out, capsys)
-        assert err == "error: transition frequency not finite at i_dc=1e+303 A\n"
+        assert err == "error: address beyond 1e+15 Hz at i_dc=1e+303 A\n"
 
     @pytest.mark.parametrize("command, argv, message", [
         (["simulate", "odmr"], ["--f-min-ghz", "1e300", "--f-max-ghz", "1.7e308"],
@@ -979,11 +980,43 @@ class TestNaNIsNeverWritten:
     def test_address_far_from_the_carrier_names_its_site(self, close_pair_config,
                                                           tmp_path, capsys):
         # a finite address 4e295 Hz away: `optimize` used to exit 3 writing
-        # its files, the other two refused a NaN column after numpy warnings
+        # its files, the other two refused a NaN column after numpy warnings.
+        # The field pass now refuses the address itself, beyond 1e15 Hz, so
+        # the message names i_dc, as every address reader's does
         results = self.pulse_commands(close_pair_config, {"i_dc_ma": 1e290}, tmp_path,
                                       capsys)
-        assert results == [("error: site 'nv-b': 4.05257e+295 Hz from the carrier, "
-                            "beyond 1e+15 Hz\n", [])] * 3
+        assert results == [("error: address beyond 1e+15 Hz at i_dc=1e+287 A\n", [])] * 3
+
+
+class TestOneAddressRange:
+    """Every command that reads an address gets it from the one field pass,
+    which refuses one beyond 1e15 Hz naming i_dc: each exits 2 with that one
+    stderr line, no numpy warning and no file."""
+
+    @pytest.mark.parametrize("command, argv, drive, i_dc", [
+        (["address-map"], ["--idc-ma", "1e300", "--out"], {}, "1e+297"),
+        (["crosstalk-map"], ["--idc-ma", "1e300", "--target-u-um", "1.5", "--u-min-um",
+                             "0", "--u-max-um", "3", "--nu", "4", "--out-prefix"],
+         {}, "1e+297"),
+        (["simulate", "odmr"], ["--out"], {"i_dc_ma": 1e290}, "1e+287"),
+    ], ids=["address-map", "crosstalk-map", "odmr"])
+    def test_address_beyond_the_ceiling_names_i_dc(self, demo_config, tmp_path, capsys,
+                                                   command, argv, drive, i_dc):
+        # address-map used to exit 0 writing nv-b at 4.05e296 GHz; crosstalk-map
+        # and odmr printed numpy warnings, then blamed "epsilon out of [0, 1] at
+        # g0000" and "column 'contrast' holds NaN"
+        doc = json.loads(Path(demo_config).read_text())
+        doc["drive"].update(drive)
+        config = tmp_path / "register.json"
+        config.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([*command, "--config", str(config), *argv,
+                             str(tmp_path / "out")])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["register.json"]
+        err = capsys.readouterr().err
+        assert err == f"error: address beyond 1e+15 Hz at i_dc={i_dc} A\n"
 
 
 class TestFlagErrors:

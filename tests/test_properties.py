@@ -7,11 +7,12 @@ import dataclasses
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinmux.cli as cli
@@ -22,6 +23,8 @@ from spinmux import (
     PulseProgram,
     QubitState,
     ValidationError,
+    WireDrive,
+    address_map,
     cost,
     crosstalk_bound,
     demo_config_path,
@@ -291,3 +294,24 @@ def test_cost_and_simulate_pulse_share_one_frame(carrier_ghz, sites, pulse):
     parts = cost(read_back, cli._scenario_from_config(cfg, target, [idle]), 0.0)
     assert abs(parts.eps_i - eps[target]) <= 1e-12
     assert abs(parts.eps_j[0] - eps[idle]) <= 1e-12
+
+
+REGISTER = load_config(demo_config_path())
+
+
+@PROPERTY
+@given(sign=st.sampled_from([-1.0, 1.0]), exponent=st.floats(-3.0, 308.0))
+@example(sign=1.0, exponent=8.9)       # the largest address 9.0e14 Hz
+@example(sign=-1.0, exponent=9.0)      # the largest address just past 1e15 Hz
+def test_every_address_is_within_the_ceiling_or_names_i_dc(sign, exponent):
+    # a DC current of either sign, 1e-3 to 1e308 mA: the one field pass gives
+    # the demo register's addresses within 1e15 Hz or refuses them, never warning
+    drive = WireDrive(i_dc=sign * 10.0 ** exponent * 1e-3, i_ac=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            entries = address_map(REGISTER.environment, drive, REGISTER.sites).entries
+        except ValueError as exc:
+            assert str(exc) == f"address beyond 1e+15 Hz at i_dc={drive.i_dc:g} A"
+        else:
+            assert all(abs(e.omega_plus) <= 1e15 for e in entries)

@@ -13,6 +13,7 @@ from spinmux import (
     project_field,
     transition_frequencies,
 )
+from spinmux.spins import _member_mean
 
 
 class TestDipoleAxis:
@@ -153,6 +154,18 @@ class TestHyperfine:
             a = rng.uniform(0.0, 5e6)
             lo, mid, hi = hyperfine_detunings(delta, HyperfineManifold.triplet(a))
             assert mid - lo == pytest.approx(hi - mid, rel=1e-12, abs=1e-6)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 1), (4, 2, 3), (601, 10, 3), (7, 33, 3)])
+    def test_member_mean_is_the_left_fold_times_one_over_n(self, shape):
+        # the code, not numpy's reduction, sets the order: (v0 + v1) + v2
+        rng = np.random.default_rng(len(shape) + shape[0])
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        n = shape[-1]
+        want = values[..., 0]
+        for k in range(1, n):
+            want = want + values[..., k]
+        got = _member_mean(values)
+        assert np.shape(got) == shape[:-1] and np.array_equal(got, want * (1.0 / n))
 
     def test_offsets_must_be_symmetric(self):
         with pytest.raises(ValueError):

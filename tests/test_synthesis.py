@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -492,6 +493,14 @@ class TestBatchedSweep:
         scen = ControlScenario(idle_detunings=(1.1e6,), manifold=TRIPLET)
         with pytest.raises(ValueError, match="^amp_scales must be finite"):
             sensitivity_sweep(pulse, scen, [0.0], [1.0, scale])
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_offset_names_it(self, offset):
+        # a NaN offset used to return NaN eps without a warning, an infinite
+        # one NaN eps after numpy's "invalid value encountered in tan"
+        with pytest.raises(ValueError, match="^delta_offsets must be finite"):
+            sensitivity_sweep(rect_pi_pulse(1e6, 4), ControlScenario(idle_detunings=(2e6,)),
+                              [0.0, offset], [1.0])
 
     def test_an_offset_onto_the_target_detuning_moves_the_target_too(self):
         # a carrier error of -1.1 MHz takes the spectator to the target's
@@ -1022,6 +1031,28 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=name):
             optimize(ControlScenario(idle_detunings=(1e6,)),
                      OptimizerConfig(m=4, max_iters=1, **kwargs))
+
+
+class TestDetuningsTheAddressRuleAdmits:
+    """Every address is within 1e15 Hz and the carrier within 1e6 GHz, so a
+    detuning reaches about 2e15 Hz: the kernel runs there without a numpy
+    warning, with steps up to the 1e15 s ceiling of a duration."""
+
+    @pytest.mark.parametrize("target, idle", [(-2e15, 3e15), (3e15, -2e15)],
+                             ids=["target-below", "target-above"])
+    @pytest.mark.parametrize("dt", [1e-9, 1.0, 1e15])
+    def test_optimize_cost_gradient_and_sweep(self, target, idle, dt):
+        scenario = ControlScenario(idle_detunings=(idle,), target_detuning=target)
+        pulse = PulseProgram.from_arrays([1e6, -2e6, 5e5], [0.0, 1e6, -1e6], dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parts = cost(pulse, scenario, 1e-7)
+            grads = gradient(pulse, scenario, 1e-7)
+            points = sensitivity_sweep(pulse, scenario, [-1e6, 0.0], [0.5, 1.0])
+            _, trace = optimize(scenario, OptimizerConfig(m=4, dt=dt, max_iters=5))
+        assert math.isfinite(parts.f) and np.isfinite(grads).all()
+        assert all(math.isfinite(p.eps_i) and math.isfinite(*p.eps_j) for p in points)
+        assert all(math.isfinite(row.f) for row in trace.rows)
 
 
 class TestOptimizerConfigFields:
