@@ -9,16 +9,15 @@ t = tan(theta/2), which numpy vectorizes (AVX-512) where its float64 sin and
 cos call scalar libm; they stay within 3.4e-16 of libm's (`_su2_pairs`).
 
 Every step unitary lies in SU(2), U = [[a, -b*], [b, a*]], so internally a
-step is the Cayley-Klein pair (a, b) of complex arrays, never a 2x2 matrix.
-Pairs compose element-wise, U2 U1 = (a2 a1 - b2* b1, b2 a1 + a2* b1), and the
-same formula applied to a ket (x, y) in place of (a1, b1) gives U2 (x, y).
-U^H is the pair (a*, -b).  The exact derivative dU/da_j is never formed:
-the gradient contracts it in closed form from two real coefficients per step.
-Ordered products over the step axis run as one pairwise tree (`_tree`) whose
-top is the final propagator (`_product`).  Every level is kept, because the
-gradient's log-depth prefix scan (every intermediate propagator) is that
-tree's down-sweep, so a kept tree is never composed twice.  2x2 matrices are
-built only for `Propagator` at the API boundary.
+step is one complex array of shape (2, ...) whose axis 0 holds its
+Cayley-Klein pair (a, b).  Pairs compose element-wise, U2 U1 =
+(a2 a1 - b2* b1, b2 a1 + a2* b1), also onto a ket (x, y) in place of
+(a1, b1); U^H is (a*, -b).  dU/da_j is never formed: the gradient contracts
+it in closed form from two real coefficients per step.  Ordered products
+over the step axis run as one pairwise tree (`_tree`) whose top is the
+final propagator (`_product`); every level is kept, because the gradient's
+prefix scan is that tree's down-sweep.  2x2 matrices are built only for
+`Propagator` at the API boundary.
 """
 
 from __future__ import annotations
@@ -141,28 +140,26 @@ class Propagator:
 
 def _pair(c, x, y, z, k=1.0):
     """The SU(2)-form pair (c - i*k*z, k*y - i*k*x) of
-    c*1 - i*k*(x*sx + y*sy + z*sz) for real c, x, y, z and k.
-
-    The parts are written into the complex arrays directly: no mixed
-    real/complex ufunc (with its buffered cast) runs and no k*x temporary is
-    made.  The imaginary parts are 0.0 - k*z and 0.0 - k*x, signed zeros
-    included."""
-    a = np.empty(np.broadcast(c, k, z).shape, dtype=complex)
+    c*1 - i*k*(x*sx + y*sy + z*sz) for real c, x, y, z and k, in one (2, ...)
+    array.  The parts are written into it directly: no mixed real/complex
+    ufunc (with its buffered cast) runs and no k*x temporary is made.  The
+    imaginary parts are 0.0 - k*z and 0.0 - k*x, signed zeros included."""
+    u = np.empty((2, *np.broadcast(c, k, x, y, z).shape), dtype=complex)
+    a, b = u[0, ...], u[1, ...]     # views, 0-d ones too
     a.real = c
     np.multiply(k, z, out=a.imag)
     np.subtract(0.0, a.imag, out=a.imag)
-    b = np.empty(np.broadcast(k, x, y).shape, dtype=complex)
     np.multiply(k, y, out=b.real)
     np.multiply(k, x, out=b.imag)
     np.subtract(0.0, b.imag, out=b.imag)
-    return a, b
+    return u
 
 
 def _su2_pairs(ax, ay, az, dt, coefficient: bool = False):
-    """exp(-i*(dt/2)*(ax*sx + ay*sy + az*sz)) as (a, b) pairs for stacked
-    angular rates (rad/s).
+    """exp(-i*(dt/2)*(ax*sx + ay*sy + az*sz)) as one (2, ...) pair array for
+    stacked angular rates (rad/s).
 
-    ax, ay, az and dt broadcast together, and so do the returned arrays.
+    ax, ay, az and dt broadcast together to the pair's trailing shape.
     This is the only place a step unitary is built.  Writing
     U = cos(theta) - i*k*(a.sigma) with theta = |a| dt/2 and
     k = sin(theta)/|a|, the exact derivative is
@@ -170,7 +167,7 @@ def _su2_pairs(ax, ay, az, dt, coefficient: bool = False):
         dU/da_j = -(dt/2) k a_j 1 - i sum_n (q a_j a_n + k delta_jn) sigma_n
 
     with q = ((dt/2) cos(theta) - k)/|a|^2 (`_su2_q`), which takes its series
-    as |a| -> 0.  With `coefficient`, returns ((a, b), k).
+    as |a| -> 0.  With `coefficient`, returns (pair, k).
 
     With t = tan(theta/2), cos(theta) = (1 - t^2)/(1 + t^2) and
     sin(theta) = 2t/(1 + t^2): for theta from 1e-9 to 1e12, Re(a) is within
@@ -213,62 +210,61 @@ def _su2_q(cos_t, k, omega2, dt):
                     (half_dt * cos_t - k) / np.where(omega2 > 0.0, omega2, 1.0))
 
 
-def _compose(a2, b2, a1, b1):
-    """U2 U1 for pairs (a2, b2) and (a1, b1), element-wise over broadcast arrays.
+def _compose(u2, u1):
+    """U2 U1 of pair arrays of equal rank (u1's shape broadcasts to u2's) in
+    five calls, each half by the IEEE operations of a2 a1 - b2* b1 and
+    b2 a1 + a2* b1 in that order.  A ket (x, y) as u1 gives U2 (x, y)."""
+    out = u2 * u1[0]
+    w = u2[::-1].conj()
+    w *= u1[1]
+    out[0] -= w[0]
+    out[1] += w[1]
+    return out
 
-    With a ket (x, y) in place of (a1, b1) this is U2 applied to the ket.
-    """
-    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
 
-
-def _tree(a, b):
-    """The levels of the pairwise product tree along the last axis, steps
-    first: each composes the (odd, even) neighbours below, and an odd leftover
-    rides up.  The top is `_product`; the gradient's `_scan` reads every level."""
-    levels = [(a, b)]
-    while a.shape[-1] > 1:
-        n = a.shape[-1]
-        pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
-        if n % 2:
-            pa = np.concatenate([pa, a[..., -1:]], axis=-1)
-            pb = np.concatenate([pb, b[..., -1:]], axis=-1)
-        a, b = pa, pb
-        levels.append((a, b))
+def _tree(u):
+    """The levels of the pairwise product tree of a pair array along its last
+    axis, steps first: each composes the (odd, even) neighbours below, and an
+    odd leftover rides up.  The top is `_product`; `_scan` reads every level."""
+    levels = [u]
+    while u.shape[-1] > 1:
+        n = u.shape[-1]
+        p = _compose(u[..., 1::2], u[..., 0:n - 1:2])
+        u = np.concatenate([p, u[..., -1:]], axis=-1) if n % 2 else p
+        levels.append(u)
     return levels
 
 
-def _product(a, b):
-    """Ordered product U[..., n-1] ... U[..., 0] along the last axis: the top of `_tree`."""
-    a, b = _tree(a, b)[-1]
-    return a[..., 0], b[..., 0]
+def _product(u):
+    """Ordered product U[..., n-1] ... U[..., 0] along the last axis: `_tree`'s top."""
+    return _tree(u)[-1][..., 0]
 
 
 def _scan(levels):
     """Inclusive prefix products along the last axis from the levels of
-    `_tree`: entry l of the result is U_l ... U_0.
+    `_tree`, as one pair array: entry l of the result is U_l ... U_0.
 
     The down-sweep of the log-depth odd/even scan (Blelloch 1990): from the
     top down, each odd entry of a level is its parent's prefix, and each even
     entry is its own element composed onto the odd prefix before it.  The
     last entry is the tree's top, so it is `_product`'s bits.
     """
-    top_a, top_b = sa, sb = levels[-1]
-    for a, b in reversed(levels[:-1]):
-        n, k = a.shape[-1], (a.shape[-1] - 1) // 2
-        out_a, out_b = np.empty_like(a), np.empty_like(b)
-        out_a[..., 1::2], out_b[..., 1::2] = sa[..., :n // 2], sb[..., :n // 2]
-        out_a[..., 0], out_b[..., 0] = a[..., 0], b[..., 0]
-        out_a[..., 2::2], out_b[..., 2::2] = _compose(a[..., 2::2], b[..., 2::2],
-                                                      sa[..., :k], sb[..., :k])
-        sa, sb = out_a, out_b
+    top = s = levels[-1]
+    for u in reversed(levels[:-1]):
+        n = u.shape[-1]
+        out = np.empty_like(u)
+        out[..., 1::2] = s[..., :n // 2]
+        out[..., 0] = u[..., 0]
+        out[..., 2::2] = _compose(u[..., 2::2], s[..., :(n - 1) // 2])
+        s = out
     if len(levels) > 1:     # two steps or more: the top is not the steps themselves
-        sa[..., -1], sb[..., -1] = top_a[..., 0], top_b[..., 0]
-    return sa, sb
+        s[..., -1] = top[..., 0]
+    return s
 
 
-def _matrix(a, b) -> np.ndarray:
-    """The 2x2 unitary [[a, -b*], [b, a*]] of one pair."""
-    return np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
+def _matrix(u) -> np.ndarray:
+    """The 2x2 unitary [[a, -b*], [b, a*]] of one (2,) pair."""
+    return np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=complex)
 
 
 def _clamp_unit(p):
@@ -290,8 +286,8 @@ def step_propagator(delta: float, i_amp: float, q_amp: float, dt: float) -> Prop
     _check_finite(delta=delta, i_amp=i_amp, q_amp=q_amp)
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
-    return Propagator(_matrix(*_su2_pairs(TWO_PI * i_amp, TWO_PI * q_amp,
-                                          TWO_PI * delta, dt)))
+    return Propagator(_matrix(_su2_pairs(TWO_PI * i_amp, TWO_PI * q_amp,
+                                         TWO_PI * delta, dt)))
 
 
 def evolve(pulse: PulseProgram, delta: float) -> Propagator:
@@ -299,7 +295,7 @@ def evolve(pulse: PulseProgram, delta: float) -> Propagator:
     _check_finite(delta=delta)
     steps = _su2_pairs(TWO_PI * pulse.i_amps, TWO_PI * pulse.q_amps,
                        TWO_PI * delta, pulse.dt)
-    return Propagator(_matrix(*_product(*steps)))
+    return Propagator(_matrix(_product(steps)))
 
 
 def state_error(u: Propagator, initial: QubitState) -> float:

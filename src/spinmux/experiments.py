@@ -54,8 +54,7 @@ def _point_ids(n: int) -> tuple:
 
 def _flip_populations(rabi, delta, duration) -> np.ndarray:
     """|<1|U|0>|^2 after constant drives; the arguments broadcast together."""
-    _, b = _su2_pairs(TWO_PI * rabi, 0.0, TWO_PI * delta, duration)
-    return np.abs(b) ** 2
+    return np.abs(_su2_pairs(TWO_PI * rabi, 0.0, TWO_PI * delta, duration)[1]) ** 2
 
 
 def simulate_rabi(rabi: float, delta: float, durations) -> np.ndarray:

@@ -40,11 +40,11 @@ STEP_GROWTH = 2.0
 # floating-point floor; treat that as a stationary stop, not divergence.
 _DECREASE_FLOOR = 1e-15
 
-# Member-steps per forward block.  Survey wall_s by size (perfbench, 2 vCPUs):
-# 4k 0.148 s, 8k 0.122, 12k 0.115, 16k 0.108, 20k-24k 0.109, 32k 0.136, and
-# 64k 0.139 with peak RSS up 2.5 MB.  The cli workload's one sweep (66 members
-# x 200 steps, a fresh `spinmux sweep` per run, median of 12): 8k 8.1 ms, 16k
-# 8.6, 32k 10.0, all inside its quartile spread of about 2 ms.
+# Member-steps per forward block, 32 B of step pairs each.  Paired ratios to 16k
+# (2 vCPUs; survey_profile.py 6 x 15 passes, descent_profile.py 6 x 20): survey
+# wall_s 8k 1.239, 24k 0.963, 32k 0.961; synth 8k 1.025, 24k 0.993, 32k 0.995,
+# its calls fitting one block from 10k on.  A 225 x 2000 evaluation's heap peak
+# is 1.3 MB at 16k, 1.8 MB at 24k and 2.4 MB at 32k; cli's sweep fits one block.
 _BLOCK_MEMBER_STEPS = 2 ** 14
 
 
@@ -179,12 +179,13 @@ class _Ensemble:
     def forward(self, i_amps, q_amps, dt, rows):
         """z = <1|U|0> of the members in `rows` per pulse of the (..., m)
         amplitudes, and the record the gradient reads: (rows, the levels of
-        the steps' `_tree`, `_su2_pairs`'s k), each with the pulse axes first."""
+        the steps' `_tree`, each a (2, ..., members, width) pair array, and
+        `_su2_pairs`'s k of shape (..., members, m))."""
         steps, k = _su2_pairs(TWO_PI * np.asarray(i_amps)[..., None, :],
                               TWO_PI * np.asarray(q_amps)[..., None, :],
                               TWO_PI * self.deltas[rows, None], dt, coefficient=True)
-        levels = _tree(*steps)
-        return levels[-1][1][..., 0], (rows, levels, k)
+        levels = _tree(steps)
+        return levels[-1][1, ..., 0], (rows, levels, k)
 
     def transfer_means(self, i_amps, q_amps, dt, record=None) -> np.ndarray:
         """Mean |<1|U|0>|^2 per pulse and spin, in spin order, from `forward`
@@ -271,8 +272,9 @@ def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record):
 
     where R_0 = Re(conj(s z) <chi|psi>) and R_n = Im(conj(s z) <chi|sigma_n|psi>)
     per member and step.  s z is folded into the costate,
-    s z chi_l = P_l (s z U^H |1>), so the four forms take four complex products
-    and dU is never formed.  Members and steps are the last two axes.
+    s z chi_l = P_l (s z U^H |1>): one `_compose` of conj(P) with a seed per
+    member, whose products with the pair array psi and with psi's halves
+    swapped give the four forms, and dU is never formed.
     """
     ax = TWO_PI * np.asarray(i_amps, dtype=float)[..., None, :]
     ay = TWO_PI * np.asarray(q_amps, dtype=float)[..., None, :]
@@ -281,27 +283,29 @@ def _objective_gradient(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record):
         rows, levels, k = record.pop(0)
         az = TWO_PI * ens.deltas[rows, None]
         q = _su2_q(levels[0][0].real, k, ax * ax + ay * ay + az * az, dt)
-        a, b = _scan(levels)
+        prefix = _scan(levels)
         del levels
-        # conj(s z chi_l) = conj(P_l) v with v = conj(s z U^H |1>)
-        z = ens.signs[rows] * b[..., -1]
-        c0, c1 = _compose(a.conj(), b.conj(), (z * b[..., -1].conj()).conj()[..., None],
-                          (z * a[..., -1]).conj()[..., None])
-        psi0, psi1 = np.empty_like(a), np.empty_like(b)
-        psi0[..., 0], psi1[..., 0] = 1.0, 0.0
-        psi0[..., 1:], psi1[..., 1:] = a[..., :-1], b[..., :-1]
-        del a, b
+        # conj(s z chi_l) = conj(P_l) v with v = conj(s z U^H |1>) = conj(s z (b*, a))
+        z = ens.signs[rows] * prefix[1, ..., -1]
+        v = prefix[::-1, ..., -1:].conj()
+        v[1] = prefix[0, ..., -1:]
+        np.multiply(z[..., None], v, out=v)
+        np.conjugate(v, out=v)
+        c = _compose(prefix.conj(), v)
+        psi = np.empty_like(prefix)
+        psi[0, ..., 0], psi[1, ..., 0] = 1.0, 0.0
+        psi[..., 1:] = prefix[..., :-1]
+        del prefix, v
 
         # the four forms, from the products conj(s z chi)_i psi_j
-        u00, u11 = c0 * psi0, c1 * psi1
-        r0 = u00.real + u11.real
-        rz = u00.imag - u11.imag
-        del u00, u11
-        u01, u10 = c0 * psi1, c1 * psi0
-        del c0, c1, psi0, psi1
-        rx = u01.imag + u10.imag
-        ry = u10.real - u01.real
-        del u01, u10
+        u = c * psi     # (u00, u11), then in its place (u01, u10)
+        r0 = u[0].real + u[1].real
+        rz = u[0].imag - u[1].imag
+        np.multiply(c, psi[::-1], out=u)
+        del c, psi
+        rx = u[0].imag + u[1].imag
+        ry = u[1].real - u[0].real
+        del u
 
         # a_x and a_y are shared by every member, so they multiply the member sum
         terms[0, ..., rows, :] = q * (ax * rx + ay * ry + az * rz) - (0.5 * dt) * k * r0
@@ -326,13 +330,14 @@ def _initial_amplitudes(config: OptimizerConfig, restart: int):
 def _group_record(parts):
     """The forward record of the stacked pulses `parts`, [(record, p)] in stack
     order: a record as it is when it holds exactly these pulses, else their
-    blocks stacked level by level.  The gradient's records run in one block
-    each (`_descend`); a gather's one record can span blocks in a one-restart group."""
+    blocks gathered level by level, pair axis first, by `np.array`.  The
+    gradient's records run in one block each (`_descend`); a gather's one
+    record can span blocks in a one-restart group."""
     record = parts[0][0]
     if len(record[0][2]) == len(parts) and all(
             rec is record and p == n for n, (rec, p) in enumerate(parts)):
         return record
-    return [(rows, [tuple(np.array([rec[j][1][n][s][p] for rec, p in parts]) for s in (0, 1))
+    return [(rows, [np.array([[rec[j][1][n][h, p] for rec, p in parts] for h in (0, 1)])
                     for n in range(len(levels))],
              np.array([rec[j][2][p] for rec, p in parts]))
             for j, (rows, levels, _) in enumerate(record)]

@@ -39,6 +39,12 @@ def as_matrices(a, b):
     return np.moveaxis(np.array([[a, -np.conj(b)], [b, np.conj(a)]]), (0, 1), (-2, -1))
 
 
+def compose_pairs(a2, b2, a1, b1):
+    """U2 U1 with each pair as two arrays, the formula written out: the
+    reference that the one-array `_compose` reproduces bit for bit."""
+    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+
+
 M_VALUES = (1, 2, 3, 7, 200, 1001)
 
 
@@ -48,11 +54,11 @@ def test_shared_pulse_per_member_detunings(m):
     rng = np.random.default_rng(m)
     i_amps, q_amps = random_pulse(rng, m)
     deltas = np.array([-2.2e6, 0.0, 1.1e6, 3.3e6])
-    a, b = _su2_pairs(TWO_PI * i_amps[None, :], TWO_PI * q_amps[None, :],
-                      TWO_PI * deltas[:, None], DT)
-    assert a.shape == b.shape == (len(deltas), m)
-    final = as_matrices(*_product(a, b))
-    prefixes = as_matrices(*_scan(_tree(a, b)))
+    u = _su2_pairs(TWO_PI * i_amps[None, :], TWO_PI * q_amps[None, :],
+                   TWO_PI * deltas[:, None], DT)
+    assert u.shape == (2, len(deltas), m)
+    final = as_matrices(*_product(u))
+    prefixes = as_matrices(*_scan(_tree(u)))
     for n, delta in enumerate(deltas):
         ref = stepwise_prefixes(i_amps, q_amps, delta)
         assert np.max(np.abs(prefixes[n] - ref)) <= 1e-12
@@ -64,9 +70,9 @@ def test_one_pulse_without_member_axis(m):
     rng = np.random.default_rng(100 + m)
     i_amps, q_amps = random_pulse(rng, m)
     ref = stepwise_prefixes(i_amps, q_amps, 1.3e6)
-    a, b = _su2_pairs(TWO_PI * i_amps, TWO_PI * q_amps, TWO_PI * 1.3e6, DT)
-    assert np.max(np.abs(_matrix(*_product(a, b)) - ref[-1])) <= 1e-12
-    assert np.max(np.abs(as_matrices(*_scan(_tree(a, b))) - ref)) <= 1e-12
+    u = _su2_pairs(TWO_PI * i_amps, TWO_PI * q_amps, TWO_PI * 1.3e6, DT)
+    assert np.max(np.abs(_matrix(_product(u)) - ref[-1])) <= 1e-12
+    assert np.max(np.abs(as_matrices(*_scan(_tree(u))) - ref)) <= 1e-12
     u = evolve(PulseProgram.from_arrays(i_amps, q_amps, DT), 1.3e6).matrix
     assert np.max(np.abs(u - ref[-1])) <= 1e-12
 
@@ -78,8 +84,8 @@ def test_distinct_pulse_per_member(m):
     deltas = np.array([0.5e6, -1.5e6, 2.5e6])
     i_amps = np.array([p[0] for p in pulses])
     q_amps = np.array([p[1] for p in pulses])
-    a, b = _su2_pairs(TWO_PI * i_amps, TWO_PI * q_amps, TWO_PI * deltas[:, None], DT)
-    final, prefixes = as_matrices(*_product(a, b)), as_matrices(*_scan(_tree(a, b)))
+    u = _su2_pairs(TWO_PI * i_amps, TWO_PI * q_amps, TWO_PI * deltas[:, None], DT)
+    final, prefixes = as_matrices(*_product(u)), as_matrices(*_scan(_tree(u)))
     for n, ((i_n, q_n), delta) in enumerate(zip(pulses, deltas)):
         ref = stepwise_prefixes(i_n, q_n, delta)
         assert np.max(np.abs(prefixes[n] - ref)) <= 1e-12
@@ -88,16 +94,17 @@ def test_distinct_pulse_per_member(m):
 
 def test_compose_applies_a_pair_to_kets():
     rng = np.random.default_rng(3)
-    a, b = _su2_pairs(*rng.uniform(-1e7, 1e7, (3, 5)), DT)
+    u = _su2_pairs(*rng.uniform(-1e7, 1e7, (3, 5)), DT)
     kets = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
-    got = np.array(_compose(a, b, *kets))
-    want = np.einsum("nij,jn->in", as_matrices(a, b), kets)
+    got = _compose(u, kets)
+    want = np.einsum("nij,jn->in", as_matrices(*u), kets)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def reference_scan(a, b):
     """The recursive odd/even scan that `_scan` replaced, with `_scan`'s rule
-    that the last prefix is the pairwise tree's product."""
+    that the last prefix is the pairwise tree's product, on pairs as two
+    arrays."""
     sa, sb = odd_even_scan(a, b)
     if a.shape[-1]:
         sa[..., -1], sb[..., -1] = reference_product(a, b)
@@ -110,26 +117,34 @@ def odd_even_scan(a, b):
     n = a.shape[-1]
     if n <= 1:
         return a, b
-    pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
+    pa, pb = compose_pairs(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
     sa, sb = odd_even_scan(pa, pb)
     out_a, out_b = np.empty_like(a), np.empty_like(b)
     out_a[..., 1::2], out_b[..., 1::2] = sa, sb
     out_a[..., 0], out_b[..., 0] = a[..., 0], b[..., 0]
     k = (n - 1) // 2
-    out_a[..., 2::2], out_b[..., 2::2] = _compose(a[..., 2::2], b[..., 2::2],
-                                                  sa[..., :k], sb[..., :k])
+    out_a[..., 2::2], out_b[..., 2::2] = compose_pairs(a[..., 2::2], b[..., 2::2],
+                                                       sa[..., :k], sb[..., :k])
     return out_a, out_b
 
 
-def reference_product(a, b):
-    """The pairwise tree product as a loop that keeps no levels."""
+def reference_tree(a, b):
+    """The levels of the pairwise product tree on pairs as two arrays."""
+    levels = [(a, b)]
     while a.shape[-1] > 1:
         n = a.shape[-1]
-        pa, pb = _compose(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
+        pa, pb = compose_pairs(a[..., 1::2], b[..., 1::2], a[..., 0:n - 1:2], b[..., 0:n - 1:2])
         if n % 2:
             pa = np.concatenate([pa, a[..., -1:]], axis=-1)
             pb = np.concatenate([pb, b[..., -1:]], axis=-1)
         a, b = pa, pb
+        levels.append((a, b))
+    return levels
+
+
+def reference_product(a, b):
+    """The pairwise tree product on pairs as two arrays."""
+    a, b = reference_tree(a, b)[-1]
     return a[..., 0], b[..., 0]
 
 
@@ -137,18 +152,51 @@ def reference_product(a, b):
 @given(m=st.integers(1, 70), members=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_down_sweep_equals_the_recursive_scan(m, members, seed):
     rng = np.random.default_rng(seed)
-    a, b = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
-                      TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
-                      TWO_PI * rng.uniform(-3e6, 3e6, (members, 1)), DT)
-    levels = _tree(a, b)
+    u = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
+                   TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
+                   TWO_PI * rng.uniform(-3e6, 3e6, (members, 1)), DT)
+    levels = _tree(u)
     sa, sb = _scan(levels)
-    want_a, want_b = reference_scan(a, b)
+    want_a, want_b = reference_scan(*u)
     assert np.array_equal(sa, want_a) and np.array_equal(sb, want_b)
-    pa, pb = _product(a, b)
+    pa, pb = _product(u)
     top_a, top_b = levels[-1]
     assert np.array_equal(pa, top_a[:, 0]) and np.array_equal(pb, top_b[:, 0])
-    ra, rb = reference_product(a, b)
+    ra, rb = reference_product(*u)
     assert np.array_equal(pa, ra) and np.array_equal(pb, rb)
+
+
+def random_pairs(rng, shape):
+    """Step pairs of the given trailing shape (0-d too) from random rates."""
+    rates = rng.uniform(-5e6, 5e6, (3, *shape))
+    return _su2_pairs(*(TWO_PI * rates), DT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), max_size=2), m=st.integers(0, 70),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_array_kernel_equals_the_two_array_formula_bit_for_bit(lead, m, seed):
+    # leading pulse and member axes, odd and even widths, m = 1 and an empty axis
+    rng = np.random.default_rng(seed)
+    u = random_pairs(rng, (*lead, m))
+    u1 = random_pairs(rng, (*lead, m))
+    assert same_bits(_compose(u, u1), np.array(compose_pairs(*u, *u1)))
+    levels, want = _tree(u), reference_tree(*u)
+    assert len(levels) == len(want)
+    assert all(same_bits(level, np.array(pair)) for level, pair in zip(levels, want))
+    assert same_bits(_scan(levels), np.array(reference_scan(*u)))
+    if m:
+        assert same_bits(_product(u), np.array(reference_product(*u)))
+
+
+def test_one_array_compose_of_0d_steps_equals_the_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    u2, u1 = random_pairs(rng, ()), random_pairs(rng, ())
+    assert u2.shape == (2,)
+    assert same_bits(_compose(u2, u1), np.array(compose_pairs(*u2, *u1)))
+    # a stack of pairs onto one 0-d pair broadcasts as the gradient's costate seed does
+    stack = random_pairs(rng, (4,))
+    assert same_bits(_compose(stack, u1[:, None]), np.array(compose_pairs(*stack, *u1)))
 
 
 @pytest.mark.parametrize("m", range(1, 71))
@@ -156,11 +204,11 @@ def test_last_prefix_is_the_product_bit_for_bit(m):
     # the down-sweep alone composes an odd leftover at the bottom level, the
     # tree at the top, which rounds differently from m = 7 on
     rng = np.random.default_rng(m)
-    a, b = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
-                      TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
-                      TWO_PI * rng.uniform(-3e6, 3e6, (3, 1)), DT)
-    sa, sb = _scan(_tree(a, b))
-    pa, pb = _product(a, b)
+    u = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
+                   TWO_PI * rng.uniform(-5e6, 5e6, (1, m)),
+                   TWO_PI * rng.uniform(-3e6, 3e6, (3, 1)), DT)
+    sa, sb = _scan(_tree(u))
+    pa, pb = _product(u)
     assert same_bits(sa[:, -1], pa) and same_bits(sb[:, -1], pb)
 
 
@@ -168,18 +216,18 @@ def test_last_prefix_is_the_product_bit_for_bit(m):
 def test_streamed_product_is_the_top_of_the_kept_tree(m):
     # pulses x members x steps, as `forward` stacks them
     rng = np.random.default_rng([m, 71])
-    a, b = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (2, 1, m)),
-                      TWO_PI * rng.uniform(-5e6, 5e6, (2, 1, m)),
-                      TWO_PI * rng.uniform(-3e6, 3e6, (4, 1)), DT)
-    top_a, top_b = _tree(a, b)[-1]
-    pa, pb = _product(a, b)
+    u = _su2_pairs(TWO_PI * rng.uniform(-5e6, 5e6, (2, 1, m)),
+                   TWO_PI * rng.uniform(-5e6, 5e6, (2, 1, m)),
+                   TWO_PI * rng.uniform(-3e6, 3e6, (4, 1)), DT)
+    top_a, top_b = _tree(u)[-1]
+    pa, pb = _product(u)
     assert pa.shape == pb.shape == (2, 4)
     assert same_bits(pa, top_a[..., 0]) and same_bits(pb, top_b[..., 0])
 
 
 def test_scan_of_an_empty_axis_is_empty():
     a = np.ones((2, 0), dtype=complex)
-    sa, sb = _scan(_tree(a, np.zeros_like(a)))
+    sa, sb = _scan(_tree(np.array([a, np.zeros_like(a)])))
     assert sa.shape == sb.shape == (2, 0)
 
 
@@ -208,8 +256,11 @@ def test_pair_matches_the_complex_formula():
     for args in ((c, x, y, z), (x, c, z, y), (0.5, -0.0, 0.0, -1.0)):
         a, b = _pair(*args)
         want_a, want_b = args[0] - 1j * args[3], args[2] - 1j * args[1]
-        assert np.shape(a) == np.shape(want_a) and np.shape(b) == np.shape(want_b)
-        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        # one array holds both halves, over the operands' common shape
+        shape = np.broadcast(want_a, want_b).shape
+        assert np.shape(a) == np.shape(b) == shape
+        assert np.array_equal(a, np.broadcast_to(want_a, shape))
+        assert np.array_equal(b, np.broadcast_to(want_b, shape))
 
 
 def reference_su2_pairs(ax, ay, az, dt, coefficient=False):
@@ -347,15 +398,15 @@ def reference_gradient(ens, i_amps, q_amps, dt):
     ones, zeros = np.ones((len(ens.deltas), 1)), np.zeros((len(ens.deltas), 1))
     kets, bras = (ones, zeros), (zeros, ones)
 
-    forward = _compose(*reference_scan(a, b), *kets)
+    forward = compose_pairs(*reference_scan(a, b), *kets)
     psi = [np.concatenate([kt, f[:, :-1]], axis=1) for kt, f in zip(kets, forward)]
     z = ens.signs * forward[1][:, -1]
-    backward = _compose(*reference_scan(a[:, :0:-1].conj(), -b[:, :0:-1]), *bras)
+    backward = compose_pairs(*reference_scan(a[:, :0:-1].conj(), -b[:, :0:-1]), *bras)
     chi = [np.concatenate([c[:, ::-1], br], axis=1).conj()
            for br, c in zip(bras, backward)]
 
     def dz(du):
-        v0, v1 = _compose(*du, *psi)
+        v0, v1 = compose_pairs(*du, *psi)
         return chi[0] * v0 + chi[1] * v1
 
     coeff = 2.0 * TWO_PI * ens.weight
@@ -421,8 +472,8 @@ def reference_one_pass_gradient(ens, i_amps, q_amps, dt):
     a, b = reference_scan(a, b)
     # psi_l = P_{l-1}|0> = (a, b)_{l-1}; the costate seed is U^H|1> = (b*, a)
     z = ens.signs * b[:, -1]
-    c0, c1 = _compose(a.conj(), b.conj(),
-                      (z * b[:, -1].conj()).conj()[:, None], (z * a[:, -1]).conj()[:, None])
+    c0, c1 = compose_pairs(a.conj(), b.conj(),
+                           (z * b[:, -1].conj()).conj()[:, None], (z * a[:, -1]).conj()[:, None])
     n = len(ens.deltas)
     psi0 = np.concatenate([np.ones((n, 1)), a[:, :-1]], axis=1)
     psi1 = np.concatenate([np.zeros((n, 1)), b[:, :-1]], axis=1)

@@ -1,8 +1,9 @@
 """The two tools that gate a change, imported by path: `compare_outputs.py`
 (CLI outputs of two trees) and `bench_pairs.py` (paired benchmark
 statistics, and the copy of the working tree it measures); and the paired
-ratios of `profile_pairs.py`, which both profile tools share.  Nothing here
-runs the CLI or a benchmark."""
+ratios of `profile_pairs.py`, which both profile tools share, and the
+command line of `descent_profile.py`.  Nothing here runs the CLI or a
+benchmark."""
 
 import importlib.util
 import json
@@ -254,5 +255,12 @@ class TestProfilePairsRatios:
         with pytest.raises(SystemExit) as exit_:
             profile_pairs.main("tool.py", "A tool.", None, None, "seed",
                                counts={"passes": (20, "passes")}, argv=argv)
+        assert exit_.value.code == 2
+        assert "--pairs, --passes must be >= 1" in capsys.readouterr().err
+
+    def test_descent_profile_refuses_zero_passes(self, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(TOOLS))     # it imports profile_pairs by name
+        with pytest.raises(SystemExit) as exit_:
+            load_tool("descent_profile").main(["src", "--passes", "0"])
         assert exit_.value.code == 2
         assert "--pairs, --passes must be >= 1" in capsys.readouterr().err
