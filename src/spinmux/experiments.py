@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import TWO_PI, _check_finite, _clamp_unit, _su2_pairs
+from .dynamics import SI_CEILING, TWO_PI, _check_finite, _clamp_unit, _su2_pairs
 from .fields import FieldEnvironment, WireDrive, _field_arrays, _site_arrays, rabi_frequency
 from .spins import DipoleOrientation, HyperfineManifold, _member_mean, dipole_axis, \
     hyperfine_detunings, transition_frequencies
@@ -117,8 +117,8 @@ def simulate_odmr(
         raise ValueError("sites must be non-empty")
     if not 0 < probe_rabi < math.inf:
         raise ValueError("probe_rabi must be positive and finite")
-    if not linewidth_floor >= 0:
-        raise ValueError("linewidth_floor must be >= 0")
+    if not 0 <= linewidth_floor <= SI_CEILING:
+        raise ValueError(f"linewidth_floor must be >= 0 and at most {SI_CEILING:g} Hz")
     manifold = HyperfineManifold.triplet(env.constants.hyperfine_splitting)
     duration = 1.0 / (2.0 * probe_rabi)
 

@@ -213,12 +213,16 @@ def regularization(pulse: PulseProgram, lam: float) -> float:
     return float(_regularization(*pulse.amplitudes(), lam))
 
 
-def _regularization(i_amps, q_amps, lam: float):
-    """The penalty per pulse of (..., m) amplitudes, from one diff and sum."""
+def _checked_lam(lam: float) -> float:
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and >= 0")
+    return lam
+
+
+def _regularization(i_amps, q_amps, lam: float):
+    """The penalty per pulse of (..., m) amplitudes, from one diff and sum."""
     tv = np.abs(np.diff(np.stack((i_amps, q_amps)))).sum(axis=-1)
-    return lam * (tv[0] + tv[1])
+    return _checked_lam(lam) * (tv[0] + tv[1])
 
 
 def _regularization_gradient(i_amps, q_amps, lam: float):
@@ -228,7 +232,7 @@ def _regularization_gradient(i_amps, q_amps, lam: float):
     g = np.zeros(s.shape[:-1] + (s.shape[-1] + 1,))
     g[..., :-1] += s   # d|a_l - a_{l+1}|/da_l = sign(a_l - a_{l+1}) = -s
     g[..., 1:] -= s
-    return -lam * g
+    return -_checked_lam(lam) * g
 
 
 def _objective(ens: _Ensemble, i_amps, q_amps, dt, lam: float, record=None):

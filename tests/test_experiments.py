@@ -233,6 +233,16 @@ class TestSimulateOdmr:
         with pytest.raises(ValueError, match="linewidth_floor"):
             simulate_odmr(self.env, self.drive, [self.site], 2e5, self.scan(), -2e5)
 
+    @pytest.mark.parametrize("floor", (math.inf, 1e200, math.nan))
+    def test_rejects_a_linewidth_floor_beyond_the_ceiling(self, floor):
+        # inf and 1e200 returned all-NaN contrast, with a numpy warning
+        with pytest.raises(ValueError, match="^linewidth_floor must be >= 0 and at most"):
+            simulate_odmr(self.env, self.drive, [self.site], 2e5, self.scan(), floor)
+
+    def test_the_ceiling_itself_is_a_finite_linewidth_floor(self):
+        contrast = simulate_odmr(self.env, self.drive, [self.site], 2e5, self.scan(), 1e15)
+        assert np.isfinite(contrast).all()
+
     @pytest.mark.parametrize("floor", (0.0, 2e5))
     def test_zero_splitting_is_one_member_per_line_bit_for_bit(self, floor):
         # each site's upper and lower line once, from transition_frequencies

@@ -65,6 +65,15 @@ class TestRegularization:
         with pytest.raises(ValueError, match="^lam must be finite"):
             cost(pulse, scen, lam=lam)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_gradient_refuses_the_weight_cost_refuses(self, lam):
+        # NaN and inf used to give all-NaN arrays, and -1e-9 a gradient
+        pulse = random_pulse(np.random.default_rng(3))
+        scen = ControlScenario(idle_detunings=(1.1e6,), manifold=TRIPLET)
+        for evaluate in (cost, gradient):
+            with pytest.raises(ValueError, match="^lam must be finite and >= 0"):
+                evaluate(pulse, scen, lam)
+
     @staticmethod
     def per_channel_subgradient(i_amps, q_amps, lam):
         """The subgradient one channel at a time, each from its own diff."""

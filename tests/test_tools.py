@@ -1,9 +1,10 @@
 """The two tools that gate a change, imported by path: `compare_outputs.py`
-(CLI outputs of two trees) and `bench_pairs.py` (paired benchmark
-statistics, and the copy of the working tree it measures); and the paired
-ratios of `profile_pairs.py`, which both profile tools share, and the
-command line of `descent_profile.py`.  Nothing here runs the CLI or a
-benchmark."""
+(CLI outputs of two trees, and its export of a revision) and `bench_pairs.py`
+(paired benchmark statistics, and the copy of the working tree it measures);
+the harness of `profile_pairs.py`, which both profile tools share (its
+staging of the two trees, its pass timing and its paired ratios); the
+command line of `descent_profile.py`; and every tool's `--help` in a fresh
+process.  Nothing here runs the CLI, a profile worker or a benchmark."""
 
 import importlib.util
 import json
@@ -12,12 +13,16 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
+sys.path.insert(0, str(TOOLS))      # the tools import each other by name
 
 
 def load_tool(name):
@@ -264,3 +269,100 @@ class TestProfilePairsRatios:
             load_tool("descent_profile").main(["src", "--passes", "0"])
         assert exit_.value.code == 2
         assert "--pairs, --passes must be >= 1" in capsys.readouterr().err
+
+
+def tree_files(tree):
+    return {str(p.relative_to(tree)): p.read_bytes() for p in tree.rglob("*") if p.is_file()}
+
+
+class TestProfilePairsStaging:
+    def test_workers_get_copies_at_paths_of_equal_length(self, tmp_path, monkeypatch):
+        src, against = tmp_path / "src", tmp_path / "a much longer directory" / "src"
+        for tree, text in ((src, "change = 1\n"), (against, "parent = 1\n")):
+            (tree / "spinmux").mkdir(parents=True)
+            (tree / "spinmux" / "__init__.py").write_text(text)
+            (tree / "spinmux" / "__pycache__").mkdir()
+            (tree / "spinmux" / "__pycache__" / "stale.pyc").write_bytes(b"stale")
+        seen, labels = [], []
+
+        def fake_run(cmd, **kwargs):
+            tree = Path(cmd[2])
+            seen.append((tree, tree_files(tree)))
+            return subprocess.CompletedProcess(cmd, 0, stdout='{"timings": {"t": 1.0}}\n')
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        profile_pairs.main("tool.py", "A tool.", None,
+                           lambda tree, result: labels.append(tree), "seed",
+                           argv=[str(src), "--against", str(against), "--pairs", "2"])
+        assert [files for _, files in seen[:2]] == [{"spinmux/__init__.py": b"change = 1\n"},
+                                                    {"spinmux/__init__.py": b"parent = 1\n"}]
+        assert [tree.parent.name for tree, _ in seen] == ["change", "parent", "parent", "change"]
+        assert len({len(str(tree)) for tree, _ in seen}) == 1
+        assert {tree.name for tree, _ in seen} == {"src"}
+        assert labels == [src, against]
+
+    def test_a_tree_without_the_package_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            profile_pairs.main("tool.py", "A tool.", None, None, "seed",
+                               argv=[str(ROOT / "src"), "--against", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert f"no spinmux package under {tmp_path}" in capsys.readouterr().err
+
+
+def fake_workload(calls):
+    from workloads import Op, Workload
+
+    def second(_):
+        calls.append("second")
+        if calls.count("second") == 2:
+            raise RuntimeError("boom")
+
+    return Workload([Op("first", "bench.first", lambda _: calls.append("first"),
+                        lambda *_: None),
+                     Op("second", "bench.second", second, lambda *_: None)],
+                    lambda: calls.append("warm up"))
+
+
+class TestProfilePairsPasses:
+    @pytest.fixture(autouse=True)
+    def perfbench_on_path(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+
+    def test_medians_of_op_over_reference_faults_and_the_host_wall(self, monkeypatch):
+        import worker
+
+        passes = iter([[(1.0, 2.0), (3.0, 1.0)], [(3.0, 2.0), (1.0, 1.0)],
+                       [(2.0, 1.0), (2.0, 1.0)]])
+        monkeypatch.setattr(worker, "run_pass", lambda workload, tracer, first: (next(passes), 0))
+        faults = iter([0, 10, 10, 30, 30, 60])       # 10, 20 and 30 per pass
+        monkeypatch.setattr(profile_pairs.resource, "getrusage",
+                            lambda who: SimpleNamespace(ru_minflt=next(faults)))
+        calls = []
+        medians, wall, per_pass = profile_pairs.time_passes(lambda _: fake_workload(calls), 3)
+        assert calls == ["warm up"]
+        # ratios 0.5, 1.5, 2 and 3, 1, 2
+        assert medians == {"first": 1.5 * worker.REFERENCE_S, "second": 2 * worker.REFERENCE_S}
+        assert wall == pytest.approx(3.5 * worker.REFERENCE_S, rel=1e-15)
+        assert per_pass == 20
+
+    def test_a_failed_operation_stops_the_passes(self, capsys):
+        calls = []
+        with pytest.raises(SystemExit, match="^1 operations failed$"):
+            profile_pairs.time_passes(lambda _: fake_workload(calls), 5)
+        assert calls == ["warm up", "first", "second", "first", "second"]
+        assert "second raised" in capsys.readouterr().err
+
+
+def test_an_unknown_revision_exits_2_naming_it(tmp_path, capsys):
+    assert compare_outputs.main(["run", "--rev", "no-such-revision", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: git archive no-such-revision: ")
+
+
+@pytest.mark.parametrize("argv", (["bench_pairs.py"], ["compare_outputs.py", "run"],
+                                  ["descent_profile.py"], ["survey_profile.py"]))
+def test_every_tool_command_line_starts_outside_the_repository(argv, tmp_path):
+    # loading a tool by path hides a broken import of another tool
+    proc = subprocess.run([sys.executable, str(TOOLS / argv[0]), *argv[1:], "--help"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")

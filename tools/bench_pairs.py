@@ -18,7 +18,8 @@ the median, q1 and q3 of each side (quartiles by the inclusive method of
 the medians and the metric's bound; per workload the failed and attempted
 operation counts of each side; the environment block perfbench prints; the
 `src/` line count of each tree; and every run's values.  A markdown table
-of the same numbers goes to stdout.
+of the same numbers goes to stdout.  Its exporter, side names and quartile
+rule serve `compare_outputs.py` and `profile_pairs.py` too.
 
 Needs only the standard library; the measured trees need what perfbench needs.
 """

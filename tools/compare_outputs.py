@@ -16,12 +16,13 @@ runs `demo_configs()` of the `tools/regen_demo_configs.py` beside SRC and
 writes each config's calibrated wire anchor, DC current and carrier to
 `calibration.jsonl`, so a change in `calibrate_wire`, which no README
 command runs, shows too.  With `--rev`, SRC is that git revision's `src/`
-(and its `tools/regen_demo_configs.py`), exported with `git archive` into a
-temporary directory that is removed afterwards.  Outputs and the exit codes
-(`exit_codes.json`) land in OUTDIR.  With `--pulse`,
-`simulate pulse` and `sweep` read that pulse file instead of the one
-`optimize` wrote, so two trees can be compared on identical inputs.  A
-revision against the working tree is then three commands:
+(and its `tools/regen_demo_configs.py`), the revision exported whole by
+`bench_pairs.export` into a temporary directory that is removed afterwards;
+an unknown revision exits 2.  Outputs and the exit codes (`exit_codes.json`)
+land in OUTDIR.  With `--pulse`, `simulate pulse` and `sweep` read that
+pulse file instead of the one `optimize` wrote, so two trees can be compared
+on identical inputs.  A revision against the working tree is then three
+commands:
 
     python tools/compare_outputs.py run --rev HEAD~1 A
     python tools/compare_outputs.py run src B --pulse A/pulse.csv
@@ -48,11 +49,12 @@ import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from bench_pairs import export
 
 
 def readme_commands(data: Path, out: Path, pulse: Path):
@@ -141,19 +143,13 @@ def run(src: Path, out: Path, pulse: Path | None) -> int:
 
 def run_rev(rev: str, out: Path, pulse: Path | None) -> int:
     """`run` on the `src/` of git revision `rev` of this repository."""
-    repo = Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory() as tmp:
-        archive = Path(tmp) / "src.tar"
-        proc = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar",
-                               "-o", str(archive), rev, "src",
-                               "tools/regen_demo_configs.py"],
-                              capture_output=True, text=True)
-        if proc.returncode:
-            print(f"error: git archive {rev}: {proc.stderr.strip()}", file=sys.stderr)
+        try:
+            tree = export(rev, Path(tmp) / "tree")
+        except subprocess.CalledProcessError as exc:
+            print(f"error: git archive {rev}: {exc.stderr.strip()}", file=sys.stderr)
             return 2
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp, filter="data")
-        return run(Path(tmp) / "src", out, pulse)
+        return run(tree / "src", out, pulse)
 
 
 def _columns(path: Path) -> tuple[dict, int]:

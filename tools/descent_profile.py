@@ -4,43 +4,42 @@
 
 SRC (and SRC2) is a directory that holds the `spinmux` package, such as this
 checkout's `src` or the `src` of a `git archive` export.  Each tree is
-measured in its own fresh worker process, which imports `spinmux` from that
-tree only.
+measured in its own fresh worker process, which imports `spinmux` from a
+copy of that tree only.
 
-The worker first times the benchmark's synth workload as perfbench does
-(and as `survey_profile.py` times the survey): it builds the workload
-(`perfbench/workloads.py` at its full size: 6 seeded tasks, m = 200, 2
-restarts x 20 iterations, tol 0), runs its warm-up and then `--passes` passes
-of perfbench's own `run_pass`, each task timed just after perfbench's
-reference loop and the workload's checks run untimed after every pass (a
-failed task or check stops the script).  The synth pass is perfbench's
-`host_wall` of those passes, the synth `wall_s` in seconds of the reference
-host; the median minor page faults per pass (`getrusage` of the worker,
-checks and reference loops included) are printed beside it.  The script also
-prints, per task, the stacked `_objective` calls, the pulses they evaluated,
-the `_objective_gradient` calls and the tracemalloc peak of the `optimize`
-call, and the ensemble-scale table: 6, 12, 30 and 90 members (2 to 30 spins,
-hyperfine triplet on), each one `optimize` of 2 restarts x 20 iterations,
-tol 0, m = 200, as the best of 3 calls in ms per restart-iteration and us
-per member.
+The worker times everything by `profile_pairs.time_passes`, perfbench's
+reference rule (as `survey_profile.py` times the survey): a workload's
+warm-up and then `--passes` passes of perfbench's own `run_pass`, each
+operation timed just after perfbench's reference loop, divided by that
+loop's time and given in seconds of the reference host, with the workload's
+checks untimed after every pass (a failed operation or check stops the
+script).  First the benchmark's synth workload (`perfbench/workloads.py` at
+its full size: 6 seeded tasks, m = 200, 2 restarts x 20 iterations, tol 0):
+the synth pass is perfbench's `host_wall` of its passes, the synth `wall_s`
+in seconds of the reference host, and the median minor page faults per pass
+(`getrusage` of the worker, checks and reference loops included) are
+printed beside it.  The script also prints, per task, the stacked
+`_objective` calls, the pulses they evaluated, the `_objective_gradient`
+calls and the tracemalloc peak of the `optimize` call, and the
+ensemble-scale table: 6, 12, 30 and 90 members (2 to 30 spins, hyperfine
+triplet on), each one `optimize` of 2 restarts x 20 iterations, tol 0,
+m = 200, as one operation of a workload passed `--passes` times, in
+reference-host ms per restart-iteration and us per member.
 
 With `--against`, each of the N pairs runs one worker per tree, alternating
 which runs first, and the script also prints the median and quartiles of the
 paired ratios SRC / SRC2 of the synth pass and of each table row; a ratio
-below 1 means SRC is faster.  The workers, pairs and ratios are
-`profile_pairs.py`'s, shared with `survey_profile.py`.  Give both trees paths
-of equal length: the path alone moves the synth pass by a few percent.
+below 1 means SRC is faster.  The staging of both trees at paths of equal
+length, the workers, pairs and ratios are `profile_pairs.py`'s, shared with
+`survey_profile.py`.
 
 Needs only the standard library and numpy (and what the measured trees need).
 """
 
 from __future__ import annotations
 
-import resource
 import statistics
 import sys
-import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -48,37 +47,16 @@ import profile_pairs
 
 MEMBERS = (6, 12, 30, 90)
 ITERS, RESTARTS, M = 20, 2, 200
-REPEATS = 3
-
-
-def _synth_passes(seed: int, passes: int):
-    """perfbench's `host_wall` of `passes` synth passes, and the median minor
-    page faults per pass."""
-    from tracing import Tracer
-    from worker import host_wall, run_pass
-    from workloads import build
-
-    runs, faults = [], []
-    with tempfile.TemporaryDirectory() as workdir:
-        workload = build("synth", seed, "full", workdir)
-        workload.warm_up()
-        for _ in range(passes):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            timings, failed = run_pass(workload, Tracer(False), 0)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-            if failed:
-                raise SystemExit(f"{failed} synth operations failed")
-            runs.append(timings)
-    return host_wall(runs), statistics.median(faults)
 
 
 def _profile(seed: int, passes: int) -> dict:
     """The worker's measurements; `spinmux` is already importable."""
     import spinmux as smx
     import spinmux.synthesis as synthesis
-    from workloads import SIZES, synth_tasks
+    from workloads import SIZES, Op, Workload, build, synth_tasks
 
-    synth_wall, faults = _synth_passes(seed, passes)
+    _, synth_wall, faults = profile_pairs.time_passes(
+        lambda workdir: build("synth", seed, "full", workdir), passes)
     size = SIZES["full"]
     tasks = synth_tasks(seed, size["synth_tasks"], size["synth_iters"],
                         size["synth_restarts"])
@@ -94,7 +72,6 @@ def _profile(seed: int, passes: int) -> dict:
         counts["gradient"] += 1
         return objective_gradient(*args)
 
-    smx.optimize(*tasks[0])     # warm-up, untimed and uncounted
     rows = []
     synthesis._objective, synthesis._objective_gradient = counting_objective, counting_gradient
     tracemalloc.start()
@@ -109,23 +86,18 @@ def _profile(seed: int, passes: int) -> dict:
         tracemalloc.stop()
         synthesis._objective, synthesis._objective_gradient = objective, objective_gradient
 
-    def best_time(call) -> float:
-        times = []
-        for _ in range(REPEATS):
-            started = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - started)
-        return min(times)
-
-    timings = {"synth": synth_wall}
     config = smx.OptimizerConfig(m=M, dt=10e-6 / M, lam=1e-9, tol=0.0, restarts=RESTARTS,
                                  max_iters=ITERS)
-    for members in MEMBERS:
-        spectators = members // 3 - 1
+
+    def member_op(members):
         scenario = smx.ControlScenario(
-            idle_detunings=tuple(0.45e6 * k for k in range(1, spectators + 1)))
-        timings[f"{members} members"] = best_time(lambda: smx.optimize(scenario, config))
-    return {"tasks": rows, "faults_per_pass": faults, "timings": timings}
+            idle_detunings=tuple(0.45e6 * k for k in range(1, members // 3)))
+        return Op(f"{members} members", "synthesis.optimize",
+                  lambda _: smx.optimize(scenario, config), lambda *_: None)
+
+    ensemble = Workload([member_op(members) for members in MEMBERS], lambda: None)
+    timings, _, _ = profile_pairs.time_passes(lambda _: ensemble, passes)
+    return {"tasks": rows, "faults_per_pass": faults, "timings": {"synth": synth_wall, **timings}}
 
 
 def print_profile(src: Path, result: dict, passes: int) -> None:
@@ -142,7 +114,7 @@ def print_profile(src: Path, result: dict, passes: int) -> None:
     print(f"synth pass (6 tasks, perfbench `host_wall` of {passes} passes): "
           f"{result['timings']['synth']:.4f} reference-host s; minor page faults per "
           f"pass (median): {result['faults_per_pass']:.0f}\n")
-    print("| members | ms per restart-iteration | us per member |")
+    print("| members | ms per restart-iteration (reference host) | us per member |")
     print("|---|---|---|")
     for members in MEMBERS:
         per_iter = result["timings"][f"{members} members"] / (RESTARTS * ITERS)
@@ -152,7 +124,7 @@ def print_profile(src: Path, result: dict, passes: int) -> None:
 
 def main(argv=None) -> int:
     return profile_pairs.main(__file__, __doc__, _profile, print_profile, "synth task seed",
-                              counts={"passes": (20, "synth passes per worker")}, argv=argv)
+                              counts={"passes": (20, "synth and ensemble passes per worker")}, argv=argv)
 
 
 if __name__ == "__main__":

@@ -2,15 +2,20 @@
 `survey_profile.py`.
 
 A tool hands `main` its own measurement (`profile`, run inside a fresh worker
-process that imports `spinmux` from one `src/` tree only) and its printout
-(`print_profile`).  `main` parses the common command line
+process that imports `spinmux` from a copy of one `src/` tree only) and its
+printout (`print_profile`).  `main` parses the common command line
 
     SRC [--against SRC2] [--pairs N] [--seed S] [the tool's own counts]
 
-runs one worker for SRC, or with `--against` N alternated pairs of workers,
-one per tree, and prints each tree's profile and then the median and
-quartiles of the paired ratios SRC / SRC2 of every entry of the result's
-"timings"; a ratio below 1 means SRC is faster.
+Before any worker starts it copies SRC to `<tmp>/change/src` and SRC2 to
+`<tmp>/parent/src`, the sides of `bench_pairs.py`, so both trees sit at paths
+of equal length (the path alone moves a tree's timings).  It runs one worker
+for SRC, or with `--against` N alternated pairs of workers, one per tree, and
+prints each tree's profile, labelled with the path given, and then the
+median and quartiles (`bench_pairs.quartiles`) of the paired ratios
+SRC / SRC2 of every entry of the result's "timings"; a ratio below 1 means
+SRC is faster.  Every timed entry is measured by `time_passes`, perfbench's
+reference rule.
 
 Needs only the standard library.
 """
@@ -19,12 +24,42 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+from bench_pairs import SIDES, quartiles
+
 REPO = Path(__file__).resolve().parents[1]
+
+
+def time_passes(build, passes: int):
+    """Warm up the perfbench `Workload` that `build(workdir)` returns, then
+    run `passes` passes of perfbench's `run_pass`, stopping at any failed
+    operation.  Returns each operation's median of its time over the
+    reference loop's, times `REFERENCE_S`, by key; perfbench's `host_wall`
+    of the passes; and the median minor page faults per pass."""
+    from tracing import Tracer
+    from worker import REFERENCE_S, host_wall, run_pass
+
+    runs, faults = [], []
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = build(workdir)
+        workload.warm_up()
+        for _ in range(passes):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            timings, failed = run_pass(workload, Tracer(False), 0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            if failed:
+                raise SystemExit(f"{failed} operations failed")
+            runs.append(timings)
+    medians = {op.key: REFERENCE_S * statistics.median(t / ref for t, ref in column)
+               for op, column in zip(workload.ops, zip(*runs))}
+    return medians, host_wall(runs), statistics.median(faults)
 
 
 def print_ratios(src: Path, against: Path, pairs: list) -> None:
@@ -33,12 +68,9 @@ def print_ratios(src: Path, against: Path, pairs: list) -> None:
     print("| timing | median | q1 | q3 |")
     print("|---|---|---|---|")
     for key in pairs[0][0]["timings"]:
-        ratios = [mine["timings"][key] / theirs["timings"][key] for mine, theirs in pairs]
-        if len(ratios) > 1:
-            q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-        else:
-            q1 = median = q3 = ratios[0]
-        print(f"| {key} | {median:.3f} | {q1:.3f} | {q3:.3f} |")
+        stats = quartiles([mine["timings"][key] / theirs["timings"][key]
+                           for mine, theirs in pairs])
+        print(f"| {key} | {stats['median']:.3f} | {stats['q1']:.3f} | {stats['q3']:.3f} |")
 
 
 def main(script: str, doc: str, profile, print_profile, seed_help: str, counts=None,
@@ -61,9 +93,13 @@ def main(script: str, doc: str, profile, print_profile, seed_help: str, counts=N
     settings = {name: getattr(args, name) for name in counts}
     if min([args.pairs, *settings.values()]) < 1:
         parser.error(f"{', '.join(f'--{n}' for n in ('pairs', *counts))} must be >= 1")
-    src = args.src.resolve()
+    given = {side: path for side, path in (("change", args.src), ("parent", args.against))
+             if path is not None}
+    for path in given.values():
+        if not (path / "spinmux" / "__init__.py").is_file():
+            parser.error(f"no spinmux package under {path}")
     if args.worker:
-        sys.path[:0] = [str(src), str(REPO), str(REPO / "perfbench")]
+        sys.path[:0] = [str(args.src.resolve()), str(REPO), str(REPO / "perfbench")]
         print(json.dumps(profile(args.seed, **settings)))
         return 0
 
@@ -75,17 +111,20 @@ def main(script: str, doc: str, profile, print_profile, seed_help: str, counts=N
             raise SystemExit(f"worker for {tree} failed:\n{proc.stderr.strip()}")
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
-    if args.against is None:
-        print_profile(src, run_worker(src), **settings)
-        return 0
-    against = args.against.resolve()
-    pairs = []
-    for n in range(args.pairs):
-        order = (src, against) if n % 2 == 0 else (against, src)
-        result = {tree: run_worker(tree) for tree in order}
-        pairs.append((result[src], result[against]))
-        print(f"pair {n + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print_profile(src, pairs[0][0], **settings)
-    print_profile(against, pairs[0][1], **settings)
-    print_ratios(src, against, pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: shutil.copytree(path, Path(tmp) / side / "src",
+                                       ignore=shutil.ignore_patterns("__pycache__"))
+                 for side, path in given.items()}
+        if args.against is None:
+            print_profile(args.src, run_worker(trees["change"]), **settings)
+            return 0
+        pairs = []
+        for n in range(args.pairs):
+            order = SIDES[::-1] if n % 2 == 0 else SIDES
+            result = {side: run_worker(trees[side]) for side in order}
+            pairs.append((result["change"], result["parent"]))
+            print(f"pair {n + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    print_profile(args.src, pairs[0][0], **settings)
+    print_profile(args.against, pairs[0][1], **settings)
+    print_ratios(args.src, args.against, pairs)
     return 0
